@@ -1,8 +1,10 @@
-"""Benchmark the LSTM sequence kernels: JIT-compiled vs pure numpy.
+"""Benchmark the LSTM sequence kernels (JIT-compiled vs pure numpy) and the
+factored next-token likelihood op (matmul normaliser vs direct reference).
 
-Runs both implementations in one process on the same inputs, so the numbers
-are directly comparable. The JIT path is what SEVAE_BACKEND=auto selects
-when numba is installed; the numpy path is the fallback.
+Runs both implementations of each in one process on the same inputs, so the
+numbers are directly comparable. The JIT path is what SEVAE_BACKEND=auto
+selects when numba is installed; the numpy path is the fallback. The
+factored op is timed at lat's tagging shape, 7 labels x 30 latent values.
 
 Usage: python3 benchmarks/bench_kernels.py [--reps 30]
 """
@@ -14,6 +16,7 @@ import time
 import numpy as np
 
 from sevae import kernels
+from sevae import tensor
 
 
 def _time(fn, reps):
@@ -53,6 +56,21 @@ def bench_case(T, H, reps, rng):
     return rows, agree
 
 
+def bench_factored(n_steps, V, reps, rng, n_rows=7, n_cols=30):
+    """Forward times of factored_loglik and of its direct reference, plus
+    their largest relative disagreement."""
+    base = rng.standard_normal((n_steps, V))
+    rows = rng.standard_normal((n_rows, V)) * 0.3
+    cols = rng.standard_normal((n_cols, V)) * 0.3
+    targets = rng.integers(0, V, size=n_steps)
+    factored = tensor.factored_loglik(base, rows, cols, targets).data
+    direct = tensor._direct_loglik(base, rows, cols, targets)
+    t_fac = _time(lambda: tensor.factored_loglik(base, rows, cols, targets), reps)
+    t_dir = _time(lambda: tensor._direct_loglik(base, rows, cols, targets), reps)
+    agree = float(np.max(np.abs(factored - direct) / np.maximum(1.0, np.abs(direct))))
+    return t_fac, t_dir, agree
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
@@ -68,6 +86,13 @@ def main():
             speed = (base_fwd + base_bwd) / (t_fwd + t_bwd)
             print(f"{f'T={T} H={H}':>14s} {label:>6s} {t_fwd * 1e3:9.3f}ms {t_bwd * 1e3:9.3f}ms {speed:7.2f}x")
         print(f"{'':>14s} max |numpy - {kernels.BACKEND}| on outputs: {agree:.2e}")
+
+    print()
+    print(f"{'case':>14s} {'factored':>10s} {'direct':>10s} {'speedup':>8s} {'max rel diff':>12s}")
+    for n_steps in (8, 64, 120):
+        t_fac, t_dir, agree = bench_factored(n_steps, 383, args.reps, rng)
+        print(f"{f'T={n_steps} V=383':>14s} {t_fac * 1e3:9.3f}ms {t_dir * 1e3:9.3f}ms "
+              f"{t_dir / t_fac:7.2f}x {agree:12.2e}")
 
 
 if __name__ == "__main__":

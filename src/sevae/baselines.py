@@ -71,14 +71,6 @@ def _eval_hidden_states(params, name, ids, hidden):
     return hs, targets
 
 
-def _sequence_loglik(logits, targets):
-    """Summed next-token log-likelihood; logits (..., T, V), targets (T,)."""
-    m = logits.max(axis=-1, keepdims=True)
-    lsm = logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-    rows = lsm[..., np.arange(targets.shape[0]), targets]
-    return rows.sum(axis=-1)
-
-
 class DiscModel:
     """Mean-pooled one-layer LSTM with a 7-way softmax head."""
 
@@ -158,7 +150,8 @@ class ClassLMModel:
         hs, targets = _eval_hidden_states(p, "lstm", ids, self.hidden_dim)
         base = hs @ p["out.wh"].data + p["out.b"].data
         tilts = p["lab_emb"].data @ p["out.wy"].data
-        logliks = _sequence_loglik(base[None, :, :] + tilts[:, None, :], targets)
+        no_col = np.zeros((1, self.vocab_size))
+        logliks = T.factored_loglik(base, tilts, no_col, targets).data[:, 0]
         return logliks + np.log(p["prior"].data)
 
     def predict(self, ids):
@@ -205,37 +198,25 @@ class LatentClassLMModel:
     def latent_prior(self):
         return np.exp(self.latent_log_prior().data)
 
-    def _base_logits(self, ids, label):
+    def _marginal(self, base, label_tilts, targets):
+        """log sum_c p(x|c, y) p(c) for each row of label_tilts, one (rows, C)
+        factored_loglik shared by training and prediction."""
+        p = self.params
+        latent_tilts = T.matmul(p["lat_emb"], p["out.wc"])
+        cond = T.factored_loglik(base, label_tilts, latent_tilts, targets)
+        return T.logsumexp(cond + self.latent_log_prior(), axis=1)
+
+    def marginal_loglik(self, ids, label):
+        """log p(x, y) = logsumexp_c [log p(x|c,y) + log p(c)] + log p(y)."""
         p = self.params
         ids = _check_ids(ids, self.vocab_size)
         inputs = np.concatenate(([Vocab.BOS], ids))
         targets = np.concatenate((ids, [Vocab.EOS]))
-        x = T.embedding(p["emb"], inputs)
-        hs = _run_lstm(x, p, "lstm", self.hidden_dim)
+        hs = _run_lstm(T.embedding(p["emb"], inputs), p, "lstm", self.hidden_dim)
         base = T.affine(hs, p["out.wh"], p["out.b"])
         v_y = T.embedding(p["lab_emb"], np.array([int(label)]))
-        tilt = T.repeat_row(T.reshape(v_y, (v_y.shape[1],)), inputs.shape[0])
-        return base + T.matmul(tilt, p["out.wy"]), targets
-
-    def _conditional_logliks(self, base, targets):
-        """log p(x|c, y) for every c, sharing the label-tilted base logits."""
-        p = self.params
-        n_steps = targets.shape[0]
-        per_c = []
-        for c in range(self.n_latent):
-            v_c = T.embedding(p["lat_emb"], np.array([c]))
-            tilt = T.repeat_row(T.reshape(v_c, (v_c.shape[1],)), n_steps)
-            logits = base + T.matmul(tilt, p["out.wc"])
-            per_c.append(-T.cross_entropy(logits, targets))
-        return per_c
-
-    def marginal_loglik(self, ids, label):
-        """log p(x, y) = logsumexp_c [log p(x|c,y) + log p(c)] + log p(y)."""
-        base, targets = self._base_logits(ids, label)
-        cond = self._conditional_logliks(base, targets)
-        joint = T.stack(cond, axis=0) + self.latent_log_prior()
-        lse = T.logsumexp(joint)
-        return lse + float(np.log(self.params["prior"].data[int(label)]))
+        lse = self._marginal(base, T.matmul(v_y, p["out.wy"]), targets)
+        return T.sum_(lse) + float(np.log(p["prior"].data[int(label)]))
 
     def loss(self, ids, label, rng=None):
         nll = -self.marginal_loglik(ids, label)
@@ -248,20 +229,7 @@ class LatentClassLMModel:
         hs, targets = _eval_hidden_states(p, "lstm", ids, self.hidden_dim)
         base = hs @ p["out.wh"].data + p["out.b"].data
         tilts_y = p["lab_emb"].data @ p["out.wy"].data
-        tilts_c = p["lat_emb"].data @ p["out.wc"].data
-        log_pc = self.latent_log_prior().data
-        scores = np.empty(N_LABELS)
-        for y in range(N_LABELS):
-            per_c = np.empty(self.n_latent)
-            # chunked over c to bound the (c, T, V) logits block
-            for lo in range(0, self.n_latent, 8):
-                hi = min(lo + 8, self.n_latent)
-                logits = base[None, :, :] + tilts_y[y][None, None, :] + tilts_c[lo:hi, None, :]
-                per_c[lo:hi] = _sequence_loglik(logits, targets)
-            joint = per_c + log_pc
-            m = joint.max()
-            scores[y] = m + np.log(np.exp(joint - m).sum())
-        return scores + np.log(p["prior"].data)
+        return self._marginal(base, tilts_y, targets).data + np.log(p["prior"].data)
 
     def predict(self, ids):
         return int(np.argmax(self.joint_scores(ids)))

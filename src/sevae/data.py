@@ -14,8 +14,10 @@ token order, which separates order-aware models from models whose label
 conditioning can only tilt token frequencies.
 """
 
+import contextlib
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -243,6 +245,25 @@ def write_jsonl(clauses, path):
                 "clause_idx": cl.clause_idx,
             }
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def atomic_write(path, payload):
+    """Write payload (str as UTF-8, or bytes) to path in one step.
+
+    The bytes go to a fresh temp file in path's directory, which os.replace
+    then renames over path: readers see the previous file or the new one,
+    never a partial write, and a failed write leaves no temp file behind.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    data = payload.encode("utf-8") if isinstance(payload, str) else payload
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def label_counts(clauses):

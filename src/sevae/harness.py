@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import (
-    N_LABELS, Split, Vocab, build_vocab, cross_genre_split, default_min_count,
+    N_LABELS, Split, Vocab, atomic_write, build_vocab, cross_genre_split, default_min_count,
     label_prior, paragraphs_of, split_manifest, manifest_digest, subsample_per_label,
 )
 from .errors import CheckpointError, DataError
@@ -387,24 +387,24 @@ def run_cross_genre(spec, corpus, cfg, genres=None):
 
 
 def write_sweep_tsv(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model\tk\tseed\taccuracy\tmacro_f1\n")
-        for name, k, seed, acc, f1 in rows:
-            fh.write(f"{name}\t{k}\t{seed}\t{acc!r}\t{f1!r}\n")
+    lines = ["model\tk\tseed\taccuracy\tmacro_f1\n"]
+    for name, k, seed, acc, f1 in rows:
+        lines.append(f"{name}\t{k}\t{seed}\t{acc!r}\t{f1!r}\n")
+    atomic_write(path, "".join(lines))
 
 
 def write_sweep_aggregates_tsv(aggregates, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model\tk\tmean_accuracy\tstd_accuracy\tmean_macro_f1\tstd_macro_f1\n")
-        for name, k, ma, sa, mf, sf in aggregates:
-            fh.write(f"{name}\t{k}\t{ma!r}\t{sa!r}\t{mf!r}\t{sf!r}\n")
+    lines = ["model\tk\tmean_accuracy\tstd_accuracy\tmean_macro_f1\tstd_macro_f1\n"]
+    for name, k, ma, sa, mf, sf in aggregates:
+        lines.append(f"{name}\t{k}\t{ma!r}\t{sa!r}\t{mf!r}\t{sf!r}\n")
+    atomic_write(path, "".join(lines))
 
 
 def write_cross_genre_tsv(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model\tgenre\taccuracy\tmacro_f1\n")
-        for name, genre, acc, f1 in rows:
-            fh.write(f"{name}\t{genre}\t{acc!r}\t{f1!r}\n")
+    lines = ["model\tgenre\taccuracy\tmacro_f1\n"]
+    for name, genre, acc, f1 in rows:
+        lines.append(f"{name}\t{genre}\t{acc!r}\t{f1!r}\n")
+    atomic_write(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +450,7 @@ def save_checkpoint(result, path, meta=None):
         for dim in p.data.shape:
             buf.write(struct.pack("<Q", dim))
         buf.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 class _Reader:

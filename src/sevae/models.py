@@ -66,6 +66,25 @@ class ModelSpec:
         return default_spec(obj["name"], **obj["options"])
 
 
+def _coerce_option(name, key, value, default):
+    """Cast an override to its default's type; a bool takes only
+    true/false/1/0 (any case), a number only a value that parses exactly."""
+    typ = type(default)
+    if isinstance(value, typ) and (typ is bool or not isinstance(value, bool)):
+        return value
+    text = str(value).strip()
+    if typ is bool:
+        parsed = {"true": True, "1": True, "false": False, "0": False}.get(text.lower())
+        if parsed is not None:
+            return parsed
+    else:
+        try:
+            return typ(text)
+        except ValueError:
+            pass
+    raise DataError(f"model {name!r} option {key!r} expects {typ.__name__}, got {value!r}")
+
+
 def default_spec(name, **overrides):
     if name not in MODEL_NAMES:
         raise DataError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
@@ -73,7 +92,7 @@ def default_spec(name, **overrides):
     for key, value in overrides.items():
         if key not in options:
             raise DataError(f"model {name!r} has no option {key!r}; valid: {', '.join(sorted(options))}")
-        options[key] = type(options[key])(value)
+        options[key] = _coerce_option(name, key, value, options[key])
     return ModelSpec(name, options)
 
 

@@ -12,11 +12,14 @@ float64 throughout -- finite-difference verification needs the headroom.
 The op set is deliberately small: matmul (incl. stacked 3-D), affine,
 elementwise arithmetic and activations, concat/slice/reshape/transpose,
 reductions, embedding lookup, softmax / log-softmax / logsumexp,
-cross-entropy, layer norm, dropout, and a fused LSTM sequence op whose
-forward/backward run through the kernels backend. Everything else in the
-package is composed from these.
+cross-entropy, layer norm, dropout, a fused LSTM sequence op whose
+forward/backward run through the kernels backend, and factored_loglik, the
+next-token log-likelihood under every (row, column) tilt of shared base
+logits, whose softmax normaliser is a matmul over max-shifted exponentials.
+Everything else in the package is composed from these.
 """
 
+import math
 import threading
 
 import numpy as np
@@ -96,12 +99,12 @@ class Tape:
 
     Nodes are (inputs, backward_fn, out): ``backward_fn(out_grad)`` returns
     one gradient array per input (or None for inputs that need none).
-    Tapes do not nest; evaluation code simply runs outside any tape.
+    backward consumes the nodes, so it runs once per tape. Tapes do not
+    nest; evaluation code simply runs outside any tape.
     """
 
     def __init__(self):
         self.nodes = []
-        self._done = False
 
     def __enter__(self):
         if _active_tape() is not None:
@@ -125,6 +128,8 @@ class Tape:
             raise GraphError(f"non-scalar loss of shape {loss.data.shape}")
         if loss._tape is not self or loss._node_id < 0:
             raise GraphError("backward before forward: loss was not recorded on this tape")
+        if loss._node_id >= len(self.nodes):
+            raise GraphError("backward already ran on this tape")
         grads = {loss._node_id: np.ones((), dtype=np.float64)}
         for node_id in range(len(self.nodes) - 1, -1, -1):
             out_grad = grads.pop(node_id, None)
@@ -142,7 +147,9 @@ class Tape:
                     if tensor.grad is None:
                         tensor.grad = np.zeros_like(tensor.data)
                     tensor.grad = tensor.grad + grad
-        self._done = True
+        # nodes and their outputs reference each other; dropping the nodes
+        # frees the graph's arrays now instead of at a cyclic collection
+        self.nodes = []
 
 
 def as_tensor(x):
@@ -152,8 +159,16 @@ def as_tensor(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _all_finite(arr):
+    # any NaN or inf makes the sum non-finite, so the elementwise scan only
+    # runs on a bad array or on finite values whose sum overflows; the
+    # method calls skip np.sum's and np.all's dispatch, which dominates the
+    # cost on the small arrays most ops produce
+    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+
+
 def _check_finite(arr, op_name):
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise NumericsError(f"non-finite values in output of op '{op_name}'")
 
 
@@ -505,7 +520,7 @@ def embedding(table, ids):
 
 
 def _require_finite_input(a, op_name):
-    if not np.all(np.isfinite(a.data)):
+    if not _all_finite(a.data):
         raise NumericsError(f"non-finite input to op '{op_name}'")
 
 
@@ -587,6 +602,104 @@ def cross_entropy(logits, targets):
         return (grad[0] if single else grad,)
 
     return _from_op("cross_entropy", out, (logits,), backward)
+
+
+# Below this, a factored normaliser sum has lost relative precision to
+# underflow of its terms; it happens only when the tilts spread past about
+# 700 nats, and factored_loglik then takes the direct path.
+_FACTORED_TINY = 1e-280
+
+
+def _direct_logp(bd, row, cd):
+    """Max-shifted log-softmax of base + row + cols as a (J, T, V) block."""
+    logits = bd[None, :, :] + row[None, None, :] + cd[:, None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _direct_loglik(bd, rd, cd, tgt):
+    """Reference for factored_loglik on arrays: one (J, T, V) block per row."""
+    steps = np.arange(tgt.shape[0])
+    return np.stack([_direct_logp(bd, row, cd)[:, steps, tgt].sum(axis=1) for row in rd])
+
+
+def _direct_backward(g, bd, rd, cd, tgt):
+    """Gradients of _direct_loglik for the upstream gradient g (I, J)."""
+    steps = np.arange(tgt.shape[0])
+    dbase, drows, dcols = np.zeros_like(bd), np.zeros_like(rd), np.zeros_like(cd)
+    for i, row in enumerate(rd):
+        dlogits = -g[i][:, None, None] * np.exp(_direct_logp(bd, row, cd))
+        dlogits[:, steps, tgt] += g[i][:, None]
+        dbase += dlogits.sum(axis=0)
+        drows[i] = dlogits.sum(axis=(0, 1))
+        dcols += dlogits.sum(axis=1)
+    return dbase, drows, dcols
+
+
+def factored_loglik(base, rows, cols, targets):
+    """Summed next-token log-likelihood under every (row, column) tilt.
+
+    base: (T, V) logits; rows: (I, V) and cols: (J, V) tilts added to every
+    step; targets: (T,) ints. Entry [i, j] of the (I, J) result is
+    sum_t log softmax(base[t] + rows[i] + cols[j])[targets[t]].
+
+    With A, B, C the max-shifted exponentials of base, rows and cols, the
+    normaliser of step t under (i, j) is exp(shifts) * S[i, t, j], where
+    S = (B[i] * A[t]) @ C.T is one matmul; the backward is matmuls too, so
+    neither direction builds the (I, J, T, V) logits. When some S falls
+    below _FACTORED_TINY, both directions use the direct max-shifted block,
+    one row at a time.
+    """
+    base, rows, cols = as_tensor(base), as_tensor(rows), as_tensor(cols)
+    for t in (base, rows, cols):
+        _require_finite_input(t, "factored_loglik")
+    bd, rd, cd = base.data, rows.data, cols.data
+    tgt = np.asarray(targets, dtype=np.int64)
+    if bd.ndim != 2 or rd.ndim != 2 or cd.ndim != 2:
+        raise GraphError("factored_loglik expects 2-D base, rows and cols")
+    n_steps, n_vocab = bd.shape
+    if rd.shape[1] != n_vocab or cd.shape[1] != n_vocab:
+        raise GraphError(
+            f"factored_loglik widths differ: base {bd.shape}, rows {rd.shape}, cols {cd.shape}")
+    if tgt.shape != (n_steps,):
+        raise GraphError(f"factored_loglik got {n_steps} steps but targets of shape {tgt.shape}")
+    if not tgt.size or tgt.min() < 0 or tgt.max() >= n_vocab:
+        raise GraphError(f"factored_loglik needs at least one target, all in [0, {n_vocab})")
+    n_rows, n_cols = rd.shape[0], cd.shape[0]
+    steps = np.arange(n_steps)
+    mb = bd.max(axis=1, keepdims=True)
+    mr = rd.max(axis=1, keepdims=True)
+    mc = cd.max(axis=1, keepdims=True)
+    a, b, c = np.exp(bd - mb), np.exp(rd - mr), np.exp(cd - mc)
+    ab = (b[:, None, :] * a[None, :, :]).reshape(n_rows * n_steps, n_vocab)
+    s = (ab @ c.T).reshape(n_rows, n_steps, n_cols)
+    direct = s.min() < _FACTORED_TINY
+
+    if direct:
+        out = _direct_loglik(bd, rd, cd, tgt)
+    else:
+        # each target logit minus its row's max, summed over steps
+        picked = (
+            (bd[steps, tgt] - mb[:, 0]).sum()
+            + (rd[:, tgt] - mr).sum(axis=1)[:, None]
+            + (cd[:, tgt] - mc).sum(axis=1)[None, :]
+        )
+        out = picked - np.log(s).sum(axis=1)
+
+    def backward(g):
+        # d out[i, j] / d logit[t, v] = onehot[t, v] - P[i, j, t, v]
+        if direct:
+            return _direct_backward(g, bd, rd, cd, tgt)
+        counts = np.bincount(tgt, minlength=n_vocab)
+        w = g[:, None, :] / s  # (I, T, J)
+        bq = b[:, None, :] * (w @ c)  # (I, T, V): sum_j W C, times B
+        dbase = -a * bq.sum(axis=0)
+        dbase[steps, tgt] += g.sum()
+        drows = -(bq * a[None, :, :]).sum(axis=1) + g.sum(axis=1)[:, None] * counts
+        dcols = -c * (w.reshape(n_rows * n_steps, n_cols).T @ ab) + g.sum(axis=0)[:, None] * counts
+        return dbase, drows, dcols
+
+    return _from_op("factored_loglik", out, (base, rows, cols), backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import encoders
 from . import tensor as T
-from .data import N_LABELS, Vocab
+from .data import N_LABELS, Vocab, atomic_write
 from .errors import DataError, GraphError
 
 LOGVAR_MIN, LOGVAR_MAX = -8.0, 8.0
@@ -300,9 +300,9 @@ def export_latents(model, clauses, vocab):
 def write_latents_tsv(rows, latent_dim, path):
     header = ["doc_id", "par_id", "clause_idx", "label", "genre"]
     header += [f"mu_{i}" for i in range(latent_dim)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for doc_id, par_id, clause_idx, label, genre, mu in rows:
-            cells = [doc_id, str(par_id), str(clause_idx), label, genre]
-            cells += [repr(float(v)) for v in mu]
-            fh.write("\t".join(cells) + "\n")
+    lines = ["\t".join(header) + "\n"]
+    for doc_id, par_id, clause_idx, label, genre, mu in rows:
+        cells = [doc_id, str(par_id), str(clause_idx), label, genre]
+        cells += [repr(float(v)) for v in mu]
+        lines.append("\t".join(cells) + "\n")
+    atomic_write(path, "".join(lines))

@@ -5,6 +5,7 @@ import pytest
 
 from sevae import baselines as B
 from sevae import kernels
+from sevae import tensor as T
 from sevae.data import SEType
 from sevae.gradcheck import check_gradients
 
@@ -178,6 +179,15 @@ def test_lat_latent_prior(rng):
 
     single = lat(rng, c=1)
     np.testing.assert_allclose(single.latent_prior(), [1.0], atol=0)
+
+
+def test_lat_loss_records_at_most_20_tape_nodes(rng):
+    # one factored_loglik node covers all 30 latent values
+    m = lat(rng, c=30)
+    for ids in ([5], [5, 9, 7, 11, 13, 6, 8]):
+        with T.Tape() as tape:
+            m.loss(ids, SEType.REPORT)
+        assert len(tape.nodes) <= 20
 
 
 def test_lat_zeroed_emission_predicts_prior_argmax(rng):

@@ -268,6 +268,30 @@ def test_convert_with_field_map(capsys, tmp_path):
 # sweep / crossgenre
 
 
+def test_opt_false_bool_stays_false(tmp_path, synth_dir):
+    out = tmp_path / "run"
+    rc = cli.main([
+        "train", "--model", "vae-bow", "--train", str(synth_dir / "train.jsonl"),
+        "--out", str(out), "--max-epochs", "1", "--batch", "8", *VAE_OPTS,
+        "--opt", "tie_embeddings=false",
+    ])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["spec"]["options"]["tie_embeddings"] is False
+
+
+@pytest.mark.parametrize("opt", ["latent_dim=1.5", "tie_embeddings=yes", "beta=high"])
+def test_unparsable_opt_is_data_error(capsys, tmp_path, synth_dir, opt):
+    out = tmp_path / "run"
+    rc = cli.main([
+        "train", "--model", "vae-bow", "--train", str(synth_dir / "train.jsonl"),
+        "--out", str(out), *VAE_OPTS, "--opt", opt,
+    ])
+    assert rc == 2
+    assert f"option {opt.split('=')[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_outputs(tmp_path, synth_dir):
     out = tmp_path / "sweep"
     rc = cli.main([

@@ -6,6 +6,7 @@ fsum-based metric counting, and byte-level surgery on serialized checkpoints.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -25,6 +26,7 @@ from sevae.harness import (
 )
 from sevae.models import build_model, default_spec, spec_hash
 from sevae.tensor import Tensor
+from sevae.vae import write_latents_tsv
 
 
 def tiny_spec(name, **overrides):
@@ -383,6 +385,32 @@ def test_checkpoint_save_load_twice_identical_bytes(disc_result, tmp_path):
     save_checkpoint(disc_result, a, {"note": "x"})
     save_checkpoint(disc_result, b, {"note": "x"})
     assert a.read_bytes() == b.read_bytes()
+
+
+WRITERS = {
+    "checkpoint": lambda result, path: save_checkpoint(result, path),
+    "sweep": lambda result, path: write_sweep_tsv([("disc", 4, 1, 0.5, 0.25)], path),
+    "aggregates": lambda result, path: write_sweep_aggregates_tsv(
+        [("disc", 4, 0.5, 0.0, 0.25, 0.0)], path),
+    "crossgenre": lambda result, path: write_cross_genre_tsv([("disc", "news", 0.5, 0.25)], path),
+    "latents": lambda result, path: write_latents_tsv(
+        [("d0", 0, 0, "STATE", "news", [0.5])], 1, path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_replace_keeps_previous_file(writer, disc_result, tmp_path, monkeypatch):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous contents")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[writer](disc_result, path)
+    assert path.read_bytes() == b"previous contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def surgered(path, tmp_path, mutate):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevae import tensor as T
 from sevae.errors import GraphError, NumericsError
@@ -180,6 +182,17 @@ def test_backward_requires_scalar_on_tape():
             tape.backward(off_tape)
 
 
+def test_backward_frees_the_graph_and_runs_once():
+    w = leaf([1.0, 2.0])
+    with T.Tape() as tape:
+        loss = T.sum_(T.mul(w, w))
+        tape.backward(loss)
+        assert tape.nodes == []
+        with pytest.raises(GraphError, match="already ran"):
+            tape.backward(loss)
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+
 def test_no_tape_means_no_recording():
     w = leaf([1.0])
     out = T.mul(w, w)
@@ -189,6 +202,24 @@ def test_no_tape_means_no_recording():
 def test_nonfinite_output_names_offending_op():
     with pytest.raises(NumericsError, match="exp"):
         T.exp(leaf([1000.0]))
+
+
+def test_finite_guard_passes_finite_values_whose_sum_overflows():
+    big = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(T.mul(leaf(big), 1.0).data, big)
+        np.testing.assert_array_equal(T.softmax(leaf(big)).data, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [1e308, np.nan]])
+def test_finite_guard_catches_any_nonfinite_value(bad):
+    x = np.linspace(-1.0, 1.0, 9)
+    x[2:2 + len(bad)] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="output of op 'mul'"):
+            T.mul(leaf(x), 1.0)
+        with pytest.raises(NumericsError, match="input to op 'softmax'"):
+            T.softmax(leaf(x))
 
 
 def test_dropout_semantics(rng):
@@ -327,3 +358,67 @@ def test_gradcheck_stack_repeat_row(rng):
         return T.sum_(T.mul(T.add(m, r), T.add(m, r)))
 
     assert grad_of(build, p) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# factored next-token log-likelihood
+
+
+def factored_inputs(rng, n_rows, n_cols, n_steps, n_vocab, scale):
+    p = {
+        "base": leaf(rng.standard_normal((n_steps, n_vocab)) * scale),
+        "rows": leaf(rng.standard_normal((n_rows, n_vocab)) * scale),
+        "cols": leaf(rng.standard_normal((n_cols, n_vocab)) * scale),
+    }
+    return p, rng.integers(0, n_vocab, size=n_steps)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 7)),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_loglik_matches_direct_reference(dims, scale, seed):
+    # scale 1e3 spreads the tilts past the factored normaliser's underflow
+    # limit, so both the factored path and the direct fallback are drawn
+    rng = np.random.default_rng(seed)
+    p, targets = factored_inputs(rng, *dims, scale)
+    got = T.factored_loglik(p["base"], p["rows"], p["cols"], targets).data
+    want = T._direct_loglik(p["base"].data, p["rows"].data, p["cols"].data, targets)
+    assert got.shape == want.shape == dims[:2]
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    weights = rng.standard_normal(dims[:2])
+
+    def build():
+        return T.sum_(T.mul(T.factored_loglik(p["base"], p["rows"], p["cols"], targets), weights))
+
+    assert grad_of(build, p) < 1e-5
+
+
+def test_factored_loglik_falls_back_when_normaliser_underflows(monkeypatch):
+    calls = []
+    direct = T._direct_loglik
+    monkeypatch.setattr(T, "_direct_loglik", lambda *a: calls.append(a) or direct(*a))
+    # base, row and column peak on different words 1000 nats apart, so every
+    # factored term underflows, while each logit of the sum is -2000
+    p = {
+        "base": leaf([[0.0, -1e3, -1e3], [0.0, -1e3, -1e3]]),
+        "rows": leaf([[-1e3, 0.0, -1e3]]),
+        "cols": leaf([[-1e3, -1e3, 0.0]]),
+    }
+    out = T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 2])
+    assert len(calls) == 1
+    np.testing.assert_allclose(out.data, [[-2.0 * math.log(3.0)]], rtol=1e-14)
+    assert grad_of(lambda: T.sum_(T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 2])), p) < 1e-6
+
+
+def test_factored_loglik_rejects_bad_shapes_and_targets(rng):
+    p, targets = factored_inputs(rng, 2, 3, 4, 5, 1.0)
+    with pytest.raises(GraphError, match=r"all in \[0, 5\)"):
+        T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 1, 2, 5])
+    with pytest.raises(GraphError, match="targets of shape"):
+        T.factored_loglik(p["base"], p["rows"], p["cols"], targets[:3])
+    with pytest.raises(GraphError, match="widths differ"):
+        T.factored_loglik(p["base"], p["rows"], leaf(np.zeros((3, 4))), targets)
