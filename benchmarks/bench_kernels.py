@@ -1,10 +1,14 @@
-"""Benchmark the LSTM sequence kernels (JIT-compiled vs pure numpy) and the
-factored next-token likelihood op (matmul normaliser vs direct reference).
+"""Benchmark the LSTM sequence kernels (JIT-compiled vs pure numpy), the
+factored next-token likelihood op (matmul normaliser vs direct reference)
+and the transformer encoder's forward+backward at several stack sizes.
 
 Runs both implementations of each in one process on the same inputs, so the
 numbers are directly comparable. The JIT path is what SEVAE_BACKEND=auto
 selects when numba is installed; the numpy path is the fallback. The
 factored op is timed at lat's tagging shape, 7 labels x 30 latent values.
+The encoder section runs 32 clauses of 8 tokens through the default
+vae encoder (width 128, 2 layers, 4 heads) as 32/B tapes of B stacked
+clauses each, the way length-grouped training runs a group.
 
 Usage: python3 benchmarks/bench_kernels.py [--reps 30]
 """
@@ -15,7 +19,7 @@ import time
 
 import numpy as np
 
-from sevae import kernels
+from sevae import encoders, kernels
 from sevae import tensor
 
 
@@ -71,6 +75,24 @@ def bench_factored(n_steps, V, reps, rng, n_rows=7, n_cols=30):
     return t_fac, t_dir, agree
 
 
+def bench_encoder(batch, reps, rng, n_clauses=32, n_tokens=8, vocab=383):
+    """Median seconds of forward+backward over n_clauses clauses run as
+    stacks of `batch` clauses, one tape per stack."""
+    cfg = encoders.EncoderConfig()
+    params = encoders.init_params(cfg, vocab, rng)
+    ids = rng.integers(5, vocab, size=(n_clauses, n_tokens))
+
+    def run():
+        tensor.zero_grads(params)
+        for lo in range(0, n_clauses, batch):
+            with tensor.Tape() as tape:
+                h = encoders.encode(ids[lo:lo + batch], cfg, params)
+                tape.backward(tensor.sum_(tensor.mul(h, h)))
+
+    run()
+    return _time(run, reps)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
@@ -93,6 +115,14 @@ def main():
         t_fac, t_dir, agree = bench_factored(n_steps, 383, args.reps, rng)
         print(f"{f'T={n_steps} V=383':>14s} {t_fac * 1e3:9.3f}ms {t_dir * 1e3:9.3f}ms "
               f"{t_dir / t_fac:7.2f}x {agree:12.2e}")
+
+    print()
+    print(f"{'encoder fwd+bwd, 32 clauses x 8 tokens':>40s} {'total':>10s} {'per clause':>11s} {'speedup':>8s}")
+    base = None
+    for batch in (1, 4, 32):
+        t = bench_encoder(batch, args.reps, rng)
+        base = base or t
+        print(f"{f'B={batch} ({32 // batch} tapes)':>40s} {t * 1e3:9.2f}ms {t / 32 * 1e3:9.3f}ms {base / t:7.2f}x")
 
 
 if __name__ == "__main__":

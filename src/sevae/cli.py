@@ -25,7 +25,7 @@ from dataclasses import replace
 
 from . import __version__, harness, vae, verify
 from .data import (
-    SEType, Split, genre_counts, label_counts, load_corpus,
+    SEType, Split, atomic_write, genre_counts, label_counts, load_corpus,
     make_synthetic_corpus, manifest_digest, split_manifest,
     subsample_per_label, write_jsonl,
 )
@@ -243,10 +243,13 @@ def _write_manifest(out_dir, cfg, inputs, seed):
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=2, sort_keys=True)
     return manifest
+
+
+def _write_json(path, obj, **dump_options):
+    """One JSON document plus a newline, replacing path atomically."""
+    atomic_write(path, json.dumps(obj, **dump_options) + "\n")
 
 
 def _split_pairs(entries, what):
@@ -332,9 +335,10 @@ def _cmd_train(cfg):
     inputs = [p for p in (cfg["train"], cfg["val"], cfg["test"]) if p]
     manifest_cfg = dict(cfg, spec=spec.to_json(), train_config=train_cfg.to_json())
     _write_manifest(cfg["out"], manifest_cfg, inputs, seed=train_cfg.seed)
-    with open(os.path.join(cfg["out"], "split.json"), "w", encoding="utf-8") as fh:
-        json.dump(split_manifest(split), fh)
-        fh.write("\n")
+    _write_json(os.path.join(cfg["out"], "split.json"), split_manifest(split))
+    # the log is streamed, one flushed line per epoch, so a long run shows
+    # its progress and keeps its finished epochs if it dies; an atomic
+    # write would show nothing until training ends
     log_path = os.path.join(cfg["out"], "train_log.jsonl")
     with open(log_path, "w", encoding="utf-8") as fh:
         result = harness.train(
@@ -353,9 +357,7 @@ def _cmd_train(cfg):
                 "provenance": split.provenance, "seed": train_cfg.seed,
                 "manifest": "manifest.json"}
         report = harness.evaluate(result.model, split.test, result.vocab, meta)
-        with open(os.path.join(cfg["out"], "eval_test.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(cfg["out"], "eval_test.json"), report.to_json(), indent=2)
         print(f"test accuracy {report.accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
     return 0
 
@@ -365,9 +367,7 @@ def _cmd_eval(cfg):
     clauses = load_corpus(cfg["data"])
     _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
     report = harness.evaluate(model, clauses, vocab, dict(meta, manifest="manifest.json"))
-    with open(os.path.join(cfg["out"], "eval.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(cfg["out"], "eval.json"), report.to_json(), indent=2)
     print(f"accuracy {report.accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
     return 0
 
@@ -421,9 +421,7 @@ def _cmd_sweep(cfg):
     sidecar = {"manifest": "manifest.json",
                "rows": [list(r) for r in rows],
                "aggregates": [list(a) for a in aggregates]}
-    with open(os.path.join(cfg["out"], "sweep_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(cfg["out"], "sweep_meta.json"), sidecar, indent=2)
     for name, k, mean_acc, _sa, mean_f1, _sf in aggregates:
         print(f"{name} k={k} mean_accuracy={mean_acc:.4f} mean_macro_f1={mean_f1:.4f}")
     return 0
@@ -451,9 +449,8 @@ def _cmd_crossgenre(cfg):
     jobs = [(spec.to_json(), t, cfg["data"], train_cfg.to_json()) for t in targets]
     rows = _run_jobs(_crossgenre_cell, jobs, cfg["jobs"])
     harness.write_cross_genre_tsv(rows, os.path.join(cfg["out"], "crossgenre.tsv"))
-    with open(os.path.join(cfg["out"], "crossgenre_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump({"manifest": "manifest.json", "rows": [list(r) for r in rows]}, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(cfg["out"], "crossgenre_meta.json"),
+                {"manifest": "manifest.json", "rows": [list(r) for r in rows]}, indent=2)
     for name, genre, acc, f1 in rows:
         print(f"{name} genre={genre} accuracy={acc:.4f} macro_f1={f1:.4f}")
     return 0
@@ -470,9 +467,8 @@ def _cmd_gradcheck(cfg):
         print(f"{name:{width}s}  max_rel_err {r['max_rel_err']:.3e}  {status}  ({r['seconds']:.1f}s)")
     if cfg["out"]:
         _write_manifest(cfg["out"], cfg, [], seed=None)
-        with open(os.path.join(cfg["out"], "gradcheck.json"), "w", encoding="utf-8") as fh:
-            json.dump({"manifest": "manifest.json", "results": results}, fh, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(cfg["out"], "gradcheck.json"),
+                    {"manifest": "manifest.json", "results": results}, indent=2)
     if not all_passed:
         raise NumericsError("gradient check failed; see table above")
     return 0

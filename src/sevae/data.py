@@ -234,17 +234,18 @@ def load_corpus(path, schema=None):
 
 
 def write_jsonl(clauses, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for cl in clauses:
-            rec = {
-                "text": cl.text,
-                "label": cl.label.name.lower(),
-                "genre": cl.genre,
-                "doc_id": cl.doc_id,
-                "par_id": cl.par_id,
-                "clause_idx": cl.clause_idx,
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    lines = []
+    for cl in clauses:
+        rec = {
+            "text": cl.text,
+            "label": cl.label.name.lower(),
+            "genre": cl.genre,
+            "doc_id": cl.doc_id,
+            "par_id": cl.par_id,
+            "clause_idx": cl.clause_idx,
+        }
+        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    atomic_write(path, "".join(lines))
 
 
 def atomic_write(path, payload):

@@ -1,14 +1,13 @@
-"""Clause encoders: LSTM poolers and a small transformer with a CLS slot.
+"""Clause encoder: a small transformer with a CLS slot, and its block.
 
-Three kinds share one config and one parameter-dict convention:
+The encoder prepends a CLS token, adds learned positional embeddings and
+runs post-layer-norm blocks of multi-head self-attention; the clause
+representation is the final state of the CLS slot. embed_dim doubles as
+the model width. The block itself, transformer_block, also serves the
+xfmr-latent decoder (vae.py), which adds a memory slot and a causal mask.
 
-- lstm-pool: one-layer LSTM, mean pooling over hidden states.
-- bilstm-pool: both directions at hidden_dim/2 each, concatenated then
-  mean-pooled, so the pooled vector is still hidden_dim wide.
-- mini-transformer-cls: learned positional embeddings, post-layer-norm
-  blocks, multi-head self-attention; the clause representation is the
-  state of a prepended CLS token. embed_dim doubles as the model width.
-
+Everything runs over a (B, n) stack of equal-length id rows, so a batch of
+same-length clauses is one pass; a single clause is the B=1 case.
 Encoders never truncate: over-length input is an error. Dropout exists on
 the training path only and is driven by an explicit generator, so eval
 passes are bit-deterministic and train passes replay exactly per seed.
@@ -22,159 +21,106 @@ from . import tensor as T
 from .data import Vocab
 from .errors import DataError
 
-KINDS = ("lstm-pool", "bilstm-pool", "mini-transformer-cls")
-
 
 @dataclass
 class EncoderConfig:
-    kind: str
-    embed_dim: int = 100
-    hidden_dim: int = 100
-    layers: int = 1
+    """The desk-scale stand-in for a pretrained masked-LM encoder."""
+
+    embed_dim: int = 128
+    layers: int = 2
     heads: int = 4
     max_len: int = 128
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown encoder kind {self.kind!r}; expected one of {KINDS}")
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise DataError("encoder dims must be >= 1")
+        if self.embed_dim < 1 or self.heads < 1:
+            raise DataError("encoder embed_dim and heads must be >= 1")
+        if self.embed_dim % self.heads:
+            raise DataError(f"heads={self.heads} must divide embed_dim={self.embed_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.kind == "mini-transformer-cls":
-            if self.hidden_dim % self.heads:
-                raise DataError(f"heads={self.heads} must divide hidden_dim={self.hidden_dim}")
-            if self.embed_dim != self.hidden_dim:
-                raise DataError("transformer encoder ties embed_dim to its model width hidden_dim")
-        if self.kind == "bilstm-pool" and self.hidden_dim % 2:
-            raise DataError("bilstm-pool splits hidden_dim over two directions; it must be even")
 
 
-def transformer_config(embed_dim=128, layers=2, heads=4, max_len=128, dropout=0.0):
-    """The desk-scale stand-in for a pretrained masked-LM encoder."""
-    return EncoderConfig("mini-transformer-cls", embed_dim, embed_dim, layers, heads, max_len, dropout)
-
-
-def output_dim(cfg):
-    """Width of the pooled clause representation."""
-    return cfg.embed_dim if cfg.kind == "mini-transformer-cls" else cfg.hidden_dim
+def init_block(p, prefix, d, rng):
+    """Add one transformer block's parameters, width d, under prefix."""
+    for name in ("wq", "wk", "wv", "wo"):
+        p[prefix + name] = T.xavier_param(rng, d, d)
+        p[prefix + name[-1] + "b"] = T.zeros((d,), requires_grad=True)
+    p[prefix + "ln1g"] = T.Tensor(np.ones(d), requires_grad=True)
+    p[prefix + "ln1b"] = T.zeros((d,), requires_grad=True)
+    p[prefix + "ln2g"] = T.Tensor(np.ones(d), requires_grad=True)
+    p[prefix + "ln2b"] = T.zeros((d,), requires_grad=True)
+    p[prefix + "w1"] = T.xavier_param(rng, d, 4 * d)
+    p[prefix + "b1"] = T.zeros((4 * d,), requires_grad=True)
+    p[prefix + "w2"] = T.xavier_param(rng, 4 * d, d)
+    p[prefix + "b2"] = T.zeros((d,), requires_grad=True)
 
 
 def init_params(cfg, vocab_size, rng):
     """Fresh parameter dict for one encoder."""
-    p = {"emb": T.uniform_param(rng, (vocab_size, cfg.embed_dim))}
-    if cfg.kind == "lstm-pool":
-        _add_lstm(p, "fwd", cfg.embed_dim, cfg.hidden_dim, rng)
-    elif cfg.kind == "bilstm-pool":
-        half = cfg.hidden_dim // 2
-        _add_lstm(p, "fwd", cfg.embed_dim, half, rng)
-        _add_lstm(p, "bwd", cfg.embed_dim, half, rng)
-    else:
-        d = cfg.embed_dim
-        p["pos"] = T.uniform_param(rng, (cfg.max_len + 1, d))
-        for layer in range(cfg.layers):
-            pre = f"l{layer}."
-            for name in ("wq", "wk", "wv", "wo"):
-                p[pre + name] = T.xavier_param(rng, d, d)
-                p[pre + name[-1] + "b"] = T.zeros((d,), requires_grad=True)
-            p[pre + "ln1g"] = T.Tensor(np.ones(d), requires_grad=True)
-            p[pre + "ln1b"] = T.zeros((d,), requires_grad=True)
-            p[pre + "ln2g"] = T.Tensor(np.ones(d), requires_grad=True)
-            p[pre + "ln2b"] = T.zeros((d,), requires_grad=True)
-            p[pre + "w1"] = T.xavier_param(rng, d, 4 * d)
-            p[pre + "b1"] = T.zeros((4 * d,), requires_grad=True)
-            p[pre + "w2"] = T.xavier_param(rng, 4 * d, d)
-            p[pre + "b2"] = T.zeros((d,), requires_grad=True)
+    d = cfg.embed_dim
+    p = {"emb": T.uniform_param(rng, (vocab_size, d)), "pos": T.uniform_param(rng, (cfg.max_len + 1, d))}
+    for layer in range(cfg.layers):
+        init_block(p, f"l{layer}.", d, rng)
     return p
 
 
-def _add_lstm(p, direction, in_dim, hidden, rng):
-    p[f"{direction}.wx"] = T.xavier_param(rng, in_dim, 4 * hidden)
-    p[f"{direction}.whT"] = T.xavier_param(rng, 4 * hidden, hidden)
-    p[f"{direction}.b"] = T.zeros((4 * hidden,), requires_grad=True)
+def transformer_block(x, p, prefix, heads, memory=None, mask=None, dropout=0.0, train_rng=None):
+    """One post-layer-norm block over a (B, n, d) stack.
+
+    memory, (B, m, d), is prepended to the keys and values only, so every
+    query may also attend to it; mask, (n, m + n), is added to the attention
+    scores. Dropout on the attention and feed-forward outputs applies only
+    when train_rng is given; at rate 0 it draws nothing from it.
+    """
+    n_seq, n, d = x.shape
+    dh = d // heads
+
+    def split_heads(m):
+        return T.transpose(T.reshape(m, (n_seq, m.shape[1], heads, dh)), (0, 2, 1, 3))
+
+    def maybe_dropout(h):
+        return h if train_rng is None else T.dropout(h, dropout, train_rng)
+
+    kv_in = x if memory is None else T.concat([memory, x], axis=1)
+    q = split_heads(T.affine(x, p[prefix + "wq"], p[prefix + "qb"]))
+    k = split_heads(T.affine(kv_in, p[prefix + "wk"], p[prefix + "kb"]))
+    v = split_heads(T.affine(kv_in, p[prefix + "wv"], p[prefix + "vb"]))
+    scores = (1.0 / np.sqrt(dh)) * T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    if mask is not None:
+        scores = scores + mask
+    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n_seq, n, d))
+    attn = T.affine(ctx, p[prefix + "wo"], p[prefix + "ob"])
+    x = T.layer_norm(x + maybe_dropout(attn), p[prefix + "ln1g"], p[prefix + "ln1b"])
+    ffn = T.affine(T.relu(T.affine(x, p[prefix + "w1"], p[prefix + "b1"])), p[prefix + "w2"], p[prefix + "b2"])
+    return T.layer_norm(x + maybe_dropout(ffn), p[prefix + "ln2g"], p[prefix + "ln2b"])
 
 
 def _check_ids(ids, cfg, vocab_size):
-    if len(ids) < 1:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise DataError(f"expected a (batch, length) id array, got shape {ids.shape}")
+    if ids.shape[1] < 1:
         raise DataError("cannot encode an empty token sequence")
-    if len(ids) > cfg.max_len:
-        raise DataError(f"sequence of length {len(ids)} exceeds max_len={cfg.max_len}; refusing to truncate")
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= vocab_size:
+    if ids.shape[1] > cfg.max_len:
+        raise DataError(f"sequence of length {ids.shape[1]} exceeds max_len={cfg.max_len}; refusing to truncate")
+    if ids.min() < 0 or ids.max() >= vocab_size:
         raise DataError(f"token id out of range [0, {vocab_size})")
-    return arr
+    return ids
 
 
-def _run_lstm(x, p, direction, hidden):
-    zeros = T.Tensor(np.zeros(hidden))
-    return T.lstm_seq(x, p[f"{direction}.wx"], p[f"{direction}.whT"], p[f"{direction}.b"], zeros, zeros)
-
-
-def _maybe_dropout(h, cfg, train_rng):
-    if train_rng is None or cfg.dropout == 0.0:
-        return h
-    return T.dropout(h, cfg.dropout, train_rng)
-
-
-def _transformer_states(ids, cfg, p, train_rng):
-    seq = np.concatenate(([Vocab.CLS], ids))
-    x = T.embedding(p["emb"], seq) + T.embedding(p["pos"], np.arange(seq.shape[0]))
-    d = cfg.embed_dim
-    heads = cfg.heads
-    dh = d // heads
-    n = seq.shape[0]
-    scale = 1.0 / np.sqrt(dh)
+def encode(ids, cfg, params, train_rng=None):
+    """CLS states, (B, embed_dim), of a (B, n) stack of equal-length clauses."""
+    ids = _check_ids(ids, cfg, params["emb"].shape[0])
+    n_seq, n = ids.shape
+    seq = np.concatenate((np.full((n_seq, 1), Vocab.CLS), ids), axis=1)
+    x = T.embedding(params["emb"], seq) + T.embedding(params["pos"], np.arange(n + 1))
     for layer in range(cfg.layers):
-        pre = f"l{layer}."
-
-        def split_heads(m):
-            return T.transpose(T.reshape(m, (n, heads, dh)), (1, 0, 2))
-
-        q = split_heads(T.affine(x, p[pre + "wq"], p[pre + "qb"]))
-        k = split_heads(T.affine(x, p[pre + "wk"], p[pre + "kb"]))
-        v = split_heads(T.affine(x, p[pre + "wv"], p[pre + "vb"]))
-        scores = scale * T.matmul(q, T.transpose(k, (0, 2, 1)))
-        ctx = T.matmul(T.softmax(scores, axis=-1), v)
-        ctx = T.reshape(T.transpose(ctx, (1, 0, 2)), (n, d))
-        attn = T.affine(ctx, p[pre + "wo"], p[pre + "ob"])
-        x = T.layer_norm(x + _maybe_dropout(attn, cfg, train_rng), p[pre + "ln1g"], p[pre + "ln1b"])
-        ffn = T.affine(T.relu(T.affine(x, p[pre + "w1"], p[pre + "b1"])), p[pre + "w2"], p[pre + "b2"])
-        x = T.layer_norm(x + _maybe_dropout(ffn, cfg, train_rng), p[pre + "ln2g"], p[pre + "ln2b"])
-    return x
+        x = transformer_block(x, params, f"l{layer}.", cfg.heads, dropout=cfg.dropout, train_rng=train_rng)
+    return T.reshape(T.narrow(x, 1, 0, 1), (n_seq, cfg.embed_dim))
 
 
 def encode_pooled(ids, cfg, params, train_rng=None):
-    """Single clause representation vector; see module docstring per kind."""
-    ids = _check_ids(ids, cfg, params["emb"].shape[0])
-    if cfg.kind == "mini-transformer-cls":
-        states = _transformer_states(ids, cfg, params, train_rng)
-        return T.reshape(T.narrow(states, 0, 0, 1), (cfg.embed_dim,))
-    x = _maybe_dropout(T.embedding(params["emb"], ids), cfg, train_rng)
-    if cfg.kind == "lstm-pool":
-        return T.mean(_run_lstm(x, params, "fwd", cfg.hidden_dim), axis=0)
-    half = cfg.hidden_dim // 2
-    fwd = _run_lstm(x, params, "fwd", half)
-    bwd = T.flip0(_run_lstm(T.flip0(x), params, "bwd", half))
-    return T.mean(T.concat([fwd, bwd], axis=1), axis=0)
-
-
-def encode_bilstm_sequence(ids, cfg, params, train_rng=None):
-    """Per-token concatenated forward/backward states, shape (T, 2*hidden_dim).
-
-    This is the word-level front end of the context-aware model; unlike
-    bilstm-pool, each direction runs at the full hidden_dim.
-    """
-    ids = _check_ids(ids, cfg, params["emb"].shape[0])
-    x = _maybe_dropout(T.embedding(params["emb"], ids), cfg, train_rng)
-    fwd = _run_lstm(x, params, "fwd", cfg.hidden_dim)
-    bwd = T.flip0(_run_lstm(T.flip0(x), params, "bwd", cfg.hidden_dim))
-    return T.concat([fwd, bwd], axis=1)
-
-
-def init_bilstm_sequence_params(cfg, vocab_size, rng):
-    """Parameters for encode_bilstm_sequence (full hidden_dim per direction)."""
-    p = {"emb": T.uniform_param(rng, (vocab_size, cfg.embed_dim))}
-    _add_lstm(p, "fwd", cfg.embed_dim, cfg.hidden_dim, rng)
-    _add_lstm(p, "bwd", cfg.embed_dim, cfg.hidden_dim, rng)
-    return p
+    """Representation vector, (embed_dim,), of one clause: the B=1 encode."""
+    return T.reshape(encode(np.asarray(ids, dtype=np.int64)[None], cfg, params, train_rng), (cfg.embed_dim,))

@@ -1,10 +1,15 @@
 """Training, evaluation, checkpointing, and the three experiment protocols.
 
-Training is single-sequence with gradient accumulation over a logical
-batch, Adam with bias correction, global-norm clipping before the update,
-and early stopping on validation macro-F1 (the best-validation parameter
-snapshot is what training returns). Everything a run reports is a pure
-function of (model spec, data manifest, seed).
+Training accumulates gradients over a logical batch, then takes one Adam
+step with bias correction and global-norm clipping before the update;
+early stopping watches validation macro-F1 (the best-validation parameter
+snapshot is what training returns). The baselines run one tape per clause
+(per paragraph for ctx). The vae models group each logical batch by token
+length and run each group of equal-length clauses as one (B, n) stack: one
+tape, one loss summed over the group, one backward. That needs no padding
+or masks, and each clause's loss is the one the per-clause path computes.
+Everything a run reports is a pure function of (model spec, data
+manifest, seed).
 
 Evaluation produces an EvalReport: micro accuracy, macro-F1 as the
 unweighted mean of per-class F1 over all 7 classes (absent classes score
@@ -233,6 +238,43 @@ def _restore(params, snap):
         p.data = snap[k].copy()
 
 
+def _clause_step(model, item, rng):
+    """Forward and backward of one baseline item (a clause or a paragraph);
+    returns its loss parts and the count 1 they stand for."""
+    with Tape() as tape:
+        if model.consumes == "paragraph":
+            id_lists, labels = item
+            loss, parts = model.paragraph_loss(id_lists, labels, rng)
+        else:
+            ids, label = item
+            loss, parts = model.loss(ids, label, rng)
+        tape.backward(loss)
+    return parts, 1
+
+
+def _vae_group_steps(model, chunk_items, rng, beta):
+    """Forward and backward of one logical batch of a vae model, one tape per
+    group of equal-length clauses; yields each group's summed loss parts and
+    its size.
+
+    The chunk's eps is drawn first, one row per clause in chunk order, which
+    is the stream the per-clause path draws. Each group's dropout masks then
+    come from the same step rng, in group order (first appearance of each
+    length); at dropout 0 none are drawn.
+    """
+    eps = rng.standard_normal((len(chunk_items), model.latent_dim))
+    groups = {}
+    for pos, (ids, _label) in enumerate(chunk_items):
+        groups.setdefault(len(ids), []).append(pos)
+    for members in groups.values():
+        ids = np.stack([chunk_items[pos][0] for pos in members])
+        labels = [chunk_items[pos][1] for pos in members]
+        with Tape() as tape:
+            loss, parts = model.batch_loss(ids, labels, eps[members], beta=beta, train_rng=rng)
+            tape.backward(loss)
+        yield parts, len(members)
+
+
 def train(spec, split, cfg, log_hook=None):
     """Build and fit a model on a split; returns the best-validation state.
 
@@ -268,21 +310,14 @@ def train(spec, split, cfg, log_hook=None):
                 beta = model.beta * min(1.0, (step + 1) / cfg.beta_warmup_steps)
             else:
                 beta = None
-            for idx in chunk:
-                with Tape() as tape:
-                    if model.consumes == "paragraph":
-                        id_lists, labels = items[idx]
-                        loss, parts = model.paragraph_loss(id_lists, labels, rng)
-                    elif is_vae:
-                        ids, label = items[idx]
-                        loss, parts = model.loss(ids, label, rng, beta=beta)
-                    else:
-                        ids, label = items[idx]
-                        loss, parts = model.loss(ids, label, rng)
-                    tape.backward(loss)
+            if is_vae:
+                steps = _vae_group_steps(model, [items[idx] for idx in chunk], rng, beta)
+            else:
+                steps = (_clause_step(model, items[idx], rng) for idx in chunk)
+            for parts, count in steps:
                 for key, value in parts.items():
                     part_sums[key] = part_sums.get(key, 0.0) + value
-                    part_counts[key] = part_counts.get(key, 0) + 1
+                    part_counts[key] = part_counts.get(key, 0) + count
             inv = 1.0 / len(chunk)
             grads = {
                 k: (p.grad * inv if p.grad is not None else np.zeros_like(p.data))

@@ -116,7 +116,7 @@ def build_model(spec, vocab_size, prior, seed):
         )
     if spec.name == "ctx":
         return baselines.CtxModel(vocab_size, prior, rng, o["embed_dim"], o["hidden_dim"])
-    enc_cfg = encoders.transformer_config(
+    enc_cfg = encoders.EncoderConfig(
         o["enc_embed_dim"], o["enc_layers"], o["enc_heads"], o["max_len"], o["dropout"]
     )
     dec_kind = {"vae-bow": "bow", "vae-lstm": "lstm", "vae-xfmr": "xfmr-latent"}[spec.name]

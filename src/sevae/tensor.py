@@ -143,10 +143,13 @@ class Tape:
                 if tensor._tape is self and tensor._node_id >= 0:
                     prev = grads.get(tensor._node_id)
                     grads[tensor._node_id] = grad if prev is None else prev + grad
+                elif tensor.grad is None:
+                    # a backward_fn may hand one array to several inputs
+                    # (add passes g through), so the first contribution
+                    # is copied before later ones are added in place
+                    tensor.grad = np.array(grad, dtype=np.float64)
                 else:
-                    if tensor.grad is None:
-                        tensor.grad = np.zeros_like(tensor.data)
-                    tensor.grad = tensor.grad + grad
+                    np.add(tensor.grad, grad, out=tensor.grad)
         # nodes and their outputs reference each other; dropping the nodes
         # frees the graph's arrays now instead of at a cyclic collection
         self.nodes = []
@@ -160,11 +163,12 @@ def as_tensor(x):
 
 
 def _all_finite(arr):
-    # any NaN or inf makes the sum non-finite, so the elementwise scan only
-    # runs on a bad array or on finite values whose sum overflows; the
-    # method calls skip np.sum's and np.all's dispatch, which dominates the
-    # cost on the small arrays most ops produce
-    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+    # any NaN or inf makes the sum of squares non-finite, so the elementwise
+    # scan only runs on a bad array or on finite values whose squares
+    # overflow (beyond about 1e154). np.vdot is one BLAS call that, unlike
+    # arr.sum() and np.dot, raises no floating-point warning on overflow,
+    # and it beats arr.sum() on contiguous arrays of every size
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
 def _check_finite(arr, op_name):
@@ -261,19 +265,20 @@ def matmul(a, b):
 
 
 def affine(x, w, b):
-    """x @ w + b in one node; b broadcasts over leading dims."""
+    """x @ w + b in one node for x of shape (..., d_in); b broadcasts over
+    leading dims. Leading dims are flattened, so a (B, n, d_in) stack costs
+    one 2-D matmul per product instead of one per row."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    out = np.matmul(xd, wd) + b.data
+    x2 = xd.reshape(-1, xd.shape[-1]) if xd.ndim > 2 else xd
+    out = (np.matmul(x2, wd) + b.data).reshape(xd.shape[:-1] + wd.shape[1:])
 
     def backward(g):
         if xd.ndim == 1:
-            dx = np.matmul(wd, g)
-            dw = np.outer(xd, g)
-        else:
-            dx = np.matmul(g, wd.T)
-            dw = np.matmul(xd.T, g)
-        return dx, dw, _unbroadcast(g, b.data.shape)
+            return np.matmul(wd, g), np.outer(xd, g), _unbroadcast(g, b.data.shape)
+        g2 = g.reshape(-1, g.shape[-1])
+        dx = np.matmul(g2, wd.T).reshape(xd.shape)
+        return dx, np.matmul(x2.T, g2), _unbroadcast(g2, b.data.shape)
 
     return _from_op("affine", out, (x, w, b), backward)
 
@@ -431,15 +436,15 @@ def flip0(a):
 
 
 def repeat_row(v, n):
-    """Tile a vector into n identical rows; gradient sums over rows."""
+    """Tile (..., P) into n identical rows, (..., n, P); gradient sums over rows."""
     v = as_tensor(v)
-    if v.data.ndim != 1:
-        raise GraphError("repeat_row expects a vector")
+    if v.data.ndim < 1:
+        raise GraphError("repeat_row expects at least a vector")
 
     def backward(g):
-        return (g.sum(axis=0),)
+        return (g.sum(axis=-2),)
 
-    return _from_op("repeat_row", np.tile(v.data, (n, 1)), (v,), backward)
+    return _from_op("repeat_row", np.repeat(v.data[..., None, :], n, axis=-2), (v,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +508,12 @@ def max_(a, axis=None):
 
 
 def embedding(table, ids):
-    """Row gather from a (V, E) table; backward scatter-adds into the table."""
+    """Row gather from a (V, E) table by a (n,) or (B, n) id array, giving
+    (n, E) or (B, n, E); backward scatter-adds into the table."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise GraphError("embedding ids must be a 1-D index array")
+    if ids.ndim not in (1, 2):
+        raise GraphError("embedding ids must be a 1-D or 2-D index array")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise GraphError(f"embedding id out of range [0, {table.data.shape[0]})")
 
@@ -577,29 +583,30 @@ def logsumexp(a, axis=None):
 def cross_entropy(logits, targets):
     """Summed negative log-likelihood of integer targets under row softmax.
 
-    logits: (T, V) or (V,); targets: (T,) int array or scalar int.
-    Returns a 0-d tensor: sum_t -log softmax(logits_t)[target_t].
+    logits: (..., V), one row per target; targets: int array of the leading
+    shape, or a scalar int for (V,) logits. Returns a 0-d tensor:
+    sum over rows r of -log softmax(logits_r)[target_r].
     """
     logits = as_tensor(logits)
     _require_finite_input(logits, "cross_entropy")
     ld = logits.data
-    single = ld.ndim == 1
-    rows = ld[None, :] if single else ld
-    tgt = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    if rows.shape[0] != tgt.shape[0]:
-        raise GraphError(f"cross_entropy got {rows.shape[0]} rows but {tgt.shape[0]} targets")
+    rows = ld.reshape(-1, ld.shape[-1])
+    tgt = np.asarray(targets, dtype=np.int64)
+    if tgt.shape != ld.shape[:-1]:
+        raise GraphError(f"cross_entropy got logits of shape {ld.shape} but targets of shape {tgt.shape}")
+    tgt = tgt.reshape(-1)
     if tgt.size and (tgt.min() < 0 or tgt.max() >= rows.shape[1]):
         raise GraphError(f"cross_entropy target out of range [0, {rows.shape[1]})")
+    picks = (np.arange(tgt.shape[0]), tgt)
     shifted = rows - rows.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    picked = logp[np.arange(tgt.shape[0]), tgt]
-    out = -picked.sum()
+    out = -logp[picks].sum()
 
     def backward(g):
         grad = np.exp(logp)
-        grad[np.arange(tgt.shape[0]), tgt] -= 1.0
+        grad[picks] -= 1.0
         grad *= g
-        return (grad[0] if single else grad,)
+        return (grad.reshape(ld.shape),)
 
     return _from_op("cross_entropy", out, (logits,), backward)
 
@@ -727,28 +734,48 @@ def layer_norm(x, gain, bias, eps=1e-5):
 # fused recurrence
 
 
-def lstm_seq(x, wx, whT, b, h0, c0):
-    """Full LSTM pass over a (T, E) input; returns hidden states (T, H).
+def _stack_rows(parts):
+    """np.stack, without the copy for a single part."""
+    return parts[0][None] if len(parts) == 1 else np.stack(parts)
 
-    One tape node for the entire sequence; the time loop runs inside the
-    kernels backend. whT holds the recurrent weights transposed, (4H, H).
+
+def lstm_seq(x, wx, whT, b, h0, c0):
+    """Full LSTM pass over a (T, E) input with (H,) initial states, or over
+    a (B, T, E) stack of equal-length inputs with (B, H) initial states;
+    returns hidden states (T, H) or (B, T, H).
+
+    One tape node for the whole stack. The kernels backend runs the time
+    loop of each sequence in turn; the input and weight products run once
+    over all B*T rows, so a stack builds one weight-gradient set. whT holds
+    the recurrent weights transposed, (4H, H).
     """
     x, wx, whT, b, h0, c0 = (as_tensor(t) for t in (x, wx, whT, b, h0, c0))
-    xw = np.matmul(x.data, wx.data) + b.data
-    hs, cs, gates = kernels.lstm_forward(xw, whT.data, h0.data, c0.data)
+    stacked = x.data.ndim == 3
+    xs, h0s, c0s = (t.data if stacked else t.data[None] for t in (x, h0, c0))
+    n_seq, n_steps, n_in = xs.shape
+    x2 = xs.reshape(-1, n_in)
+    xw = (np.matmul(x2, wx.data) + b.data).reshape(n_seq, n_steps, -1)
+    runs = [kernels.lstm_forward(xw[i], whT.data, h0s[i], c0s[i]) for i in range(n_seq)]
+    hs, cs, gates = (_stack_rows(parts) for parts in zip(*runs))
 
     def backward(g):
-        dgates, dh0, dc0 = kernels.lstm_backward(
-            np.ascontiguousarray(g), gates, cs, whT.data, c0.data
-        )
-        hprev = np.vstack((h0.data[None, :], hs[:-1]))
+        gs = g if stacked else g[None]
+        back = [
+            kernels.lstm_backward(np.ascontiguousarray(gs[i]), gates[i], cs[i], whT.data, c0s[i])
+            for i in range(n_seq)
+        ]
+        dgates, dh0, dc0 = (_stack_rows(parts) for parts in zip(*back))
+        dgates = dgates.reshape(n_seq * n_steps, -1)
+        hprev = np.concatenate((h0s[:, None, :], hs[:, :-1]), axis=1).reshape(n_seq * n_steps, -1)
         dwhT = np.matmul(dgates.T, hprev)
-        dx = np.matmul(dgates, wx.data.T)
-        dwx = np.matmul(x.data.T, dgates)
+        dx = np.matmul(dgates, wx.data.T).reshape(x.data.shape)
+        dwx = np.matmul(x2.T, dgates)
         db = dgates.sum(axis=0)
+        if not stacked:
+            dh0, dc0 = dh0[0], dc0[0]
         return dx, dwx, dwhT, db, dh0, dc0
 
-    return _from_op("lstm_seq", hs, (x, wx, whT, b, h0, c0), backward)
+    return _from_op("lstm_seq", hs if stacked else hs[0], (x, wx, whT, b, h0, c0), backward)
 
 
 # ---------------------------------------------------------------------------

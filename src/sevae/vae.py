@@ -95,10 +95,11 @@ class VAEModel:
         self.beta = beta
         self.label_loss_weight = label_loss_weight
         rng = rng or np.random.default_rng(0)
-        self.params = {}
-        for name, p in encoders.init_params(enc_cfg, vocab_size, rng).items():
-            self.params["enc." + name] = p
-        d = encoders.output_dim(enc_cfg)
+        # the encoder's own view of its parameters: the same tensors, under
+        # the names encoders.py uses
+        self.enc_params = encoders.init_params(enc_cfg, vocab_size, rng)
+        self.params = {"enc." + name: p for name, p in self.enc_params.items()}
+        d = enc_cfg.embed_dim
         self.params["post.mu_w"] = T.xavier_param(rng, d, latent_dim)
         self.params["post.mu_b"] = T.zeros((latent_dim,), requires_grad=True)
         self.params["post.lv_w"] = T.xavier_param(rng, d, latent_dim)
@@ -134,35 +135,28 @@ class VAEModel:
         p["dec.wm"] = T.xavier_param(rng, P, spec.layers * d)
         p["dec.wd"] = T.xavier_param(rng, P, d)
         for layer in range(spec.layers):
-            pre = f"dec.l{layer}."
-            for name in ("wq", "wk", "wv", "wo"):
-                p[pre + name] = T.xavier_param(rng, d, d)
-                p[pre + name[-1] + "b"] = T.zeros((d,), requires_grad=True)
-            p[pre + "ln1g"] = T.Tensor(np.ones(d), requires_grad=True)
-            p[pre + "ln1b"] = T.zeros((d,), requires_grad=True)
-            p[pre + "ln2g"] = T.Tensor(np.ones(d), requires_grad=True)
-            p[pre + "ln2b"] = T.zeros((d,), requires_grad=True)
-            p[pre + "w1"] = T.xavier_param(rng, d, 4 * d)
-            p[pre + "b1"] = T.zeros((4 * d,), requires_grad=True)
-            p[pre + "w2"] = T.xavier_param(rng, 4 * d, d)
-            p[pre + "b2"] = T.zeros((d,), requires_grad=True)
+            encoders.init_block(p, f"dec.l{layer}.", d, rng)
         p["dec.out_w"] = T.xavier_param(rng, d, V)
         p["dec.out_b"] = T.zeros((V,), requires_grad=True)
 
-    def _enc_params(self):
-        return {k[len("enc."):]: v for k, v in self.params.items() if k.startswith("enc.")}
-
     # ------------------------------------------------------------------
     # posterior and heads
+    #
+    # Every computation below takes a leading batch axis: ids (B, n) of
+    # equal-length clauses, z (B, P). The per-clause entry points are the
+    # B=1 case of the same code.
 
-    def posterior(self, ids, train_rng=None):
-        h = encoders.encode_pooled(ids, self.enc_cfg, self._enc_params(), train_rng)
+    def _posterior_heads(self, h):
         mu = T.affine(h, self.params["post.mu_w"], self.params["post.mu_b"])
         logvar = T.clamp(
             T.affine(h, self.params["post.lv_w"], self.params["post.lv_b"]),
             LOGVAR_MIN, LOGVAR_MAX,
         )
         return LatentGaussian(mu, logvar)
+
+    def posterior(self, ids, train_rng=None):
+        """Posterior of one clause; mu and logvar have shape (latent_dim,)."""
+        return self._posterior_heads(encoders.encode_pooled(ids, self.enc_cfg, self.enc_params, train_rng))
 
     def label_logits(self, z):
         return T.affine(z, self.params["cls.w"], self.params["cls.b"])
@@ -171,42 +165,39 @@ class VAEModel:
     # decoders
 
     def decode(self, z, ids):
-        """Scalar log p(x|z) under this model's decoder."""
-        kind = self.dec_spec.kind
-        if kind == "bow":
-            return self.decode_bow(z, ids)
-        return self.decode_autoregressive(z, ids, kind)
+        """Scalar log p(x|z) of one clause under this model's decoder."""
+        return self.decode_batch(T.reshape(z, (1, self.latent_dim)), np.asarray(ids, dtype=np.int64)[None])
 
-    def decode_bow(self, z, ids):
-        """Sum over tokens of log softmax(W z + b)[token]; order-blind."""
-        if len(ids) == 0:
+    def decode_batch(self, z, ids):
+        """Summed log p(x|z) over a (B, n) stack of clauses with latents z (B, P)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape[1] == 0:
             raise DataError("cannot score an empty token sequence")
+        if self.dec_spec.kind == "bow":
+            return self._bow_loglik(z, ids)
+        n_seq = ids.shape[0]
+        inputs = np.concatenate((np.full((n_seq, 1), Vocab.BOS), ids), axis=1)
+        targets = np.concatenate((ids, np.full((n_seq, 1), Vocab.EOS)), axis=1)
+        if self.dec_spec.kind == "lstm":
+            logits = self._lstm_decoder_logits(z, inputs)
+        else:
+            logits = self._xfmr_decoder_logits(z, inputs)
+        return -T.cross_entropy(logits, targets)
+
+    def _bow_loglik(self, z, ids):
+        """Sum over tokens of log softmax(W z + b)[token]; order-blind."""
         logp = T.log_softmax(T.affine(z, self.params["dec.w"], self.params["dec.b"]), axis=-1)
-        counts = np.bincount(np.asarray(ids, dtype=np.int64), minlength=self.vocab_size).astype(np.float64)
+        counts = np.zeros((ids.shape[0], self.vocab_size))
+        np.add.at(counts, (np.arange(ids.shape[0])[:, None], ids), 1.0)
         return T.sum_(logp * T.Tensor(counts))
 
     def _dec_embedding_table(self):
         return self.params["enc.emb"] if self.dec_spec.tie_embeddings else self.params["dec.emb"]
 
-    def decode_autoregressive(self, z, ids, kind):
-        if len(ids) == 0:
-            raise DataError("cannot score an empty token sequence")
-        ids = np.asarray(ids, dtype=np.int64)
-        inputs = np.concatenate(([Vocab.BOS], ids))
-        targets = np.concatenate((ids, [Vocab.EOS]))
-        if kind == "lstm":
-            logits = self._lstm_decoder_logits(z, inputs)
-        elif kind == "xfmr-latent":
-            logits = self._xfmr_decoder_logits(z, inputs)
-        else:
-            raise DataError(f"unknown autoregressive decoder kind {kind!r}")
-        return -T.cross_entropy(logits, targets)
-
     def _lstm_decoder_logits(self, z, inputs):
         p = self.params
         x = T.embedding(self._dec_embedding_table(), inputs)
-        zrow = T.repeat_row(z, inputs.shape[0])
-        x = T.concat([x, zrow], axis=1)
+        x = T.concat([x, T.repeat_row(z, inputs.shape[1])], axis=2)
         h0 = T.affine(z, p["dec.h0_w"], p["dec.h0_b"])
         c0 = T.affine(z, p["dec.c0_w"], p["dec.c0_b"])
         hs = T.lstm_seq(x, p["dec.wx"], p["dec.whT"], p["dec.lb"], h0, c0)
@@ -215,65 +206,53 @@ class VAEModel:
     def _xfmr_decoder_logits(self, z, inputs):
         p = self.params
         spec = self.dec_spec
-        n = inputs.shape[0]
+        n_seq, n = inputs.shape
         d = spec.hidden_dim
-        heads = spec.heads
-        dh = d // heads
-        scale = 1.0 / np.sqrt(dh)
-        shift = T.repeat_row(T.affine(z, p["dec.wd"], T.Tensor(np.zeros(d))), n)
+        shift = T.reshape(T.matmul(z, p["dec.wd"]), (n_seq, 1, d))
         x = T.embedding(self._dec_embedding_table(), inputs) + T.embedding(p["dec.pos"], np.arange(n)) + shift
-        mem_all = T.reshape(T.matmul(z, p["dec.wm"]), (spec.layers, d))
+        mem_all = T.reshape(T.matmul(z, p["dec.wm"]), (n_seq, spec.layers, d))
         # additive causal mask over [memory slot | positions]; slot always visible
         mask = np.full((n, n + 1), -1e30)
         mask[:, 0] = 0.0
         mask[:, 1:][np.tril_indices(n)] = 0.0
         mask_t = T.Tensor(mask)
         for layer in range(spec.layers):
-            pre = f"dec.l{layer}."
-            mem = T.narrow(mem_all, 0, layer, 1)
-            kv_in = T.concat([mem, x], axis=0)
-
-            def split_heads(m, rows):
-                return T.transpose(T.reshape(m, (rows, heads, dh)), (1, 0, 2))
-
-            q = split_heads(T.affine(x, p[pre + "wq"], p[pre + "qb"]), n)
-            k = split_heads(T.affine(kv_in, p[pre + "wk"], p[pre + "kb"]), n + 1)
-            v = split_heads(T.affine(kv_in, p[pre + "wv"], p[pre + "vb"]), n + 1)
-            scores = scale * T.matmul(q, T.transpose(k, (0, 2, 1))) + mask_t
-            ctx = T.matmul(T.softmax(scores, axis=-1), v)
-            ctx = T.reshape(T.transpose(ctx, (1, 0, 2)), (n, d))
-            attn = T.affine(ctx, p[pre + "wo"], p[pre + "ob"])
-            x = T.layer_norm(x + attn, p[pre + "ln1g"], p[pre + "ln1b"])
-            ffn = T.affine(T.relu(T.affine(x, p[pre + "w1"], p[pre + "b1"])), p[pre + "w2"], p[pre + "b2"])
-            x = T.layer_norm(x + ffn, p[pre + "ln2g"], p[pre + "ln2b"])
+            mem = T.narrow(mem_all, 1, layer, 1)
+            x = encoders.transformer_block(x, p, f"dec.l{layer}.", spec.heads, memory=mem, mask=mask_t)
         return T.affine(x, p["dec.out_w"], p["dec.out_b"])
 
     # ------------------------------------------------------------------
     # objective and prediction
 
-    def elbo_loss(self, ids, label, eps, beta=None, train_rng=None):
-        """Negated annealed ELBO for one clause; label None drops that term.
+    def batch_loss(self, ids, labels, eps, beta=None, train_rng=None):
+        """Negated annealed ELBO summed over a (B, n) stack of equal-length
+        clauses; labels (B,) or None drops the label term; eps (B, P).
 
         Returns (loss Tensor, components dict of floats) where components
-        holds reconstruction/kl/classification for logging.
+        holds reconstruction/kl/classification summed over the stack.
         """
         beta = self.beta if beta is None else beta
-        q = self.posterior(ids, train_rng)
+        h = encoders.encode(ids, self.enc_cfg, self.enc_params, train_rng)
+        q = self._posterior_heads(h)
         z = reparameterize(q, eps)
-        log_px = self.decode(z, ids)
+        log_px = self.decode_batch(z, ids)
         kl = kl_to_standard_normal(q)
         loss = -log_px + beta * kl
         parts = {"reconstruction": -float(log_px.data), "kl": float(kl.data)}
-        if label is not None:
-            nll_y = T.cross_entropy(self.label_logits(z), int(label))
+        if labels is not None:
+            nll_y = T.cross_entropy(self.label_logits(z), np.asarray(labels, dtype=np.int64))
             loss = loss + self.label_loss_weight * nll_y
             parts["classification"] = float(nll_y.data)
         return loss, parts
 
-    def loss(self, ids, label, rng, beta=None, train_rng=None):
-        """Trainer entry point: one fresh eps per call from the step rng."""
-        eps = rng.standard_normal(self.latent_dim)
-        return self.elbo_loss(ids, label, eps, beta=beta, train_rng=train_rng)
+    def elbo_loss(self, ids, label, eps, beta=None, train_rng=None):
+        """Negated annealed ELBO for one clause; label None drops that term.
+
+        The B=1 case of batch_loss, with eps of shape (latent_dim,).
+        """
+        labels = None if label is None else [int(label)]
+        eps = np.asarray(eps, dtype=np.float64)[None]
+        return self.batch_loss(np.asarray(ids, dtype=np.int64)[None], labels, eps, beta, train_rng)
 
     def classify_map(self, ids):
         """Class probabilities read at the posterior mean; no sampling."""

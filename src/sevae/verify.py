@@ -30,7 +30,7 @@ def _rand_ids(rng, low=5, high=_VOCAB, min_len=3, max_len=5):
 
 
 def _tiny_vae(decoder_kind, rng):
-    enc_cfg = encoders.transformer_config(embed_dim=8, layers=1, heads=2, max_len=16)
+    enc_cfg = encoders.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=16)
     if decoder_kind == "bow":
         dec = vae.DecoderSpec("bow")
     elif decoder_kind == "lstm":

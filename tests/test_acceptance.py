@@ -142,7 +142,7 @@ def _zero(model, names):
 
 def test_criterion_4_degenerate_identities():
     V = 12
-    enc = encoders.transformer_config(embed_dim=8, layers=1, heads=2, max_len=16)
+    enc = encoders.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=16)
     rng = np.random.default_rng(4)
     z = T.Tensor(rng.standard_normal(4))
     uniform_step = math.log(1.0 / V)
@@ -150,14 +150,14 @@ def test_criterion_4_degenerate_identities():
     bow = vae.VAEModel(enc, vae.DecoderSpec("bow", 8, 8, 1, 2), V,
                        latent_dim=4, rng=np.random.default_rng(0))
     _zero(bow, ["dec.w", "dec.b"])
-    assert float(bow.decode_bow(z, [7]).data) == pytest.approx(uniform_step, abs=1e-12)
-    assert float(bow.decode_bow(z, [7, 5, 6]).data) == pytest.approx(3 * uniform_step, abs=1e-12)
+    assert float(bow.decode(z, [7]).data) == pytest.approx(uniform_step, abs=1e-12)
+    assert float(bow.decode(z, [7, 5, 6]).data) == pytest.approx(3 * uniform_step, abs=1e-12)
 
     for kind in ("lstm", "xfmr-latent"):
         m = vae.VAEModel(enc, vae.DecoderSpec(kind, 8, 8, 1, 2), V,
                          latent_dim=4, rng=np.random.default_rng(1))
         _zero(m, ["dec.out_w", "dec.out_b"])
-        got = float(m.decode_autoregressive(z, [5, 9, 7], kind).data)
+        got = float(m.decode(z, [5, 9, 7]).data)
         assert got == pytest.approx(4 * uniform_step, rel=1e-12), kind
 
     prior = np.full(7, 1 / 7)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sevae import encoders as E
-from sevae import kernels
 from sevae import tensor as T
 from sevae.errors import DataError
 from sevae.gradcheck import check_gradients
@@ -13,79 +12,36 @@ def ids_for(rng, n, vocab=20):
 
 
 def test_config_validation():
-    with pytest.raises(DataError, match="unknown encoder kind"):
-        E.EncoderConfig("gru-pool")
     with pytest.raises(DataError, match="must divide"):
-        E.EncoderConfig("mini-transformer-cls", embed_dim=10, hidden_dim=10, heads=3)
-    with pytest.raises(DataError, match="ties embed_dim"):
-        E.EncoderConfig("mini-transformer-cls", embed_dim=8, hidden_dim=16, heads=4)
-    with pytest.raises(DataError, match="even"):
-        E.EncoderConfig("bilstm-pool", hidden_dim=7)
+        E.EncoderConfig(embed_dim=10, heads=3)
+    with pytest.raises(DataError, match=">= 1"):
+        E.EncoderConfig(embed_dim=8, heads=0)
     with pytest.raises(DataError, match="dropout"):
-        E.EncoderConfig("lstm-pool", dropout=1.0)
-
-
-def test_output_dim():
-    assert E.output_dim(E.EncoderConfig("lstm-pool", hidden_dim=40)) == 40
-    assert E.output_dim(E.EncoderConfig("bilstm-pool", hidden_dim=40)) == 40
-    assert E.output_dim(E.transformer_config(embed_dim=32)) == 32
+        E.EncoderConfig(dropout=1.0)
 
 
 def test_defaults_match_desk_scale():
-    cfg = E.transformer_config()
-    assert (cfg.embed_dim, cfg.hidden_dim, cfg.layers, cfg.heads) == (128, 128, 2, 4)
+    cfg = E.EncoderConfig()
+    assert (cfg.embed_dim, cfg.layers, cfg.heads, cfg.max_len, cfg.dropout) == (128, 2, 4, 128, 0.0)
 
 
 def test_input_validation(rng):
-    cfg = E.EncoderConfig("lstm-pool", embed_dim=6, hidden_dim=5, max_len=4)
+    cfg = E.EncoderConfig(embed_dim=6, layers=1, heads=2, max_len=4)
     p = E.init_params(cfg, 20, rng)
     with pytest.raises(DataError, match="empty"):
         E.encode_pooled([], cfg, p)
     with pytest.raises(DataError, match="refusing to truncate"):
         E.encode_pooled([5, 6, 7, 8, 9], cfg, p)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="out of range"):
         E.encode_pooled([25], cfg, p)
-
-
-def test_lstm_pool_is_mean_of_hidden_states(rng):
-    cfg = E.EncoderConfig("lstm-pool", embed_dim=6, hidden_dim=5)
-    p = E.init_params(cfg, 20, rng)
-    ids = ids_for(rng, 4)
-    pooled = E.encode_pooled(ids, cfg, p).data
-
-    x = p["emb"].data[ids] @ p["fwd.wx"].data + p["fwd.b"].data
-    hs, _, _ = kernels.lstm_forward(x, p["fwd.whT"].data, np.zeros(5), np.zeros(5))
-    np.testing.assert_allclose(pooled, hs.mean(axis=0), atol=1e-12)
-
-
-def test_single_token_lstm_pool_equals_hidden_state(rng):
-    cfg = E.EncoderConfig("lstm-pool", embed_dim=6, hidden_dim=5)
-    p = E.init_params(cfg, 20, rng)
-    ids = [7]
-    pooled = E.encode_pooled(ids, cfg, p).data
-    x = p["emb"].data[ids] @ p["fwd.wx"].data + p["fwd.b"].data
-    hs, _, _ = kernels.lstm_forward(x, p["fwd.whT"].data, np.zeros(5), np.zeros(5))
-    np.testing.assert_allclose(pooled, hs[0], atol=1e-12)
-
-
-def test_bilstm_pool_concats_half_width_directions(rng):
-    cfg = E.EncoderConfig("bilstm-pool", embed_dim=6, hidden_dim=8)
-    p = E.init_params(cfg, 20, rng)
-    ids = ids_for(rng, 5)
-    pooled = E.encode_pooled(ids, cfg, p).data
-    assert pooled.shape == (8,)
-
-    emb = p["emb"].data[ids]
-    xf = emb @ p["fwd.wx"].data + p["fwd.b"].data
-    hf, _, _ = kernels.lstm_forward(xf, p["fwd.whT"].data, np.zeros(4), np.zeros(4))
-    xb = emb[::-1] @ p["bwd.wx"].data + p["bwd.b"].data
-    hb, _, _ = kernels.lstm_forward(xb, p["bwd.whT"].data, np.zeros(4), np.zeros(4))
-    want = np.concatenate([hf, hb[::-1]], axis=1).mean(axis=0)
-    np.testing.assert_allclose(pooled, want, atol=1e-12)
+    with pytest.raises(DataError, match="out of range"):
+        E.encode([[5, 6], [7, -1]], cfg, p)
+    with pytest.raises(DataError, match="batch, length"):
+        E.encode([5, 6], cfg, p)
 
 
 def test_transformer_cls_deterministic_and_shaped(rng):
-    cfg = E.transformer_config(embed_dim=8, layers=2, heads=2, max_len=16)
+    cfg = E.EncoderConfig(embed_dim=8, layers=2, heads=2, max_len=16)
     p = E.init_params(cfg, 20, rng)
     ids = ids_for(rng, 6)
     a = E.encode_pooled(ids, cfg, p).data
@@ -98,22 +54,25 @@ def test_transformer_cls_deterministic_and_shaped(rng):
 
 
 def test_shape_contract_all_lengths(rng):
-    for kind, dims in (("lstm-pool", {"embed_dim": 4, "hidden_dim": 6}),
-                       ("bilstm-pool", {"embed_dim": 4, "hidden_dim": 6}),):
-        cfg = E.EncoderConfig(kind, max_len=8, **dims)
-        p = E.init_params(cfg, 15, rng)
-        for n in range(1, 9):
-            out = E.encode_pooled(ids_for(rng, n, 15), cfg, p)
-            assert out.data.shape == (E.output_dim(cfg),)
-    cfg = E.transformer_config(embed_dim=8, layers=1, heads=2, max_len=8)
+    cfg = E.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=8)
     p = E.init_params(cfg, 15, rng)
     for n in range(1, 9):
         out = E.encode_pooled(ids_for(rng, n, 15), cfg, p)
         assert out.data.shape == (8,)
+        assert E.encode(np.array([ids_for(rng, n, 15)] * 3), cfg, p).data.shape == (3, 8)
+
+
+def test_stacked_encode_equals_per_clause_rows(rng):
+    cfg = E.EncoderConfig(embed_dim=8, layers=2, heads=2, max_len=16)
+    p = E.init_params(cfg, 20, rng)
+    rows = np.array([ids_for(rng, 5) for _ in range(4)])
+    stacked = E.encode(rows, cfg, p).data
+    for row, got in zip(rows, stacked):
+        np.testing.assert_allclose(got, E.encode_pooled(row, cfg, p).data, rtol=1e-12, atol=1e-12)
 
 
 def test_dropout_reproducible_with_frozen_rng(rng):
-    cfg = E.transformer_config(embed_dim=8, layers=1, heads=2, max_len=16, dropout=0.3)
+    cfg = E.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=16, dropout=0.3)
     p = E.init_params(cfg, 20, rng)
     ids = ids_for(rng, 5)
     a = E.encode_pooled(ids, cfg, p, train_rng=np.random.default_rng(5)).data
@@ -127,17 +86,8 @@ def test_dropout_reproducible_with_frozen_rng(rng):
     np.testing.assert_array_equal(d, e)
 
 
-def test_bilstm_sequence_states(rng):
-    cfg = E.EncoderConfig("bilstm-pool", embed_dim=5, hidden_dim=6)
-    p = E.init_bilstm_sequence_params(cfg, 20, rng)
-    out = E.encode_bilstm_sequence(ids_for(rng, 4), cfg, p)
-    assert out.data.shape == (4, 12)
-    single = E.encode_bilstm_sequence([5], cfg, p)
-    assert single.data.shape == (1, 12)
-
-
 def test_transformer_encoder_gradients(rng):
-    cfg = E.transformer_config(embed_dim=6, layers=1, heads=2, max_len=8)
+    cfg = E.EncoderConfig(embed_dim=6, layers=1, heads=2, max_len=8)
     p = E.init_params(cfg, 12, rng)
     ids = [5, 9, 7]
 

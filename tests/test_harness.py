@@ -12,20 +12,21 @@ import struct
 import numpy as np
 import pytest
 
+from sevae import cli
 from sevae.data import (
     Clause, SEType, Split, build_vocab, label_prior, make_synthetic_corpus,
-    paragraphs_of, split_manifest, manifest_digest,
+    paragraphs_of, split_manifest, manifest_digest, write_jsonl,
 )
 from sevae.errors import CheckpointError, DataError
 from sevae.harness import (
-    CHECKPOINT_MAGIC, TrainConfig, adam_step, aggregate_sweep, clip_global_norm,
+    CHECKPOINT_MAGIC, TrainConfig, _vae_group_steps, adam_step, aggregate_sweep, clip_global_norm,
     compute_metrics, default_train_config, evaluate, init_adam_state,
     load_checkpoint, predict_codes, run_cross_genre, run_low_resource_sweep,
     save_checkpoint, split_digest, train, write_cross_genre_tsv,
     write_sweep_aggregates_tsv, write_sweep_tsv,
 )
 from sevae.models import build_model, default_spec, spec_hash
-from sevae.tensor import Tensor
+from sevae.tensor import Tape, Tensor, zero_grads
 from sevae.vae import write_latents_tsv
 
 
@@ -348,6 +349,52 @@ def test_train_vae_with_beta_warmup(eight_clause_fixture):
         assert math.isfinite(record["kl"]) and record["kl"] >= 0.0
 
 
+@pytest.mark.parametrize("name", ["vae-bow", "vae-lstm", "vae-xfmr"])
+def test_length_groups_equal_the_per_clause_sum(name):
+    # lengths 3, 5 and 4 make groups of three, two and one
+    rng = np.random.default_rng(21)
+    lengths = [3, 5, 3, 4, 5, 3]
+    items = [(rng.integers(5, 12, size=n), int(rng.integers(7))) for n in lengths]
+    model = build_model(tiny_spec(name), 12, np.full(7, 1 / 7), seed=4)
+    trainable = {k: p for k, p in model.params.items() if p.requires_grad}
+
+    ref_rng = np.random.default_rng(5)
+    ref_parts = {}
+    zero_grads(trainable)
+    for ids, label in items:
+        eps = ref_rng.standard_normal(model.latent_dim)  # the per-clause draw
+        with Tape() as tape:
+            loss, parts = model.elbo_loss(ids, label, eps)
+            tape.backward(loss)
+        for key, value in parts.items():
+            ref_parts[key] = ref_parts.get(key, 0.0) + value
+    ref_grads = {k: p.grad.copy() for k, p in trainable.items()}
+
+    group_rng = np.random.default_rng(5)
+    zero_grads(trainable)
+    steps = list(_vae_group_steps(model, items, group_rng, None))
+    assert [count for _, count in steps] == [3, 2, 1]
+    for key, want in ref_parts.items():
+        assert sum(parts[key] for parts, _ in steps) == pytest.approx(want, rel=1e-10), key
+    for k, p in trainable.items():
+        scale = max(1.0, float(np.abs(ref_grads[k]).max()))
+        np.testing.assert_allclose(p.grad, ref_grads[k], rtol=1e-10, atol=1e-10 * scale, err_msg=k)
+    # both paths drew the same number of normals from the step stream
+    assert group_rng.random() == ref_rng.random()
+
+
+def test_vae_dropout_option_changes_training(eight_clause_fixture):
+    cfg = TrainConfig(max_epochs=2, patience=5, logical_batch=8, seed=3)
+    split = overfit_split(eight_clause_fixture)
+    plain = train(tiny_spec("vae-bow"), split, cfg)
+    dropped = train(tiny_spec("vae-bow", dropout=0.3), split, cfg)
+    again = train(tiny_spec("vae-bow", dropout=0.3), split, cfg)
+    assert dropped.log != plain.log
+    assert dropped.log == again.log
+    for name, p in dropped.model.params.items():
+        assert np.array_equal(p.data, again.model.params[name].data), name
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -395,6 +442,11 @@ WRITERS = {
     "crossgenre": lambda result, path: write_cross_genre_tsv([("disc", "news", 0.5, 0.25)], path),
     "latents": lambda result, path: write_latents_tsv(
         [("d0", 0, 0, "STATE", "news", [0.5])], 1, path),
+    # manifest.json, split.json, eval*.json, sweep_meta.json,
+    # crossgenre_meta.json and gradcheck.json all go through cli._write_json
+    "json": lambda result, path: cli._write_json(path, {"manifest": "manifest.json"}, indent=2),
+    "jsonl": lambda result, path: write_jsonl(
+        [Clause("a cat .", SEType.STATE, "news", "d0", 0, 0)], path),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,26 @@ def test_param_used_twice_sums_both_paths():
     np.testing.assert_allclose(w.grad, 2 * w.data + 2.0, atol=1e-15)
 
 
+def test_leaf_grads_never_alias_a_shared_upstream_array():
+    # add hands one upstream array to both of its inputs; accumulating into
+    # the first contribution in place must not reach the other leaf
+    a, b = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+    weights = np.array([0.5, -1.0])
+    for _ in range(2):
+        with T.Tape() as tape:
+            tape.backward(T.sum_(T.mul(T.add(a, b), weights)))
+    np.testing.assert_array_equal(a.grad, 2 * weights)
+    np.testing.assert_array_equal(b.grad, 2 * weights)
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(weights, [0.5, -1.0])
+    np.testing.assert_array_equal(a.data, [1.0, 2.0])
+    # one leaf reached twice by the same array
+    c = leaf([1.0, -2.0])
+    with T.Tape() as tape:
+        tape.backward(T.sum_(T.mul(T.add(c, c), weights)))
+    np.testing.assert_array_equal(c.grad, 2 * weights)
+
+
 def test_tapes_do_not_nest():
     with T.Tape():
         with pytest.raises(GraphError, match="nest"):
@@ -211,6 +232,12 @@ def test_finite_guard_passes_finite_values_whose_sum_overflows():
         np.testing.assert_array_equal(T.softmax(leaf(big)).data, [0.5, 0.5])
 
 
+def test_finite_guard_raises_no_warning_when_a_finite_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(T.mul(T.Tensor([1e308, 1e308]), 1.0).data, [1e308, 1e308])
+
+
 @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [1e308, np.nan]])
 def test_finite_guard_catches_any_nonfinite_value(bad):
     x = np.linspace(-1.0, 1.0, 9)
@@ -253,6 +280,19 @@ def test_gradcheck_elementwise(rng):
 def test_gradcheck_matmul_affine(rng):
     p = {
         "x": leaf(rng.standard_normal((3, 4))),
+        "w": leaf(rng.standard_normal((4, 2))),
+        "b": leaf(rng.standard_normal(2)),
+    }
+
+    def build():
+        return T.sum_(T.tanh(T.affine(p["x"], p["w"], p["b"])))
+
+    assert grad_of(build, p) < 1e-6
+
+
+def test_gradcheck_affine_stacked_input(rng):
+    p = {
+        "x": leaf(rng.standard_normal((2, 3, 4))),
         "w": leaf(rng.standard_normal((4, 2))),
         "b": leaf(rng.standard_normal(2)),
     }
@@ -347,6 +387,68 @@ def test_gradcheck_lstm_seq(rng):
         return T.sum_(T.mul(hs, hs))
 
     assert grad_of(build, p) < 1e-6
+
+
+def test_gradcheck_stacked_sequence_ops(rng):
+    # the (B, n) forms the length-grouped vae path uses: 2-D ids, a
+    # (B, T, V) cross-entropy, a stacked LSTM fed rows repeated per step
+    B, T_, V, E, H = 3, 4, 6, 3, 2
+    p = {
+        "emb": leaf(rng.standard_normal((V, E)) * 0.5),
+        "z": leaf(rng.standard_normal((B, 2))),
+        "wx": leaf(rng.standard_normal((E + 2, 4 * H)) * 0.3),
+        "whT": leaf(rng.standard_normal((4 * H, H)) * 0.3),
+        "b": leaf(rng.standard_normal(4 * H) * 0.1),
+        "h0": leaf(rng.standard_normal((B, H)) * 0.2),
+        "w": leaf(rng.standard_normal((H, V))),
+    }
+    ids = rng.integers(0, V, size=(B, T_))
+    targets = rng.integers(0, V, size=(B, T_))
+
+    def build():
+        x = T.concat([T.embedding(p["emb"], ids), T.repeat_row(p["z"], T_)], axis=2)
+        hs = T.lstm_seq(x, p["wx"], p["whT"], p["b"], p["h0"], T.mul(p["h0"], 0.5))
+        return T.cross_entropy(T.affine(hs, p["w"], T.Tensor(np.zeros(V))), targets)
+
+    assert grad_of(build, p) < 1e-6
+
+
+def test_stacked_lstm_seq_equals_per_sequence_calls(rng):
+    B, n, D, H = 3, 5, 4, 3
+    p = {
+        "x": leaf(rng.standard_normal((B, n, D))),
+        "wx": leaf(rng.standard_normal((D, 4 * H)) * 0.3),
+        "whT": leaf(rng.standard_normal((4 * H, H)) * 0.3),
+        "b": leaf(rng.standard_normal(4 * H) * 0.1),
+        "h0": leaf(rng.standard_normal((B, H))),
+        "c0": leaf(rng.standard_normal((B, H))),
+    }
+    weights = rng.standard_normal((B, n, H))
+
+    def grads(build):
+        T.zero_grads(p)
+        with T.Tape() as tape:
+            loss = build()
+            tape.backward(loss)
+        return float(loss.data), {k: t.grad.copy() for k, t in p.items()}
+
+    def stacked():
+        hs = T.lstm_seq(p["x"], p["wx"], p["whT"], p["b"], p["h0"], p["c0"])
+        return T.sum_(T.mul(hs, weights))
+
+    def rows():
+        total = 0.0
+        for i in range(B):
+            pick = [T.reshape(T.narrow(p[k], 0, i, 1), p[k].shape[1:]) for k in ("x", "h0", "c0")]
+            hs = T.lstm_seq(pick[0], p["wx"], p["whT"], p["b"], pick[1], pick[2])
+            total = T.add(total, T.sum_(T.mul(hs, weights[i])))
+        return total
+
+    loss_s, grad_s = grads(stacked)
+    loss_r, grad_r = grads(rows)
+    assert loss_s == pytest.approx(loss_r, rel=1e-12)
+    for k in p:
+        np.testing.assert_allclose(grad_s[k], grad_r[k], rtol=1e-12, atol=1e-14, err_msg=k)
 
 
 def test_gradcheck_stack_repeat_row(rng):
