@@ -101,7 +101,17 @@ class DiscModel:
         return T.softmax(self._logits(ids), axis=-1).data.copy()
 
 
-class ClassLMModel:
+class _BayesRuleClassifier:
+    """p(y|x) for a model whose joint_scores(ids) gives log p(x, y) per label."""
+
+    def predict_probs(self, ids):
+        scores = self.joint_scores(ids)
+        shifted = scores - scores.max()
+        e = np.exp(shifted)
+        return e / e.sum()
+
+
+class ClassLMModel(_BayesRuleClassifier):
     """Autoregressive p(x|y) with the label embedding feeding the output head."""
 
     consumes = "clause"
@@ -154,18 +164,8 @@ class ClassLMModel:
         logliks = T.factored_loglik(base, tilts, no_col, targets).data[:, 0]
         return logliks + np.log(p["prior"].data)
 
-    def predict(self, ids):
-        """argmax_y p(x|y) p(y); ties break to the lowest label code."""
-        return int(np.argmax(self.joint_scores(ids)))
 
-    def predict_probs(self, ids):
-        scores = self.joint_scores(ids)
-        shifted = scores - scores.max()
-        e = np.exp(shifted)
-        return e / e.sum()
-
-
-class LatentClassLMModel:
+class LatentClassLMModel(_BayesRuleClassifier):
     """ClassLMModel plus a marginalized discrete latent c."""
 
     consumes = "clause"
@@ -194,9 +194,6 @@ class LatentClassLMModel:
         p = self.params
         scores = T.sum_(p["lat_w"] * p["lat_emb"], axis=1) + p["lat_b"]
         return T.log_softmax(scores, axis=-1)
-
-    def latent_prior(self):
-        return np.exp(self.latent_log_prior().data)
 
     def _marginal(self, base, label_tilts, targets):
         """log sum_c p(x|c, y) p(c) for each row of label_tilts, one (rows, C)
@@ -230,15 +227,6 @@ class LatentClassLMModel:
         base = hs @ p["out.wh"].data + p["out.b"].data
         tilts_y = p["lab_emb"].data @ p["out.wy"].data
         return self._marginal(base, tilts_y, targets).data + np.log(p["prior"].data)
-
-    def predict(self, ids):
-        return int(np.argmax(self.joint_scores(ids)))
-
-    def predict_probs(self, ids):
-        scores = self.joint_scores(ids)
-        shifted = scores - scores.max()
-        e = np.exp(shifted)
-        return e / e.sum()
 
 
 class CtxModel:

@@ -10,8 +10,9 @@ Every flag can instead come from a flat key=value config file given with
 flags take comma-separated entries). An explicit flag always overrides the
 file. Each writing subcommand takes --out and touches nothing outside that
 directory; a manifest.json recording the command line, the effective
-config and its digest, input file digests, seed, version, and timestamp is
-written there before any other output.
+config and its digest, input file digests, seed (sweep: the list of
+--seeds), version, and timestamp is written there before any other output;
+every input check a command can make up front comes before it.
 """
 
 import argparse
@@ -25,12 +26,12 @@ from dataclasses import replace
 
 from . import __version__, harness, vae, verify
 from .data import (
-    SEType, Split, atomic_write, genre_counts, label_counts, load_corpus,
-    make_synthetic_corpus, manifest_digest, split_manifest,
+    SEType, Split, atomic_write, cross_genre_split, genre_counts, label_counts,
+    load_corpus, make_synthetic_corpus, manifest_digest, split_manifest,
     subsample_per_label, write_jsonl,
 )
 from .errors import CheckpointError, DataError, GraphError, NumericsError
-from .models import MODEL_NAMES, default_spec, spec_hash
+from .models import MODEL_NAMES, ModelSpec, default_spec
 
 
 class UsageError(Exception):
@@ -56,8 +57,7 @@ _TRAIN_FLAGS = {
     "batch": (int, 32, False, {"help": "logical batch size"}),
     "grad_clip": (float, 5.0, False, {}),
     "weight_decay": (float, 0.0, False, {}),
-    "beta_schedule": (str, "fixed", False, {"choices": ("fixed", "linear")}),
-    "beta_warmup_steps": (int, 0, False, {}),
+    "beta_warmup_steps": (int, 0, False, {"help": "vae beta rises linearly from 0 over N updates"}),
     "opt": ("list", [], False, {"help": "model option override key=value, repeatable"}),
 }
 
@@ -103,7 +103,8 @@ _SCHEMAS = {
         "test": (str, None, True, {}),
         "out": (str, None, True, {}),
         "jobs": (int, 1, False, {}),
-        **_TRAIN_FLAGS,
+        # each run's seed comes from --seeds
+        **{k: v for k, v in _TRAIN_FLAGS.items() if k != "seed"},
     },
     "crossgenre": {
         "model": (str, None, True, {"choices": MODEL_NAMES}),
@@ -142,7 +143,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"sevae {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
     for command, schema in _SCHEMAS.items():
-        sub = subs.add_parser(command, description=_DESCRIPTIONS[command])
+        # no prefix matching: sweep --seed must not read as --seeds
+        sub = subs.add_parser(command, description=_DESCRIPTIONS[command], allow_abbrev=False)
         for dest, (typ, _default, _required, extra) in schema.items():
             extra = dict(extra)
             flag = extra.pop("flag", "--" + dest.replace("_", "-"))
@@ -271,7 +273,7 @@ def _int_list(values, what):
 
 def _train_config(model_name, cfg):
     keys = ("lr", "max_epochs", "patience", "seed", "grad_clip", "weight_decay",
-            "beta_schedule", "beta_warmup_steps")
+            "beta_warmup_steps")
     overrides = {k: cfg[k] for k in keys if cfg.get(k) is not None}
     overrides["logical_batch"] = cfg["batch"]
     return harness.default_train_config(model_name, **overrides)
@@ -282,7 +284,7 @@ def _load_split(cfg):
     validation = load_corpus(cfg["val"]) if cfg.get("val") else []
     test = load_corpus(cfg["test"]) if cfg.get("test") else []
     split = Split(train, validation, test, "file-given")
-    if cfg.get("k"):
+    if cfg.get("k") is not None:
         split = subsample_per_label(train, cfg["k"], cfg["seed"], validation, test)
     return split
 
@@ -353,9 +355,7 @@ def _cmd_train(cfg):
     })
     print(f"trained {cfg['model']} for {len(result.log)} epochs; checkpoint at {ckpt_path}")
     if split.test:
-        meta = {"spec_hash": spec_hash(spec), "model": cfg["model"],
-                "provenance": split.provenance, "seed": train_cfg.seed,
-                "manifest": "manifest.json"}
+        meta = dict(result.meta, manifest="manifest.json")
         report = harness.evaluate(result.model, split.test, result.vocab, meta)
         _write_json(os.path.join(cfg["out"], "eval_test.json"), report.to_json(), indent=2)
         print(f"test accuracy {report.accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
@@ -372,48 +372,65 @@ def _cmd_eval(cfg):
     return 0
 
 
+def _fit_and_score(spec_json, split, cfg_json):
+    """Train on split.train, evaluate on split.test: (accuracy, macro_f1)."""
+    result = harness.train(ModelSpec.from_json(spec_json), split, harness.TrainConfig(**cfg_json))
+    report = harness.evaluate(result.model, split.test, result.vocab)
+    return report.accuracy, report.macro_f1
+
+
 def _sweep_cell(job):
     spec_json, k, seed, paths, cfg_json = job
-    from .models import ModelSpec
-    spec = ModelSpec.from_json(spec_json)
-    train_cs = load_corpus(paths["train"])
-    val_cs = load_corpus(paths["val"]) if paths.get("val") else []
-    test_cs = load_corpus(paths["test"])
-    split = subsample_per_label(train_cs, k, seed, val_cs, test_cs)
-    result = harness.train(spec, split, harness.TrainConfig(**cfg_json))
-    meta = {"spec_hash": spec_hash(spec), "model": spec.name,
-            "provenance": split.provenance, "seed": seed}
-    report = harness.evaluate(result.model, split.test, result.vocab, meta)
-    return (spec.name, k, seed, report.accuracy, report.macro_f1)
+    split = _load_split(dict(paths, k=k, seed=seed))
+    return (spec_json["name"], k, seed, *_fit_and_score(spec_json, split, cfg_json))
+
+
+def _crossgenre_cell(job):
+    spec_json, target, path, cfg_json = job
+    split = cross_genre_split(load_corpus(path), target)
+    return (spec_json["name"], target, *_fit_and_score(spec_json, split, cfg_json))
 
 
 def _run_jobs(worker, jobs, n_jobs):
-    if n_jobs > 1:
-        with multiprocessing.Pool(n_jobs) as pool:
+    """worker over jobs in order, in at most n_jobs processes (never more
+    than there are jobs)."""
+    processes = min(n_jobs, len(jobs))
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
             return pool.map(worker, jobs)
     return [worker(job) for job in jobs]
 
 
+def _check_jobs(cfg):
+    if cfg["jobs"] < 1:
+        raise UsageError(f"--jobs must be >= 1, got {cfg['jobs']}")
+
+
 def _cmd_sweep(cfg):
+    _check_jobs(cfg)
     model_names = cfg["models"]
     for name in model_names:
         if name not in MODEL_NAMES:
             raise DataError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
     ks = _int_list(cfg["ks"], "--ks")
     seeds = _int_list(cfg["seeds"], "--seeds")
+    smallest = min(label_counts(_load_split(cfg).train).values())
+    for k in ks:
+        if not 1 <= k <= smallest:
+            raise DataError(f"--ks: k={k} is outside 1..{smallest}; the rarest label has "
+                            f"{smallest} clauses in {cfg['train']}")
     opts = _split_pairs(cfg["opt"], "--opt")
-    specs = [default_spec(name, **opts) for name in model_names]
     paths = {"train": cfg["train"], "val": cfg["val"], "test": cfg["test"]}
-    inputs = [p for p in paths.values() if p]
-    _write_manifest(cfg["out"], dict(cfg, models=model_names, ks=ks, seeds=seeds),
-                    inputs, seed=cfg["seed"])
     jobs = []
-    for spec in specs:
-        base = _train_config(spec.name, cfg)
+    for name in model_names:
+        spec_json = default_spec(name, **opts).to_json()
+        base = _train_config(name, cfg)
         for k in ks:
             for seed in seeds:
-                jobs.append((spec.to_json(), k, seed, paths,
-                             replace(base, seed=seed).to_json()))
+                jobs.append((spec_json, k, seed, paths, replace(base, seed=seed).to_json()))
+    inputs = [p for p in paths.values() if p]
+    _write_manifest(cfg["out"], dict(cfg, models=model_names, ks=ks, seeds=seeds),
+                    inputs, seed=seeds)
     rows = _run_jobs(_sweep_cell, jobs, cfg["jobs"])
     aggregates = harness.aggregate_sweep(rows)
     harness.write_sweep_tsv(rows, os.path.join(cfg["out"], "sweep.tsv"))
@@ -427,21 +444,17 @@ def _cmd_sweep(cfg):
     return 0
 
 
-def _crossgenre_cell(job):
-    spec_json, target, path, cfg_json = job
-    from .models import ModelSpec
-    spec = ModelSpec.from_json(spec_json)
-    corpus = load_corpus(path)
-    rows = harness.run_cross_genre(spec, corpus, harness.TrainConfig(**cfg_json), [target])
-    return rows[0]
-
-
 def _cmd_crossgenre(cfg):
+    _check_jobs(cfg)
     corpus = load_corpus(cfg["data"])
     present = sorted({cl.genre for cl in corpus})
     if len(present) < 2:
         raise DataError("cross-genre evaluation needs at least 2 genres")
     targets = cfg["genres"] or present
+    for target in targets:
+        if target not in present:
+            raise DataError(f"--genres: {target!r} not in {cfg['data']}; "
+                            f"present genres: {', '.join(present)}")
     spec = default_spec(cfg["model"], **_split_pairs(cfg["opt"], "--opt"))
     train_cfg = _train_config(cfg["model"], cfg)
     _write_manifest(cfg["out"], dict(cfg, targets=targets, spec=spec.to_json()),

@@ -1,4 +1,4 @@
-"""Training, evaluation, checkpointing, and the three experiment protocols.
+"""Training, evaluation, checkpointing, and the sweep/cross-genre TSVs.
 
 Training accumulates gradients over a logical batch, then takes one Adam
 step with bias correction and global-norm clipping before the update;
@@ -9,7 +9,9 @@ length and run each group of equal-length clauses as one (B, n) stack: one
 tape, one loss summed over the group, one backward. That needs no padding
 or masks, and each clause's loss is the one the per-clause path computes.
 Everything a run reports is a pure function of (model spec, data
-manifest, seed).
+manifest, seed). The protocol grids (the k-per-label sweep and
+leave-one-genre-out) are run by the CLI, one pool cell per grid point;
+this module supplies their aggregation and TSV writers.
 
 Evaluation produces an EvalReport: micro accuracy, macro-F1 as the
 unweighted mean of per-class F1 over all 7 classes (absent classes score
@@ -24,13 +26,12 @@ raw little-endian float64.
 import io
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import (
-    N_LABELS, Split, Vocab, atomic_write, build_vocab, cross_genre_split, default_min_count,
-    label_prior, paragraphs_of, split_manifest, manifest_digest, subsample_per_label,
+    N_LABELS, Vocab, atomic_write, build_vocab, default_min_count, label_prior, paragraphs_of,
 )
 from .errors import CheckpointError, DataError
 from .models import ModelSpec, build_model, spec_hash
@@ -43,7 +44,6 @@ from .vae import VAEModel
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"
     lr: float = 1e-3
     betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
@@ -53,20 +53,17 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     grad_clip: float = 5.0
-    beta_schedule: str = "fixed"
-    beta_warmup_steps: int = 0
+    beta_warmup_steps: int = 0  # > 0: vae beta rises linearly over this many updates
 
     def __post_init__(self):
-        if self.optimizer != "adam":
-            raise DataError(f"unsupported optimizer {self.optimizer!r}")
         if self.lr <= 0:
             raise DataError("lr must be positive")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
         if self.logical_batch < 1:
             raise DataError("logical_batch must be >= 1")
-        if self.beta_schedule not in ("fixed", "linear"):
-            raise DataError(f"unknown beta schedule {self.beta_schedule!r}")
+        if self.beta_warmup_steps < 0:
+            raise DataError("beta_warmup_steps must be >= 0")
 
     def to_json(self):
         d = self.__dict__.copy()
@@ -218,6 +215,7 @@ class TrainResult:
     config: TrainConfig
     log: list
     best_val_macro_f1: float
+    meta: dict  # spec_hash, model, split provenance, seed
 
 
 def _encode_items(model, clauses, vocab):
@@ -291,8 +289,6 @@ def train(spec, split, cfg, log_hook=None):
     items = _encode_items(model, split.train, vocab)
     state = init_adam_state(model.params)
     is_vae = isinstance(model, VAEModel)
-    run_meta = {"spec_hash": spec_hash(spec), "model": spec.name,
-                "provenance": split.provenance, "seed": cfg.seed}
 
     log = []
     best_f1 = -1.0
@@ -306,7 +302,7 @@ def train(spec, split, cfg, log_hook=None):
         for lo in range(0, len(order), cfg.logical_batch):
             chunk = order[lo:lo + cfg.logical_batch]
             zero_grads(model.params)
-            if is_vae and cfg.beta_schedule == "linear" and cfg.beta_warmup_steps > 0:
+            if is_vae and cfg.beta_warmup_steps > 0:
                 beta = model.beta * min(1.0, (step + 1) / cfg.beta_warmup_steps)
             else:
                 beta = None
@@ -329,7 +325,7 @@ def train(spec, split, cfg, log_hook=None):
         for key in sorted(part_sums):
             record[key] = part_sums[key] / part_counts[key]
         if split.validation:
-            report = evaluate(model, split.validation, vocab, run_meta)
+            report = evaluate(model, split.validation, vocab)
             record["val_accuracy"] = report.accuracy
             record["val_macro_f1"] = report.macro_f1
             if report.macro_f1 > best_f1:
@@ -349,41 +345,19 @@ def train(spec, split, cfg, log_hook=None):
                 log_hook(record)
     if best_snap is not None:
         _restore(model.params, best_snap)
-    return TrainResult(model, vocab, spec, cfg, log, best_f1)
+    meta = {"spec_hash": spec_hash(spec), "model": spec.name,
+            "provenance": split.provenance, "seed": cfg.seed}
+    return TrainResult(model, vocab, spec, cfg, log, best_f1, meta)
 
 
 # ---------------------------------------------------------------------------
-# experiment protocols
-
-
-def run_low_resource_sweep(specs, ks, seeds, base_split, config_for):
-    """Subsample/train/evaluate grid; returns (run rows, aggregate rows).
-
-    config_for(spec, k, seed) supplies the TrainConfig for each cell, so
-    budgets can differ by training-set size. Run rows are
-    (model, k, seed, accuracy, macro_f1); aggregates are
-    (model, k, mean_acc, std_acc, mean_f1, std_f1) with population std.
-    """
-    rows = []
-    for spec in specs:
-        for k in ks:
-            for seed in seeds:
-                split = subsample_per_label(
-                    base_split.train, k, seed, base_split.validation, base_split.test
-                )
-                cfg = config_for(spec, k, seed)
-                if cfg.seed != seed:
-                    cfg = replace(cfg, seed=seed)
-                result = train(spec, split, cfg)
-                meta = {"spec_hash": spec_hash(spec), "model": spec.name,
-                        "provenance": split.provenance, "seed": seed}
-                report = evaluate(result.model, split.test, result.vocab, meta)
-                rows.append((spec.name, k, seed, report.accuracy, report.macro_f1))
-    aggregates = aggregate_sweep(rows)
-    return rows, aggregates
+# protocol outputs
 
 
 def aggregate_sweep(rows):
+    """(model, k, mean_acc, std_acc, mean_f1, std_f1) per (model, k) group of
+    the run rows (model, k, seed, accuracy, macro_f1), in first-appearance
+    order; std is the population std."""
     groups = {}
     order = []
     for name, k, _seed, acc, f1 in rows:
@@ -401,24 +375,6 @@ def aggregate_sweep(rows):
         out.append((name, k, float(accs.mean()), float(accs.std()),
                     float(f1s.mean()), float(f1s.std())))
     return out
-
-
-def run_cross_genre(spec, corpus, cfg, genres=None):
-    """Leave-one-genre-out loop; one (model, genre, accuracy, macro_f1) row
-    per target genre."""
-    present = sorted({cl.genre for cl in corpus})
-    if len(present) < 2:
-        raise DataError("cross-genre evaluation needs at least 2 genres")
-    targets = list(genres) if genres else present
-    rows = []
-    for target in targets:
-        split = cross_genre_split(corpus, target)
-        result = train(spec, split, cfg)
-        meta = {"spec_hash": spec_hash(spec), "model": spec.name,
-                "provenance": split.provenance, "seed": cfg.seed}
-        report = evaluate(result.model, split.test, result.vocab, meta)
-        rows.append((spec.name, target, report.accuracy, report.macro_f1))
-    return rows
 
 
 def write_sweep_tsv(rows, path):
@@ -563,7 +519,3 @@ def load_checkpoint(path, expected_spec=None):
             )
         p.data = data
     return model, vocab, header["meta"]
-
-
-def split_digest(split):
-    return manifest_digest(split_manifest(split))

@@ -115,12 +115,3 @@ def lstm_backward_py(dhs, gates, cs, whT, c0):
 
 lstm_forward = _jit(lstm_forward_py)
 lstm_backward = _jit(lstm_backward_py)
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs (no-op on the numpy backend)."""
-    xw = np.zeros((2, 8))
-    whT = np.zeros((8, 2))
-    h0 = np.zeros(2)
-    hs, cs, gates = lstm_forward(xw, whT, h0, h0)
-    lstm_backward(np.ones_like(hs), gates, cs, whT, h0)

@@ -93,12 +93,32 @@ def default_spec(name, **overrides):
         if key not in options:
             raise DataError(f"model {name!r} has no option {key!r}; valid: {', '.join(sorted(options))}")
         options[key] = _coerce_option(name, key, value, options[key])
+    for key, value in options.items():
+        if type(value) is int and value < 1:
+            raise DataError(f"model {name!r} option {key!r} must be >= 1, got {value}")
+    if name.startswith("vae"):
+        # the checks build_model would hit, made before anything is written
+        enc_cfg, dec_spec = _vae_configs(name, options)
+        vae.check_options(enc_cfg, dec_spec, options["beta"])
     return ModelSpec(name, options)
 
 
 def spec_hash(spec):
     blob = json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def _vae_configs(name, o):
+    """(EncoderConfig, DecoderSpec) of a vae-* model; both check their fields."""
+    enc_cfg = encoders.EncoderConfig(
+        o["enc_embed_dim"], o["enc_layers"], o["enc_heads"], o["max_len"], o["dropout"]
+    )
+    dec_kind = {"vae-bow": "bow", "vae-lstm": "lstm", "vae-xfmr": "xfmr-latent"}[name]
+    dec_spec = vae.DecoderSpec(
+        dec_kind, o["dec_embed_dim"], o["dec_hidden_dim"], o["dec_layers"], o["dec_heads"],
+        o["tie_embeddings"],
+    )
+    return enc_cfg, dec_spec
 
 
 def build_model(spec, vocab_size, prior, seed):
@@ -116,14 +136,7 @@ def build_model(spec, vocab_size, prior, seed):
         )
     if spec.name == "ctx":
         return baselines.CtxModel(vocab_size, prior, rng, o["embed_dim"], o["hidden_dim"])
-    enc_cfg = encoders.EncoderConfig(
-        o["enc_embed_dim"], o["enc_layers"], o["enc_heads"], o["max_len"], o["dropout"]
-    )
-    dec_kind = {"vae-bow": "bow", "vae-lstm": "lstm", "vae-xfmr": "xfmr-latent"}[spec.name]
-    dec_spec = vae.DecoderSpec(
-        dec_kind, o["dec_embed_dim"], o["dec_hidden_dim"], o["dec_layers"], o["dec_heads"],
-        o["tie_embeddings"],
-    )
+    enc_cfg, dec_spec = _vae_configs(spec.name, o)
     return vae.VAEModel(
         enc_cfg, dec_spec, vocab_size,
         latent_dim=o["latent_dim"], beta=o["beta"],

@@ -287,31 +287,6 @@ def affine(x, w, b):
 # activations and elementwise transforms
 
 
-def tanh(a):
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _from_op("tanh", out, (a,), backward)
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    # split by sign for stability at large magnitudes
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _from_op("sigmoid", out, (a,), backward)
-
-
 def relu(a):
     a = as_tensor(a)
     mask = a.data > 0

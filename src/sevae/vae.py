@@ -77,6 +77,15 @@ def kl_to_standard_normal(q):
     return 0.5 * T.sum_(q.mu * q.mu + T.exp(q.logvar) - 1.0 - q.logvar)
 
 
+def check_options(enc_cfg, dec_spec, beta):
+    """The checks a VAEModel makes beyond those of its EncoderConfig and
+    DecoderSpec; raises DataError."""
+    if not 0.0 <= beta <= 1.0:
+        raise DataError(f"beta must be in [0, 1], got {beta}")
+    if dec_spec.tie_embeddings and dec_spec.embed_dim != enc_cfg.embed_dim:
+        raise DataError("tied embeddings need matching encoder/decoder embed dims")
+
+
 class VAEModel:
     """Encoder, posterior heads, classifier head, and one decoder."""
 
@@ -84,10 +93,7 @@ class VAEModel:
 
     def __init__(self, enc_cfg, dec_spec, vocab_size, latent_dim=30, beta=0.5,
                  label_loss_weight=1.0, rng=None):
-        if not 0.0 <= beta <= 1.0:
-            raise DataError(f"beta must be in [0, 1], got {beta}")
-        if dec_spec.tie_embeddings and dec_spec.embed_dim != enc_cfg.embed_dim:
-            raise DataError("tied embeddings need matching encoder/decoder embed dims")
+        check_options(enc_cfg, dec_spec, beta)
         self.enc_cfg = enc_cfg
         self.dec_spec = dec_spec
         self.vocab_size = vocab_size

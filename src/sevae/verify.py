@@ -14,7 +14,7 @@ import numpy as np
 
 from . import baselines, encoders, vae
 from .data import N_LABELS
-from .gradcheck import check_gradients
+from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, check_gradients
 
 OBJECTIVES = (
     "elbo-bow", "elbo-lstm", "elbo-xfmr",
@@ -71,7 +71,8 @@ def _build_objective(name, seed):
     return build, trainable
 
 
-def gradient_suite(seeds=(0, 1, 2), step=1e-5, tol=1e-4, max_entries=None, objectives=OBJECTIVES):
+def gradient_suite(seeds=(0, 1, 2), step=DEFAULT_STEP, tol=DEFAULT_TOL, max_entries=None,
+                   objectives=OBJECTIVES):
     """Run the finite-difference suite; returns per-objective results.
 
     Each entry maps objective -> {"max_rel_err", "passed", "seconds"},
@@ -84,7 +85,7 @@ def gradient_suite(seeds=(0, 1, 2), step=1e-5, tol=1e-4, max_entries=None, objec
         worst = 0.0
         for seed in seeds:
             build, params = _build_objective(name, seed)
-            per_param = check_gradients(build, params, step=step, tol=tol, max_entries=max_entries)
+            per_param = check_gradients(build, params, step=step, max_entries=max_entries)
             worst = max(worst, max(per_param.values()))
         results[name] = {
             "max_rel_err": worst,

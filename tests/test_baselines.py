@@ -99,7 +99,7 @@ def test_gen_label_tilt_is_order_blind(rng):
     a = m.joint_scores([5, 9, 7, 12])
     b = m.joint_scores([12, 7, 9, 5])
     np.testing.assert_allclose(a, b, atol=1e-10)
-    assert m.predict([5, 9, 7, 12]) == m.predict([12, 7, 9, 5])
+    assert np.argmax(m.predict_probs([5, 9, 7, 12])) == np.argmax(m.predict_probs([12, 7, 9, 5]))
 
 
 def test_gen_zeroed_emission_predicts_prior_argmax(rng):
@@ -107,7 +107,7 @@ def test_gen_zeroed_emission_predicts_prior_argmax(rng):
     m = gen(rng, prior)
     for name in ("out.wh", "out.wy", "out.b"):
         m.params[name].data[...] = 0.0
-    assert m.predict([5, 6, 7]) == int(np.argmax(prior))
+    assert np.argmax(m.predict_probs([5, 6, 7])) == np.argmax(prior)
 
 
 def test_gen_tie_breaks_to_lowest_code(rng):
@@ -117,7 +117,7 @@ def test_gen_tie_breaks_to_lowest_code(rng):
     # uniform prior + label-independent likelihood -> all scores equal
     scores = m.joint_scores([5, 6])
     np.testing.assert_allclose(scores, scores[0], atol=1e-12)
-    assert m.predict([5, 6]) == int(SEType.STATE)
+    assert np.argmax(m.predict_probs([5, 6])) == int(SEType.STATE)
 
 
 def test_gen_probs_normalized(rng):
@@ -171,14 +171,14 @@ def test_lat_latent_prior(rng):
     log_pc = m.latent_log_prior().data
     scores = (m.params["lat_w"].data * m.params["lat_emb"].data).sum(axis=1) + m.params["lat_b"].data
     np.testing.assert_allclose(log_pc, np_log_softmax(scores), atol=1e-12)
-    assert math.fsum(m.latent_prior().tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(np.exp(log_pc).tolist()) == pytest.approx(1.0, abs=1e-12)
 
     m.params["lat_w"].data[...] = 0.0
     m.params["lat_b"].data[...] = 0.0
-    np.testing.assert_allclose(m.latent_prior(), np.full(5, 0.2), atol=1e-15)
+    np.testing.assert_allclose(np.exp(m.latent_log_prior().data), np.full(5, 0.2), atol=1e-15)
 
     single = lat(rng, c=1)
-    np.testing.assert_allclose(single.latent_prior(), [1.0], atol=0)
+    np.testing.assert_allclose(np.exp(single.latent_log_prior().data), [1.0], atol=0)
 
 
 def test_lat_loss_records_at_most_20_tape_nodes(rng):
@@ -195,7 +195,7 @@ def test_lat_zeroed_emission_predicts_prior_argmax(rng):
     m = lat(rng, prior, c=3)
     for name in ("out.wh", "out.wy", "out.wc", "out.b"):
         m.params[name].data[...] = 0.0
-    assert m.predict([5, 6, 7]) == int(np.argmax(prior))
+    assert np.argmax(m.predict_probs([5, 6, 7])) == np.argmax(prior)
 
 
 # ---------------------------------------------------------------------------

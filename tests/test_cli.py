@@ -5,6 +5,7 @@ work; each writing command gets its own directory under tmp_path.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -186,6 +187,15 @@ def test_train_with_subsample_k(tmp_path, synth_dir):
     assert "seed=3" in split["provenance"]
 
 
+def test_train_with_k_zero_is_data_error(capsys, tmp_path, synth_dir):
+    out = tmp_path / "k0"
+    rc = cli.main(["train", "--model", "disc", "--train", str(synth_dir / "train.jsonl"),
+                   "--out", str(out), "--k", "0", *DISC_OPTS])
+    assert rc == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_leaves_cwd_untouched(tmp_path, monkeypatch, synth_dir):
     workdir = tmp_path / "cwd"
     workdir.mkdir()
@@ -292,6 +302,36 @@ def test_unparsable_opt_is_data_error(capsys, tmp_path, synth_dir, opt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,opt", [
+    ("vae-bow", "latent_dim=0"),
+    ("lat", "n_latent=0"),
+    ("disc", "hidden_dim=-1"),
+    ("vae-bow", "enc_heads=3"),
+    ("vae-xfmr", "dec_heads=3"),
+    ("vae-lstm", "beta=1.5"),
+])
+def test_out_of_range_opt_is_data_error_before_any_output(capsys, tmp_path, synth_dir,
+                                                         model, opt):
+    out = tmp_path / "run"
+    base = VAE_OPTS if model.startswith("vae") else DISC_OPTS
+    rc = cli.main([
+        "train", "--model", model, "--train", str(synth_dir / "train.jsonl"),
+        "--out", str(out), *base, "--opt", opt,
+    ])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_beta_warmup_is_data_error(capsys, tmp_path, synth_dir):
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--model", "vae-bow", "--train", str(synth_dir / "train.jsonl"),
+                   "--out", str(out), *VAE_OPTS, "--beta-warmup-steps", "-1"])
+    assert rc == 2
+    assert "beta_warmup_steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_outputs(tmp_path, synth_dir):
     out = tmp_path / "sweep"
     rc = cli.main([
@@ -322,6 +362,178 @@ def test_sweep_rejects_unknown_model(capsys, tmp_path):
                    "--test", "t", "--out", str(tmp_path / "s")])
     assert rc == 2
     assert "unknown model 'bogus'" in capsys.readouterr().err
+
+
+def _sweep_args(synth_dir, out, *extra):
+    return ["sweep", "--train", str(synth_dir / "train.jsonl"),
+            "--val", str(synth_dir / "val.jsonl"), "--test", str(synth_dir / "test.jsonl"),
+            "--out", str(out), "--max-epochs", "1", "--batch", "8", *DISC_OPTS, *extra]
+
+
+def _tsv_rows(path):
+    return [line.split("\t") for line in path.read_text().splitlines()[1:]]
+
+
+def test_sweep_grid_order_and_aggregates(tmp_path, synth_dir):
+    out = tmp_path / "sweep"
+    rc = cli.main(_sweep_args(synth_dir, out, "--models", "disc,gen", "--ks", "2,3",
+                              "--seeds", "1,2"))
+    assert rc == 0
+    rows = _tsv_rows(out / "sweep.tsv")
+    assert [tuple(r[:3]) for r in rows] == [
+        (m, k, s) for m in ("disc", "gen") for k in ("2", "3") for s in ("1", "2")]
+    for row in rows:
+        assert 0.0 <= float(row[3]) <= 1.0 and 0.0 <= float(row[4]) <= 1.0
+
+    # aggregate arithmetic against an fsum oracle, group by (model, k)
+    aggregates = _tsv_rows(out / "sweep_aggregates.tsv")
+    assert [tuple(a[:2]) for a in aggregates] == [
+        (m, k) for m in ("disc", "gen") for k in ("2", "3")]
+    for name, k, *stats in aggregates:
+        group = [r for r in rows if r[:2] == [name, k]]
+        for col, (mean, std) in ((3, stats[0:2]), (4, stats[2:4])):
+            values = [float(r[col]) for r in group]
+            ref_mean = math.fsum(values) / len(values)
+            ref_std = math.sqrt(math.fsum((v - ref_mean) ** 2 for v in values) / len(values))
+            assert abs(float(mean) - ref_mean) <= 1e-12
+            assert abs(float(std) - ref_std) <= 1e-12
+
+    # the runs' seeds come from --seeds, and the manifest records them
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == [1, 2]
+    assert "seed" not in manifest["config"]
+
+
+def test_sweep_has_no_seed_flag(capsys, tmp_path, synth_dir):
+    out = tmp_path / "sweep"
+    rc = cli.main(_sweep_args(synth_dir, out, "--models", "disc", "--ks", "2", "--seed", "3"))
+    assert rc == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ks", ["2,50", "0", "4"])
+def test_sweep_rejects_k_beyond_the_rarest_label_up_front(capsys, monkeypatch, tmp_path,
+                                                          synth_dir, ks):
+    # synth_dir's train file holds 3 clauses per label
+    monkeypatch.setattr(cli.harness, "train", lambda *a, **kw: pytest.fail("trained a cell"))
+    out = tmp_path / "sweep"
+    rc = cli.main(_sweep_args(synth_dir, out, "--models", "disc", "--ks", ks))
+    assert rc == 2
+    assert "outside 1..3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "crossgenre"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_usage_error(capsys, tmp_path, synth_dir, command, jobs):
+    out = tmp_path / "run"
+    if command == "sweep":
+        args = _sweep_args(synth_dir, out, "--models", "disc", "--ks", "2")
+    else:
+        args = ["crossgenre", "--model", "disc", "--data", str(synth_dir / "train.jsonl"),
+                "--out", str(out)]
+    assert cli.main([*args, "--jobs", jobs]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_pool_never_has_more_processes_than_cells(monkeypatch, tmp_path, synth_dir,
+                                                  three_genre_file):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.multiprocessing, "Pool", _RecordingPool)
+    rc = cli.main(_sweep_args(synth_dir, tmp_path / "s", "--models", "disc", "--ks", "2",
+                              "--seeds", "1,2", "--jobs", "8"))
+    assert rc == 0
+    assert _RecordingPool.sizes == [2]
+    xg = ["crossgenre", "--model", "disc", "--data", str(three_genre_file),
+          "--max-epochs", "1", "--batch", "8", *DISC_OPTS, "--jobs", "4"]
+    assert cli.main([*xg, "--out", str(tmp_path / "x1"), "--genres", "news"]) == 0
+    assert _RecordingPool.sizes == [2]  # one cell runs in this process
+    assert cli.main([*xg, "--out", str(tmp_path / "x3")]) == 0
+    assert _RecordingPool.sizes == [2, 3]
+
+
+def test_sweep_jobs_2_writes_the_rows_of_jobs_1(tmp_path, synth_dir):
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        rc = cli.main(_sweep_args(synth_dir, outs[jobs], "--models", "disc", "--ks", "2",
+                                  "--seeds", "1,2", "--jobs", jobs))
+        assert rc == 0
+    for name in ("sweep.tsv", "sweep_aggregates.tsv"):
+        assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def three_genre_file(tmp_path_factory):
+    corpus = make_synthetic_corpus(6, seed=4, genres=("news", "fiction", "blog"))
+    path = tmp_path_factory.mktemp("genres") / "three-genre.jsonl"
+    write_jsonl(corpus, path)
+    return path
+
+
+def _crossgenre(path, out, *extra):
+    rc = cli.main(["crossgenre", "--model", "disc", "--data", str(path), "--out", str(out),
+                   "--max-epochs", "1", "--batch", "8", *DISC_OPTS, *extra])
+    assert rc == 0
+    return _tsv_rows(out / "crossgenre.tsv")
+
+
+def test_crossgenre_defaults_to_every_present_genre(tmp_path, three_genre_file):
+    rows = _crossgenre(three_genre_file, tmp_path / "all")
+    assert [r[1] for r in rows] == ["blog", "fiction", "news"]  # sorted present genres
+    assert all(r[0] == "disc" for r in rows)
+    for row in rows:
+        assert 0.0 <= float(row[2]) <= 1.0 and 0.0 <= float(row[3]) <= 1.0
+    # one target alone: same split, same seed, same row
+    (only,) = _crossgenre(three_genre_file, tmp_path / "news", "--genres", "news")
+    assert only == rows[2]
+
+
+def test_crossgenre_jobs_2_writes_the_rows_of_jobs_1(tmp_path, three_genre_file):
+    serial = _crossgenre(three_genre_file, tmp_path / "j1", "--genres", "news,blog")
+    assert _crossgenre(three_genre_file, tmp_path / "j2", "--genres", "news,blog",
+                       "--jobs", "2") == serial
+
+
+def test_crossgenre_needs_two_genres(capsys, tmp_path):
+    data = tmp_path / "one-genre.jsonl"
+    write_jsonl(make_synthetic_corpus(6, seed=4, genres=("news",)), data)
+    out = tmp_path / "xg"
+    rc = cli.main(["crossgenre", "--model", "disc", "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert "at least 2 genres" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_crossgenre_rejects_unknown_genre_up_front(capsys, monkeypatch, tmp_path,
+                                                  three_genre_file):
+    monkeypatch.setattr(cli.harness, "train", lambda *a, **kw: pytest.fail("trained a cell"))
+    out = tmp_path / "xg"
+    rc = cli.main(["crossgenre", "--model", "disc", "--data", str(three_genre_file),
+                   "--genres", "blog,bogus", "--out", str(out)])
+    assert rc == 2
+    assert "'bogus' not in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_crossgenre_outputs(tmp_path):

@@ -265,6 +265,17 @@ def test_split_manifest_round_trip():
     assert D.manifest_digest(manifest) == D.manifest_digest(D.split_manifest(restored))
 
 
+def test_split_digest_stable_and_distinct(eight_clause_fixture):
+    # the split_digest a checkpoint records: manifest_digest(split_manifest(split))
+    def digest(split):
+        return D.manifest_digest(D.split_manifest(split))
+
+    a = D.Split(eight_clause_fixture[:4], eight_clause_fixture[4:6], eight_clause_fixture[6:], "a")
+    assert digest(a) == digest(a)
+    b = D.Split(eight_clause_fixture[:5], eight_clause_fixture[5:6], eight_clause_fixture[6:], "a")
+    assert digest(a) != digest(b)
+
+
 def test_restore_split_missing_coordinate():
     pool = make_labeled_pool(3)
     split = D.subsample_per_label(pool, 1, seed=0)

@@ -3,7 +3,7 @@ import pytest
 
 from sevae import tensor as T
 from sevae.errors import NumericsError
-from sevae.gradcheck import DEFAULT_STEP, DEFAULT_TOL, assert_gradients, check_gradients
+from sevae.gradcheck import DEFAULT_STEP, DEFAULT_TOL, check_gradients
 
 
 def test_defaults_exposed():
@@ -17,7 +17,7 @@ def test_quadratic_passes_tight_tolerance():
     def build():
         return T.sum_(T.mul(p["w"], p["w"]))
 
-    errs = check_gradients(build, p, step=1e-5, tol=1e-6)
+    errs = check_gradients(build, p, step=1e-5)
     assert errs["w"] < 1e-6
 
 
@@ -32,8 +32,6 @@ def test_catches_wrong_gradient():
 
     errs = check_gradients(build, p)
     assert errs["w"] > 0.1
-    with pytest.raises(NumericsError, match="w"):
-        assert_gradients(build, p)
 
 
 def test_nondeterministic_objective_rejected():
