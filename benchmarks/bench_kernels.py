@@ -1,11 +1,16 @@
 """Benchmark the LSTM sequence kernels (JIT-compiled vs pure numpy), the
-factored next-token likelihood op (matmul normaliser vs direct reference)
-and the transformer encoder's forward+backward at several stack sizes.
+ragged-batch LSTM op against one call per sequence, the factored
+next-token likelihood op (matmul normaliser vs direct reference) and the
+transformer encoder's forward+backward at several stack sizes.
 
 Runs both implementations of each in one process on the same inputs, so the
 numbers are directly comparable. The JIT path is what SEVAE_BACKEND=auto
 selects when numba is installed; the numpy path is the fallback. The
-factored op is timed at lat's tagging shape, 7 labels x 30 latent values.
+ragged section runs B sequences of 5-12 steps (the clause lengths of a
+training batch) through tensor.lstm_seq forward and backward, once as one
+batch and once as B single-sequence calls, and reports the largest
+difference of their outputs and gradients. The factored op is timed at
+lat's tagging shape, 7 labels x 30 latent values.
 The encoder section runs 32 clauses of 8 tokens through the default
 vae encoder (width 128, 2 layers, 4 heads) as 32/B tapes of B stacked
 clauses each, the way length-grouped training runs a group.
@@ -35,9 +40,10 @@ def _time(fn, reps):
 def bench_case(T, H, reps, rng):
     xw = rng.standard_normal((T, 4 * H))
     whT = rng.standard_normal((4 * H, H)) * 0.1
-    h0 = rng.standard_normal(H)
-    c0 = rng.standard_normal(H)
-    hs, cs, gates = kernels.lstm_forward_py(xw, whT, h0, c0)
+    h0 = rng.standard_normal((1, H))
+    c0 = rng.standard_normal((1, H))
+    steps = np.ones(T, dtype=np.int64)
+    hs, cs, gates = kernels.lstm_forward_py(xw, whT, h0, c0, steps)
     dhs = rng.standard_normal((T, H))
 
     rows = []
@@ -45,13 +51,13 @@ def bench_case(T, H, reps, rng):
         ("numpy", kernels.lstm_forward_py, kernels.lstm_backward_py),
         (kernels.BACKEND, kernels.lstm_forward, kernels.lstm_backward),
     ):
-        fwd(xw, whT, h0, c0)  # warm cache / trigger JIT outside the timer
-        bwd(dhs, gates, cs, whT, c0)
-        t_fwd = _time(lambda: fwd(xw, whT, h0, c0), reps)
-        t_bwd = _time(lambda: bwd(dhs, gates, cs, whT, c0), reps)
+        fwd(xw, whT, h0, c0, steps)  # warm cache / trigger JIT outside the timer
+        bwd(dhs, gates, cs, whT, c0, steps)
+        t_fwd = _time(lambda: fwd(xw, whT, h0, c0, steps), reps)
+        t_bwd = _time(lambda: bwd(dhs, gates, cs, whT, c0, steps), reps)
         rows.append((label, t_fwd, t_bwd))
 
-    j_hs, j_cs, j_gates = kernels.lstm_forward(xw, whT, h0, c0)
+    j_hs, j_cs, j_gates = kernels.lstm_forward(xw, whT, h0, c0, steps)
     agree = max(
         float(np.max(np.abs(j_hs - hs))),
         float(np.max(np.abs(j_cs - cs))),
@@ -60,17 +66,50 @@ def bench_case(T, H, reps, rng):
     return rows, agree
 
 
+def bench_ragged(n_seq, H, reps, rng, E=100):
+    """Median seconds of lstm_seq forward+backward over n_seq sequences of
+    5-12 steps, as one batch and as one call per sequence, and the largest
+    difference of their hidden states and gradients."""
+    lengths = rng.integers(5, 13, size=n_seq)
+    starts = np.cumsum(lengths) - lengths
+    x = tensor.Tensor(rng.standard_normal((int(lengths.sum()), E)), requires_grad=True)
+    params = [x] + [tensor.Tensor(a, requires_grad=True) for a in (
+        rng.standard_normal((E, 4 * H)) * 0.1, rng.standard_normal((4 * H, H)) * 0.1, np.zeros(4 * H))]
+    weights = rng.standard_normal((x.shape[0], H))
+
+    def batched():
+        zeros = tensor.Tensor(np.zeros((n_seq, H)))
+        return [tensor.lstm_seq(x, *params[1:], zeros, zeros, lengths)]
+
+    def sequential():
+        zeros = tensor.Tensor(np.zeros((1, H)))
+        return [tensor.lstm_seq(tensor.narrow(x, 0, s, n), *params[1:], zeros, zeros, [n])
+                for s, n in zip(starts, lengths)]
+
+    def run(parts):
+        tensor.zero_grads(params)
+        with tensor.Tape() as tape:
+            hs = parts()
+            loss = tensor.sum_(tensor.mul(tensor.concat(hs, axis=0), weights))
+            tape.backward(loss)
+        return np.concatenate([h.data for h in hs]), [p.grad.copy() for p in params]
+
+    (hs_b, grads_b), (hs_s, grads_s) = run(batched), run(sequential)
+    agree = max(float(np.max(np.abs(a - b))) for a, b in zip([hs_b] + grads_b, [hs_s] + grads_s))
+    return _time(lambda: run(batched), reps), _time(lambda: run(sequential), reps), agree
+
+
 def bench_factored(n_steps, V, reps, rng, n_rows=7, n_cols=30):
     """Forward times of factored_loglik and of its direct reference, plus
     their largest relative disagreement."""
     base = rng.standard_normal((n_steps, V))
-    rows = rng.standard_normal((n_rows, V)) * 0.3
+    rows = rng.standard_normal((1, n_rows, V)) * 0.3
     cols = rng.standard_normal((n_cols, V)) * 0.3
     targets = rng.integers(0, V, size=n_steps)
-    factored = tensor.factored_loglik(base, rows, cols, targets).data
-    direct = tensor._direct_loglik(base, rows, cols, targets)
-    t_fac = _time(lambda: tensor.factored_loglik(base, rows, cols, targets), reps)
-    t_dir = _time(lambda: tensor._direct_loglik(base, rows, cols, targets), reps)
+    factored = tensor.factored_loglik(base, rows, cols, targets, [n_steps]).data[0]
+    direct = tensor._direct_loglik(base, rows[0], cols, targets)
+    t_fac = _time(lambda: tensor.factored_loglik(base, rows, cols, targets, [n_steps]), reps)
+    t_dir = _time(lambda: tensor._direct_loglik(base, rows[0], cols, targets), reps)
     agree = float(np.max(np.abs(factored - direct) / np.maximum(1.0, np.abs(direct))))
     return t_fac, t_dir, agree
 
@@ -108,6 +147,15 @@ def main():
             speed = (base_fwd + base_bwd) / (t_fwd + t_bwd)
             print(f"{f'T={T} H={H}':>14s} {label:>6s} {t_fwd * 1e3:9.3f}ms {t_bwd * 1e3:9.3f}ms {speed:7.2f}x")
         print(f"{'':>14s} max |numpy - {kernels.BACKEND}| on outputs: {agree:.2e}")
+
+    print()
+    print(f"{'lstm_seq fwd+bwd, 5-12 steps':>30s} {'batched':>10s} {'sequential':>11s} "
+          f"{'speedup':>8s} {'max abs diff':>12s}")
+    for H in (100, 300):
+        for n_seq in (1, 8, 32):
+            t_b, t_s, agree = bench_ragged(n_seq, H, args.reps, rng)
+            print(f"{f'B={n_seq} H={H}':>30s} {t_b * 1e3:9.2f}ms {t_s * 1e3:10.2f}ms "
+                  f"{t_s / t_b:7.2f}x {agree:12.2e}")
 
     print()
     print(f"{'case':>14s} {'factored':>10s} {'direct':>10s} {'speedup':>8s} {'max rel diff':>12s}")

@@ -13,6 +13,11 @@
   whole paragraph, per-clause max-pooling extracts clause vectors, and a
   clause-level BiLSTM plus a shared affine head labels every clause.
 
+Training calls batch_loss on a whole logical batch of (ids, label) items
+((token-id lists, labels) paragraphs for ctx): the clauses are stored back
+to back, so each LSTM direction is one lstm_seq over the batch and the
+batch is one tape. loss and paragraph_loss are the batch of one.
+
 All label ties break toward the lowest label code. The empirical label
 prior rides along as a non-trainable named parameter so checkpoints are
 self-contained.
@@ -46,9 +51,12 @@ def _add_lstm(params, name, in_dim, hidden, rng):
     params[f"{name}.b"] = T.zeros((4 * hidden,), requires_grad=True)
 
 
-def _run_lstm(x, params, name, hidden):
-    zeros = T.Tensor(np.zeros(hidden))
-    return T.lstm_seq(x, params[f"{name}.wx"], params[f"{name}.whT"], params[f"{name}.b"], zeros, zeros)
+def _run_lstm(x, params, name, hidden, lengths, reverse=False):
+    """One direction of a named LSTM over sequences stored back to back as
+    the rows of x, lengths (B,) long, from zero initial states."""
+    zeros = T.Tensor(np.zeros((len(lengths), hidden)))
+    return T.lstm_seq(x, params[f"{name}.wx"], params[f"{name}.whT"], params[f"{name}.b"],
+                      zeros, zeros, lengths, reverse)
 
 
 def _check_ids(ids, vocab_size):
@@ -60,14 +68,35 @@ def _check_ids(ids, vocab_size):
     return ids
 
 
+def _concat_ids(id_lists, vocab_size):
+    """The checked token ids of several clauses back to back, and their lengths."""
+    checked = [_check_ids(ids, vocab_size) for ids in id_lists]
+    return np.concatenate(checked), np.array([ids.shape[0] for ids in checked])
+
+
+def _lm_rows(id_lists, vocab_size):
+    """Language-model rows of several clauses back to back: inputs (BOS,
+    then the clause), targets (the clause, then EOS), and the lengths."""
+    checked = [_check_ids(ids, vocab_size) for ids in id_lists]
+    inputs = np.concatenate([np.concatenate(([Vocab.BOS], ids)) for ids in checked])
+    targets = np.concatenate([np.concatenate((ids, [Vocab.EOS])) for ids in checked])
+    return inputs, targets, np.array([ids.shape[0] + 1 for ids in checked])
+
+
+def _split_items(items):
+    """(token-id lists, label codes) of a batch of (ids, label) items."""
+    return [ids for ids, _ in items], np.array([int(label) for _, label in items])
+
+
 def _eval_hidden_states(params, name, ids, hidden):
-    """Prediction-path LSTM run on raw arrays (no tape, no gradients)."""
-    inputs = np.concatenate(([Vocab.BOS], ids))
-    targets = np.concatenate((ids, [Vocab.EOS]))
+    """Prediction-path LSTM run on raw arrays (no tape, no gradients):
+    hidden states and targets of one clause's language-model rows."""
+    inputs, targets, _ = _lm_rows([ids], params["emb"].data.shape[0])
     x = params["emb"].data[inputs]
     xw = x @ params[f"{name}.wx"].data + params[f"{name}.b"].data
-    zeros = np.zeros(hidden)
-    hs, _, _ = kernels.lstm_forward(xw, params[f"{name}.whT"].data, zeros, zeros)
+    zeros = np.zeros((1, hidden))
+    steps = np.ones(xw.shape[0], dtype=np.int64)
+    hs, _, _ = kernels.lstm_forward(xw, params[f"{name}.whT"].data, zeros, zeros, steps)
     return hs, targets
 
 
@@ -87,18 +116,25 @@ class DiscModel:
         }
         _add_lstm(self.params, "lstm", embed_dim, hidden_dim, rng)
 
-    def _logits(self, ids):
-        ids = _check_ids(ids, self.vocab_size)
+    def _logits(self, id_lists):
+        """(S, 7) label logits of S clauses: one LSTM pass over all of them,
+        then each clause's mean hidden state."""
+        ids, lengths = _concat_ids(id_lists, self.vocab_size)
         x = T.embedding(self.params["emb"], ids)
-        pooled = T.mean(_run_lstm(x, self.params, "lstm", self.hidden_dim), axis=0)
-        return T.affine(pooled, self.params["out.w"], self.params["out.b"])
+        hs = _run_lstm(x, self.params, "lstm", self.hidden_dim, lengths)
+        return T.affine(T.segment_mean(hs, lengths), self.params["out.w"], self.params["out.b"])
 
-    def loss(self, ids, label, rng=None):
-        nll = T.cross_entropy(self._logits(ids), int(label))
+    def batch_loss(self, items, rng=None):
+        """Cross-entropy summed over a batch of (ids, label) clauses."""
+        id_lists, labels = _split_items(items)
+        nll = T.cross_entropy(self._logits(id_lists), labels)
         return nll, {"classification": float(nll.data)}
 
+    def loss(self, ids, label, rng=None):
+        return self.batch_loss([(ids, label)], rng)
+
     def predict_probs(self, ids):
-        return T.softmax(self._logits(ids), axis=-1).data.copy()
+        return T.softmax(self._logits([ids]), axis=-1).data[0].copy()
 
 
 class _BayesRuleClassifier:
@@ -129,39 +165,29 @@ class ClassLMModel(_BayesRuleClassifier):
         }
         _add_lstm(self.params, "lstm", embed_dim, hidden_dim, rng)
 
-    def _hidden_states(self, ids):
-        ids = _check_ids(ids, self.vocab_size)
-        inputs = np.concatenate(([Vocab.BOS], ids))
-        targets = np.concatenate((ids, [Vocab.EOS]))
-        x = T.embedding(self.params["emb"], inputs)
-        hs = _run_lstm(x, self.params, "lstm", self.hidden_dim)
-        return hs, inputs, targets
-
-    def _label_logits(self, hs, n_steps, label):
+    def batch_loss(self, items, rng=None):
+        """-log p(x|y) summed over a batch of (ids, label) clauses; each
+        step's logits read its clause's label embedding."""
         p = self.params
-        v_y = T.embedding(p["lab_emb"], np.array([int(label)]))
-        tilt = T.repeat_row(T.reshape(v_y, (v_y.shape[1],)), n_steps)
-        return T.affine(hs, p["out.wh"], p["out.b"]) + T.matmul(tilt, p["out.wy"])
-
-    def loglik(self, ids, label):
-        """log p(x|y): next-token log-likelihood including the EOS step."""
-        hs, inputs, targets = self._hidden_states(ids)
-        logits = self._label_logits(hs, inputs.shape[0], label)
-        return -T.cross_entropy(logits, targets)
+        id_lists, labels = _split_items(items)
+        inputs, targets, lengths = _lm_rows(id_lists, self.vocab_size)
+        hs = _run_lstm(T.embedding(p["emb"], inputs), p, "lstm", self.hidden_dim, lengths)
+        v_y = T.embedding(p["lab_emb"], np.repeat(labels, lengths))
+        logits = T.affine(hs, p["out.wh"], p["out.b"]) + T.matmul(v_y, p["out.wy"])
+        nll = T.cross_entropy(logits, targets)
+        return nll, {"reconstruction": float(nll.data)}
 
     def loss(self, ids, label, rng=None):
-        nll = -self.loglik(ids, label)
-        return nll, {"reconstruction": float(nll.data)}
+        return self.batch_loss([(ids, label)], rng)
 
     def joint_scores(self, ids):
         """log p(x|y) + log p(y) for every label, hidden states shared."""
         p = self.params
-        ids = _check_ids(ids, self.vocab_size)
         hs, targets = _eval_hidden_states(p, "lstm", ids, self.hidden_dim)
         base = hs @ p["out.wh"].data + p["out.b"].data
         tilts = p["lab_emb"].data @ p["out.wy"].data
         no_col = np.zeros((1, self.vocab_size))
-        logliks = T.factored_loglik(base, tilts, no_col, targets).data[:, 0]
+        logliks = T.factored_loglik(base, tilts[None], no_col, targets, [targets.shape[0]]).data[0, :, 0]
         return logliks + np.log(p["prior"].data)
 
 
@@ -195,38 +221,40 @@ class LatentClassLMModel(_BayesRuleClassifier):
         scores = T.sum_(p["lat_w"] * p["lat_emb"], axis=1) + p["lat_b"]
         return T.log_softmax(scores, axis=-1)
 
-    def _marginal(self, base, label_tilts, targets):
-        """log sum_c p(x|c, y) p(c) for each row of label_tilts, one (rows, C)
-        factored_loglik shared by training and prediction."""
+    def _marginal(self, base, label_tilts, targets, lengths):
+        """log sum_c p(x|c, y) p(c), (S, I), for each segment of base under
+        each of its label tilts (S, I, V); one factored_loglik shared by
+        training and prediction."""
         p = self.params
         latent_tilts = T.matmul(p["lat_emb"], p["out.wc"])
-        cond = T.factored_loglik(base, label_tilts, latent_tilts, targets)
-        return T.logsumexp(cond + self.latent_log_prior(), axis=1)
+        cond = T.factored_loglik(base, label_tilts, latent_tilts, targets, lengths)
+        return T.logsumexp(cond + self.latent_log_prior(), axis=2)
 
-    def marginal_loglik(self, ids, label):
-        """log p(x, y) = logsumexp_c [log p(x|c,y) + log p(c)] + log p(y)."""
+    def batch_loss(self, items, rng=None):
+        """-log p(x, y) summed over a batch of (ids, label) clauses, where
+        log p(x, y) = logsumexp_c [log p(x|c,y) + log p(c)] + log p(y)."""
         p = self.params
-        ids = _check_ids(ids, self.vocab_size)
-        inputs = np.concatenate(([Vocab.BOS], ids))
-        targets = np.concatenate((ids, [Vocab.EOS]))
-        hs = _run_lstm(T.embedding(p["emb"], inputs), p, "lstm", self.hidden_dim)
+        id_lists, labels = _split_items(items)
+        inputs, targets, lengths = _lm_rows(id_lists, self.vocab_size)
+        hs = _run_lstm(T.embedding(p["emb"], inputs), p, "lstm", self.hidden_dim, lengths)
         base = T.affine(hs, p["out.wh"], p["out.b"])
-        v_y = T.embedding(p["lab_emb"], np.array([int(label)]))
-        lse = self._marginal(base, T.matmul(v_y, p["out.wy"]), targets)
-        return T.sum_(lse) + float(np.log(p["prior"].data[int(label)]))
+        tilts = T.matmul(T.embedding(p["lab_emb"], labels), p["out.wy"])
+        tilts = T.reshape(tilts, (labels.shape[0], 1, self.vocab_size))
+        lse = self._marginal(base, tilts, targets, lengths)
+        nll = -(T.sum_(lse) + float(np.log(p["prior"].data[labels]).sum()))
+        return nll, {"reconstruction": float(nll.data)}
 
     def loss(self, ids, label, rng=None):
-        nll = -self.marginal_loglik(ids, label)
-        return nll, {"reconstruction": float(nll.data)}
+        return self.batch_loss([(ids, label)], rng)
 
     def joint_scores(self, ids):
         """Marginal log p(x, y) per label on the raw-array prediction path."""
         p = self.params
-        ids = _check_ids(ids, self.vocab_size)
         hs, targets = _eval_hidden_states(p, "lstm", ids, self.hidden_dim)
         base = hs @ p["out.wh"].data + p["out.b"].data
         tilts_y = p["lab_emb"].data @ p["out.wy"].data
-        return self._marginal(base, tilts_y, targets).data + np.log(p["prior"].data)
+        lse = self._marginal(base, tilts_y[None], targets, [targets.shape[0]]).data[0]
+        return lse + np.log(p["prior"].data)
 
 
 class CtxModel:
@@ -248,37 +276,41 @@ class CtxModel:
         _add_lstm(self.params, "cfwd", 2 * hidden_dim, hidden_dim, rng)
         _add_lstm(self.params, "cbwd", 2 * hidden_dim, hidden_dim, rng)
 
+    def _logits(self, paragraphs):
+        """Label logits, (clauses, 7), of a batch of paragraphs, each a list
+        of token-id lists; rows follow the clauses paragraph by paragraph.
+
+        The word BiLSTM runs over each paragraph's tokens as one sequence,
+        each clause's states are max-pooled, and the clause BiLSTM runs
+        over each paragraph's clause vectors; every LSTM direction is one
+        lstm_seq over the whole batch."""
+        if not paragraphs or not all(len(par) for par in paragraphs):
+            raise DataError("empty paragraph")
+        ids, clause_lengths = _concat_ids([ids for par in paragraphs for ids in par], self.vocab_size)
+        counts = np.array([len(par) for par in paragraphs])
+        word_lengths = np.add.reduceat(clause_lengths, np.cumsum(counts) - counts)
+        p, h = self.params, self.hidden_dim
+        x = T.embedding(p["emb"], ids)
+        states = T.concat([_run_lstm(x, p, "wfwd", h, word_lengths),
+                           _run_lstm(x, p, "wbwd", h, word_lengths, reverse=True)], axis=1)
+        cx = T.segment_max(states, clause_lengths)
+        cstates = T.concat([_run_lstm(cx, p, "cfwd", h, counts),
+                            _run_lstm(cx, p, "cbwd", h, counts, reverse=True)], axis=1)
+        return T.affine(cstates, p["out.w"], p["out.b"])
+
+    def batch_loss(self, items, rng=None):
+        """Cross-entropy summed over every clause of a batch of
+        (token-id lists, labels) paragraphs."""
+        labels = np.array([int(label) for _, par_labels in items for label in par_labels])
+        nll = T.cross_entropy(self._logits([id_lists for id_lists, _ in items]), labels)
+        return nll, {"classification": float(nll.data)}
+
     def paragraph_logits(self, id_lists):
         """Per-clause label logits for one paragraph of token-id lists."""
-        if not id_lists:
-            raise DataError("empty paragraph")
-        lengths = []
-        flat = []
-        for ids in id_lists:
-            ids = _check_ids(ids, self.vocab_size)
-            lengths.append(ids.shape[0])
-            flat.append(ids)
-        all_ids = np.concatenate(flat)
-        x = T.embedding(self.params["emb"], all_ids)
-        h = self.hidden_dim
-        fwd = _run_lstm(x, self.params, "wfwd", h)
-        bwd = T.flip0(_run_lstm(T.flip0(x), self.params, "wbwd", h))
-        states = T.concat([fwd, bwd], axis=1)
-        clause_vecs = []
-        start = 0
-        for length in lengths:
-            clause_vecs.append(T.max_(T.narrow(states, 0, start, length), axis=0))
-            start += length
-        cx = T.stack(clause_vecs, axis=0)
-        cfwd = _run_lstm(cx, self.params, "cfwd", h)
-        cbwd = T.flip0(_run_lstm(T.flip0(cx), self.params, "cbwd", h))
-        cstates = T.concat([cfwd, cbwd], axis=1)
-        return T.affine(cstates, self.params["out.w"], self.params["out.b"])
+        return self._logits([id_lists])
 
     def paragraph_loss(self, id_lists, labels, rng=None):
-        logits = self.paragraph_logits(id_lists)
-        nll = T.cross_entropy(logits, np.asarray([int(l) for l in labels]))
-        return nll, {"classification": float(nll.data)}
+        return self.batch_loss([(id_lists, labels)], rng)
 
     def predict_paragraph_probs(self, id_lists):
         """Per-clause probability vectors for one paragraph."""

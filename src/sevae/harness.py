@@ -3,11 +3,14 @@
 Training accumulates gradients over a logical batch, then takes one Adam
 step with bias correction and global-norm clipping before the update;
 early stopping watches validation macro-F1 (the best-validation parameter
-snapshot is what training returns). The baselines run one tape per clause
-(per paragraph for ctx). The vae models group each logical batch by token
-length and run each group of equal-length clauses as one (B, n) stack: one
-tape, one loss summed over the group, one backward. That needs no padding
-or masks, and each clause's loss is the one the per-clause path computes.
+snapshot is what training returns). The baselines run each logical batch
+as one tape: their batch_loss stores the clauses (paragraphs for ctx) back
+to back, and each LSTM direction is one ragged-batch kernel call. The vae
+models group each logical batch by token length and run each group of
+equal-length clauses as one (B, n) stack: one tape, one loss summed over
+the group, one backward. Neither needs padding or masks, and each item's
+loss is the one the per-item path (loss, paragraph_loss, elbo_loss)
+computes.
 Everything a run reports is a pure function of (model spec, data
 manifest, seed). The protocol grids (the k-per-label sweep and
 leave-one-genre-out) are run by the CLI, one pool cell per grid point;
@@ -56,14 +59,25 @@ class TrainConfig:
     beta_warmup_steps: int = 0  # > 0: vae beta rises linearly over this many updates
 
     def __post_init__(self):
+        # the float checks are written so that NaN fails them too
         if self.lr <= 0:
             raise DataError("lr must be positive")
+        if self.max_epochs < 1:
+            raise DataError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
         if self.logical_batch < 1:
             raise DataError("logical_batch must be >= 1")
         if self.beta_warmup_steps < 0:
             raise DataError("beta_warmup_steps must be >= 0")
+        if not self.weight_decay >= 0:
+            raise DataError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not self.grad_clip >= 0:
+            raise DataError(f"grad_clip must be >= 0 (0 turns clipping off), got {self.grad_clip}")
+        if not self.eps > 0:
+            raise DataError(f"eps must be positive, got {self.eps}")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise DataError(f"betas must be two values in [0, 1), got {self.betas}")
 
     def to_json(self):
         d = self.__dict__.copy()
@@ -236,18 +250,14 @@ def _restore(params, snap):
         p.data = snap[k].copy()
 
 
-def _clause_step(model, item, rng):
-    """Forward and backward of one baseline item (a clause or a paragraph);
-    returns its loss parts and the count 1 they stand for."""
+def _baseline_steps(model, chunk_items, rng):
+    """Forward and backward of one logical batch of a baseline: one tape
+    over all its clauses (paragraphs for ctx); yields the batch's summed
+    loss parts and the number of items they stand for."""
     with Tape() as tape:
-        if model.consumes == "paragraph":
-            id_lists, labels = item
-            loss, parts = model.paragraph_loss(id_lists, labels, rng)
-        else:
-            ids, label = item
-            loss, parts = model.loss(ids, label, rng)
+        loss, parts = model.batch_loss(chunk_items, rng)
         tape.backward(loss)
-    return parts, 1
+    yield parts, len(chunk_items)
 
 
 def _vae_group_steps(model, chunk_items, rng, beta):
@@ -306,10 +316,11 @@ def train(spec, split, cfg, log_hook=None):
                 beta = model.beta * min(1.0, (step + 1) / cfg.beta_warmup_steps)
             else:
                 beta = None
+            chunk_items = [items[idx] for idx in chunk]
             if is_vae:
-                steps = _vae_group_steps(model, [items[idx] for idx in chunk], rng, beta)
+                steps = _vae_group_steps(model, chunk_items, rng, beta)
             else:
-                steps = (_clause_step(model, items[idx], rng) for idx in chunk)
+                steps = _baseline_steps(model, chunk_items, rng)
             for parts, count in steps:
                 for key, value in parts.items():
                     part_sums[key] = part_sums.get(key, 0.0) + value

@@ -99,7 +99,7 @@ def default_spec(name, **overrides):
     if name.startswith("vae"):
         # the checks build_model would hit, made before anything is written
         enc_cfg, dec_spec = _vae_configs(name, options)
-        vae.check_options(enc_cfg, dec_spec, options["beta"])
+        vae.check_options(enc_cfg, dec_spec, options["beta"], options["label_loss_weight"])
     return ModelSpec(name, options)
 
 

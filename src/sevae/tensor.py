@@ -11,16 +11,23 @@ float64 throughout -- finite-difference verification needs the headroom.
 
 The op set is deliberately small: matmul (incl. stacked 3-D), affine,
 elementwise arithmetic and activations, concat/slice/reshape/transpose,
-reductions, embedding lookup, softmax / log-softmax / logsumexp,
-cross-entropy, layer norm, dropout, a fused LSTM sequence op whose
-forward/backward run through the kernels backend, and factored_loglik, the
-next-token log-likelihood under every (row, column) tilt of shared base
-logits, whose softmax normaliser is a matmul over max-shifted exponentials.
-Everything else in the package is composed from these.
+sums and per-segment means and maxima, embedding lookup, softmax /
+log-softmax / logsumexp, cross-entropy, layer norm, dropout, a fused LSTM
+op over a batch of sequences stored back to back, whose forward/backward
+run through the kernels backend, and factored_loglik, the next-token
+log-likelihood of each segment under every (row, column) tilt of shared
+base logits, whose softmax normaliser is a matmul over max-shifted
+exponentials. Everything else in the package is composed from these.
+
+A batch of variable-length sequences is one (N, ...) array of their rows
+stored back to back plus their lengths; the segment ops, lstm_seq and
+factored_loglik take it in that form, so a batch needs no padding or
+masks, and a single sequence is the batch of one.
 """
 
 import math
 import threading
+from collections import namedtuple
 
 import numpy as np
 
@@ -371,18 +378,6 @@ def concat(tensors, axis=0):
     return _from_op("concat", np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def stack(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise GraphError("stack of zero tensors")
-
-    def backward(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(np.ascontiguousarray(moved[i]) for i in range(len(tensors)))
-
-    return _from_op("stack", np.stack([t.data for t in tensors], axis=axis), tensors, backward)
-
-
 def narrow(a, axis, start, length):
     """Contiguous slice [start, start+length) along one axis."""
     a = as_tensor(a)
@@ -398,16 +393,6 @@ def narrow(a, axis, start, length):
         return (full,)
 
     return _from_op("narrow", np.ascontiguousarray(a.data[index]), (a,), backward)
-
-
-def flip0(a):
-    """Reverse along axis 0 (drives the backward direction of the BiLSTM)."""
-    a = as_tensor(a)
-
-    def backward(g):
-        return (np.ascontiguousarray(g[::-1]),)
-
-    return _from_op("flip0", np.ascontiguousarray(a.data[::-1]), (a,), backward)
 
 
 def repeat_row(v, n):
@@ -438,44 +423,70 @@ def sum_(a, axis=None):
     return _from_op("sum", a.data.sum(axis=axis), (a,), backward)
 
 
-def mean(a, axis=None):
+# runs of consecutive rows: the segment of every row, and where each
+# segment starts and how long it is
+_Segments = namedtuple("_Segments", "seg starts lengths")
+
+
+def _segment_layout(lengths, n_rows, op_name):
+    """The _Segments of n_rows rows cut into runs of the given lengths,
+    which must be 1-D, each >= 1, summing to n_rows."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1 or lengths.sum() != n_rows:
+        raise GraphError(
+            f"{op_name} needs segment lengths >= 1 that sum to {n_rows} rows, got {lengths.tolist()}")
+    starts = np.cumsum(lengths) - lengths
+    return _Segments(np.repeat(np.arange(lengths.shape[0]), lengths), starts, lengths)
+
+
+def _segment_block(x, layout, axis, fill):
+    """x with its row axis `axis` split into (segment, position) axes of
+    shape (S, L), L the longest segment; positions past a segment's end
+    hold fill."""
+    seg, starts, lengths = layout
+    shape = x.shape[:axis] + (lengths.shape[0], int(lengths.max())) + x.shape[axis + 1:]
+    out = np.full(shape, fill)
+    out[(slice(None),) * axis + (seg, np.arange(seg.shape[0]) - starts[seg])] = x
+    return out
+
+
+def _segment_sum(x, layout, axis):
+    """Sum of x over the rows of each segment along `axis`, which becomes
+    the segment axis. One segment is summed by x.sum(axis=axis) itself, in
+    the order of an unsegmented sum."""
+    if layout.lengths.shape[0] == 1:
+        return x.sum(axis=axis, keepdims=True)
+    return _segment_block(x, layout, axis, 0.0).sum(axis=axis + 1)
+
+
+def segment_mean(a, lengths):
+    """Mean over each run of consecutive rows of a (N, D) array; lengths
+    (S,) gives the runs, the result is (S, D)."""
     a = as_tensor(a)
-    shape = a.data.shape
-    count = a.data.size if axis is None else shape[axis]
+    layout = _segment_layout(lengths, a.data.shape[0], "segment_mean")
+    counts = layout.lengths[:, None]
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy(),)
+        return ((g / counts)[layout.seg],)
 
-    return _from_op("mean", a.data.mean(axis=axis), (a,), backward)
+    return _from_op("segment_mean", _segment_sum(a.data, layout, 0) / counts, (a,), backward)
 
 
-def max_(a, axis=None):
-    """Max reduction; ties route the gradient to the first maximum."""
+def segment_max(a, lengths):
+    """Max over each run of consecutive rows of a (N, D) array; lengths
+    (S,) gives the runs, the result is (S, D). Ties route the gradient to
+    the first maximum of a run."""
     a = as_tensor(a)
-    ad = a.data
-    if axis is None:
-        flat_idx = int(np.argmax(ad))
-
-        def backward(g):
-            full = np.zeros_like(ad)
-            full.flat[flat_idx] = g
-            return (full,)
-
-        return _from_op("max", ad.max(), (a,), backward)
-
-    idx = np.argmax(ad, axis=axis)
+    layout = _segment_layout(lengths, a.data.shape[0], "segment_max")
+    rows = layout.starts[:, None] + _segment_block(a.data, layout, 0, -np.inf).argmax(axis=1)
+    cols = np.arange(a.data.shape[1])
 
     def backward(g):
-        full = np.zeros_like(ad)
-        grid = np.ogrid[tuple(slice(s) for s in idx.shape)]
-        sel = list(grid)
-        sel.insert(axis if axis >= 0 else ad.ndim + axis, idx)
-        full[tuple(sel)] = g
+        full = np.zeros_like(a.data)
+        full[rows, cols] = g
         return (full,)
 
-    return _from_op("max", ad.max(axis=axis), (a,), backward)
+    return _from_op("segment_max", a.data[rows, cols], (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -618,67 +629,88 @@ def _direct_backward(g, bd, rd, cd, tgt):
     return dbase, drows, dcols
 
 
-def factored_loglik(base, rows, cols, targets):
-    """Summed next-token log-likelihood under every (row, column) tilt.
+def factored_loglik(base, rows, cols, targets, lengths):
+    """Summed next-token log-likelihood of each segment under every
+    (row, column) tilt.
 
-    base: (T, V) logits; rows: (I, V) and cols: (J, V) tilts added to every
-    step; targets: (T,) ints. Entry [i, j] of the (I, J) result is
-    sum_t log softmax(base[t] + rows[i] + cols[j])[targets[t]].
+    base: (N, V) logits of S segments stored back to back, lengths (S,)
+    long; rows: (S, I, V) tilts of each segment; cols: (J, V) tilts shared
+    by all segments; targets: (N,) ints. Entry [s, i, j] of the (S, I, J)
+    result is the sum over the steps t of segment s of
+    log softmax(base[t] + rows[s, i] + cols[j])[targets[t]].
 
     With A, B, C the max-shifted exponentials of base, rows and cols, the
-    normaliser of step t under (i, j) is exp(shifts) * S[i, t, j], where
-    S = (B[i] * A[t]) @ C.T is one matmul; the backward is matmuls too, so
-    neither direction builds the (I, J, T, V) logits. When some S falls
-    below _FACTORED_TINY, both directions use the direct max-shifted block,
-    one row at a time.
+    normaliser of step t (in segment s) under (i, j) is exp(shifts) *
+    S[i, t, j], where S = (B[s, i] * A[t]) @ C.T is one matmul over all
+    steps; the backward is matmuls too, so neither direction builds the
+    (I, J, N, V) logits, and the sums over each segment's steps are taken
+    on a zero-padded (segment, step) block. When some S falls below
+    _FACTORED_TINY, both directions use the direct max-shifted block, one
+    segment and row at a time.
     """
     base, rows, cols = as_tensor(base), as_tensor(rows), as_tensor(cols)
     for t in (base, rows, cols):
         _require_finite_input(t, "factored_loglik")
     bd, rd, cd = base.data, rows.data, cols.data
     tgt = np.asarray(targets, dtype=np.int64)
-    if bd.ndim != 2 or rd.ndim != 2 or cd.ndim != 2:
-        raise GraphError("factored_loglik expects 2-D base, rows and cols")
+    if bd.ndim != 2 or rd.ndim != 3 or cd.ndim != 2:
+        raise GraphError("factored_loglik expects 2-D base and cols and 3-D rows")
     n_steps, n_vocab = bd.shape
-    if rd.shape[1] != n_vocab or cd.shape[1] != n_vocab:
+    if rd.shape[2] != n_vocab or cd.shape[1] != n_vocab:
         raise GraphError(
             f"factored_loglik widths differ: base {bd.shape}, rows {rd.shape}, cols {cd.shape}")
     if tgt.shape != (n_steps,):
         raise GraphError(f"factored_loglik got {n_steps} steps but targets of shape {tgt.shape}")
     if not tgt.size or tgt.min() < 0 or tgt.max() >= n_vocab:
         raise GraphError(f"factored_loglik needs at least one target, all in [0, {n_vocab})")
-    n_rows, n_cols = rd.shape[0], cd.shape[0]
+    layout = _segment_layout(lengths, n_steps, "factored_loglik")
+    seg, starts, lengths = layout
+    n_seg, n_rows, n_cols = lengths.shape[0], rd.shape[1], cd.shape[0]
+    if rd.shape[0] != n_seg:
+        raise GraphError(f"factored_loglik got {n_seg} segments but rows of shape {rd.shape}")
+    bounds = list(zip(starts.tolist(), (starts + lengths).tolist()))
     steps = np.arange(n_steps)
     mb = bd.max(axis=1, keepdims=True)
-    mr = rd.max(axis=1, keepdims=True)
+    mr = rd.max(axis=2, keepdims=True)
     mc = cd.max(axis=1, keepdims=True)
     a, b, c = np.exp(bd - mb), np.exp(rd - mr), np.exp(cd - mc)
-    ab = (b[:, None, :] * a[None, :, :]).reshape(n_rows * n_steps, n_vocab)
+    # each step's row tilts, (I, N, V); one segment's broadcast from (I, 1, V)
+    b_steps = np.swapaxes(b, 0, 1)
+    if n_seg > 1:
+        b_steps = b_steps[:, seg]
+    ab = (b_steps * a[None, :, :]).reshape(n_rows * n_steps, n_vocab)
     s = (ab @ c.T).reshape(n_rows, n_steps, n_cols)
     direct = s.min() < _FACTORED_TINY
 
     if direct:
-        out = _direct_loglik(bd, rd, cd, tgt)
+        out = np.stack([_direct_loglik(bd[lo:hi], rd[k], cd, tgt[lo:hi])
+                        for k, (lo, hi) in enumerate(bounds)])
     else:
-        # each target logit minus its row's max, summed over steps
+        # each target logit minus its row's max, summed over the segment
         picked = (
-            (bd[steps, tgt] - mb[:, 0]).sum()
-            + (rd[:, tgt] - mr).sum(axis=1)[:, None]
-            + (cd[:, tgt] - mc).sum(axis=1)[None, :]
+            _segment_sum(bd[steps, tgt] - mb[:, 0], layout, 0)[:, None, None]
+            + _segment_sum(rd[seg, :, tgt] - mr[seg, :, 0], layout, 0)[:, :, None]
+            + _segment_sum((cd[:, tgt] - mc).T, layout, 0)[:, None, :]
         )
-        out = picked - np.log(s).sum(axis=1)
+        out = picked - np.swapaxes(_segment_sum(np.log(s), layout, 1), 0, 1)
 
     def backward(g):
-        # d out[i, j] / d logit[t, v] = onehot[t, v] - P[i, j, t, v]
+        # d out[s, i, j] / d logit[t, v] = onehot[t, v] - P[i, j, t, v]
         if direct:
-            return _direct_backward(g, bd, rd, cd, tgt)
-        counts = np.bincount(tgt, minlength=n_vocab)
-        w = g[:, None, :] / s  # (I, T, J)
-        bq = b[:, None, :] * (w @ c)  # (I, T, V): sum_j W C, times B
+            dbase, drows, dcols = np.empty_like(bd), np.empty_like(rd), np.zeros_like(cd)
+            for k, (lo, hi) in enumerate(bounds):
+                dbase[lo:hi], drows[k], dcol = _direct_backward(g[k], bd[lo:hi], rd[k], cd, tgt[lo:hi])
+                dcols += dcol
+            return dbase, drows, dcols
+        counts = np.zeros((n_seg, n_vocab))
+        np.add.at(counts, (seg, tgt), 1.0)
+        w = np.swapaxes(g, 0, 1)[:, seg] / s  # (I, N, J)
+        bq = b_steps * (w @ c)  # (I, N, V): sum_j W C, times B
         dbase = -a * bq.sum(axis=0)
-        dbase[steps, tgt] += g.sum()
-        drows = -(bq * a[None, :, :]).sum(axis=1) + g.sum(axis=1)[:, None] * counts
-        dcols = -c * (w.reshape(n_rows * n_steps, n_cols).T @ ab) + g.sum(axis=0)[:, None] * counts
+        dbase[steps, tgt] += g.sum(axis=(1, 2))[seg]
+        drows = (-np.swapaxes(_segment_sum(bq * a[None, :, :], layout, 1), 0, 1)
+                 + g.sum(axis=2)[:, :, None] * counts[:, None, :])
+        dcols = -c * (w.reshape(n_rows * n_steps, n_cols).T @ ab) + g.sum(axis=1).T @ counts
         return dbase, drows, dcols
 
     return _from_op("factored_loglik", out, (base, rows, cols), backward)
@@ -709,48 +741,76 @@ def layer_norm(x, gain, bias, eps=1e-5):
 # fused recurrence
 
 
-def _stack_rows(parts):
-    """np.stack, without the copy for a single part."""
-    return parts[0][None] if len(parts) == 1 else np.stack(parts)
+def _packed_layout(lengths, n_rows, reverse):
+    """Where the kernels' packed time-major layout takes its rows from.
+
+    For sequences stored back to back (lengths (B,), summing to n_rows),
+    returns (src, order, batch_sizes, prev): packed row p is row src[p] of
+    the stored order; order lists the sequences longest first (ties keep
+    their order), which is the order of the kernels' initial states;
+    batch_sizes[t] counts the sequences still running at step t; and
+    packed row B + q follows packed row prev[q] of the same sequence.
+    reverse runs every sequence from its last row to its first.
+    """
+    _seg, starts, lengths = _segment_layout(lengths, n_rows, "lstm_seq")
+    if lengths.shape[0] == 1:
+        # the tagging path's single sequence: its rows one per step
+        rows = np.arange(n_rows)
+        return rows[::-1] if reverse else rows, np.zeros(1, dtype=np.int64), np.ones_like(rows), rows[:-1]
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    running = np.arange(sorted_len[0])[:, None] < sorted_len[None, :]  # (T, B)
+    step, rank = np.nonzero(running)
+    batch_sizes = running.sum(axis=1)
+    offsets = np.cumsum(batch_sizes) - batch_sizes
+    pos = sorted_len[rank] - 1 - step if reverse else step
+    src = starts[order][rank] + pos
+    n_seq = lengths.shape[0]
+    prev = offsets[step[n_seq:] - 1] + rank[n_seq:]
+    return src, order, batch_sizes, prev
 
 
-def lstm_seq(x, wx, whT, b, h0, c0):
-    """Full LSTM pass over a (T, E) input with (H,) initial states, or over
-    a (B, T, E) stack of equal-length inputs with (B, H) initial states;
-    returns hidden states (T, H) or (B, T, H).
+def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
+    """LSTM over B sequences stored back to back as the rows of x (N, E).
 
-    One tape node for the whole stack. The kernels backend runs the time
-    loop of each sequence in turn; the input and weight products run once
-    over all B*T rows, so a stack builds one weight-gradient set. whT holds
-    the recurrent weights transposed, (4H, H).
+    lengths (B,) gives each sequence's row count; h0 and c0 are the (B, H)
+    initial states. Returns the hidden states (N, H), row for row with x.
+    With reverse, each sequence runs from its last row to its first (the
+    backward half of a BiLSTM), and its states still line up with x.
+
+    One tape node. The rows are gathered into the kernels' packed
+    time-major layout (longest sequence first), so each time step is one
+    matmul over the sequences still running, and the input and weight
+    products are single matmuls over all N rows. whT holds the recurrent
+    weights transposed, (4H, H). A single sequence is the case B = 1, and
+    its packed layout is x itself, reversed or not.
     """
     x, wx, whT, b, h0, c0 = (as_tensor(t) for t in (x, wx, whT, b, h0, c0))
-    stacked = x.data.ndim == 3
-    xs, h0s, c0s = (t.data if stacked else t.data[None] for t in (x, h0, c0))
-    n_seq, n_steps, n_in = xs.shape
-    x2 = xs.reshape(-1, n_in)
-    xw = (np.matmul(x2, wx.data) + b.data).reshape(n_seq, n_steps, -1)
-    runs = [kernels.lstm_forward(xw[i], whT.data, h0s[i], c0s[i]) for i in range(n_seq)]
-    hs, cs, gates = (_stack_rows(parts) for parts in zip(*runs))
+    src, order, batch_sizes, prev = _packed_layout(lengths, x.data.shape[0], reverse)
+    state_shape = (order.shape[0], whT.data.shape[1])
+    if h0.data.shape != state_shape or c0.data.shape != state_shape:
+        raise GraphError(
+            f"lstm_seq needs ({state_shape[0]}, H={state_shape[1]}) initial states, "
+            f"got {h0.data.shape} and {c0.data.shape}")
+    xp = x.data[src]
+    xw = np.matmul(xp, wx.data) + b.data
+    h0s, c0s = h0.data[order], c0.data[order]
+    hs, cs, gates = kernels.lstm_forward(xw, whT.data, h0s, c0s, batch_sizes)
+    out = np.empty_like(hs)
+    out[src] = hs
 
     def backward(g):
-        gs = g if stacked else g[None]
-        back = [
-            kernels.lstm_backward(np.ascontiguousarray(gs[i]), gates[i], cs[i], whT.data, c0s[i])
-            for i in range(n_seq)
-        ]
-        dgates, dh0, dc0 = (_stack_rows(parts) for parts in zip(*back))
-        dgates = dgates.reshape(n_seq * n_steps, -1)
-        hprev = np.concatenate((h0s[:, None, :], hs[:, :-1]), axis=1).reshape(n_seq * n_steps, -1)
+        dgates, dh0s, dc0s = kernels.lstm_backward(g[src], gates, cs, whT.data, c0s, batch_sizes)
+        hprev = np.concatenate((h0s, hs[prev]))
+        dx = np.empty_like(x.data)
+        dx[src] = np.matmul(dgates, wx.data.T)
+        dh0, dc0 = np.empty_like(dh0s), np.empty_like(dc0s)
+        dh0[order], dc0[order] = dh0s, dc0s
+        dwx = np.matmul(xp.T, dgates)
         dwhT = np.matmul(dgates.T, hprev)
-        dx = np.matmul(dgates, wx.data.T).reshape(x.data.shape)
-        dwx = np.matmul(x2.T, dgates)
-        db = dgates.sum(axis=0)
-        if not stacked:
-            dh0, dc0 = dh0[0], dc0[0]
-        return dx, dwx, dwhT, db, dh0, dc0
+        return dx, dwx, dwhT, dgates.sum(axis=0), dh0, dc0
 
-    return _from_op("lstm_seq", hs if stacked else hs[0], (x, wx, whT, b, h0, c0), backward)
+    return _from_op("lstm_seq", out, (x, wx, whT, b, h0, c0), backward)
 
 
 # ---------------------------------------------------------------------------

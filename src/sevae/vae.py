@@ -77,11 +77,13 @@ def kl_to_standard_normal(q):
     return 0.5 * T.sum_(q.mu * q.mu + T.exp(q.logvar) - 1.0 - q.logvar)
 
 
-def check_options(enc_cfg, dec_spec, beta):
+def check_options(enc_cfg, dec_spec, beta, label_loss_weight):
     """The checks a VAEModel makes beyond those of its EncoderConfig and
     DecoderSpec; raises DataError."""
     if not 0.0 <= beta <= 1.0:
         raise DataError(f"beta must be in [0, 1], got {beta}")
+    if not label_loss_weight >= 0.0:
+        raise DataError(f"label_loss_weight must be >= 0, got {label_loss_weight}")
     if dec_spec.tie_embeddings and dec_spec.embed_dim != enc_cfg.embed_dim:
         raise DataError("tied embeddings need matching encoder/decoder embed dims")
 
@@ -93,7 +95,7 @@ class VAEModel:
 
     def __init__(self, enc_cfg, dec_spec, vocab_size, latent_dim=30, beta=0.5,
                  label_loss_weight=1.0, rng=None):
-        check_options(enc_cfg, dec_spec, beta)
+        check_options(enc_cfg, dec_spec, beta, label_loss_weight)
         self.enc_cfg = enc_cfg
         self.dec_spec = dec_spec
         self.vocab_size = vocab_size
@@ -202,12 +204,15 @@ class VAEModel:
 
     def _lstm_decoder_logits(self, z, inputs):
         p = self.params
+        n_seq, n = inputs.shape
         x = T.embedding(self._dec_embedding_table(), inputs)
-        x = T.concat([x, T.repeat_row(z, inputs.shape[1])], axis=2)
+        x = T.concat([x, T.repeat_row(z, n)], axis=2)
         h0 = T.affine(z, p["dec.h0_w"], p["dec.h0_b"])
         c0 = T.affine(z, p["dec.c0_w"], p["dec.c0_b"])
-        hs = T.lstm_seq(x, p["dec.wx"], p["dec.whT"], p["dec.lb"], h0, c0)
-        return T.affine(hs, p["dec.out_w"], p["dec.out_b"])
+        # the group's clauses back to back: one kernel call for all of them
+        rows = T.reshape(x, (n_seq * n, x.shape[2]))
+        hs = T.lstm_seq(rows, p["dec.wx"], p["dec.whT"], p["dec.lb"], h0, c0, np.full(n_seq, n))
+        return T.affine(T.reshape(hs, (n_seq, n, hs.shape[1])), p["dec.out_w"], p["dec.out_b"])
 
     def _xfmr_decoder_logits(self, z, inputs):
         p = self.params

@@ -42,8 +42,9 @@ def np_log_softmax(logits):
 def np_lstm_states(params, name, ids, hidden):
     emb = params["emb"].data[np.asarray(ids, dtype=np.int64)]
     xw = emb @ params[f"{name}.wx"].data + params[f"{name}.b"].data
+    steps = np.ones(xw.shape[0], dtype=np.int64)
     hs, _, _ = kernels.lstm_forward_py(xw, params[f"{name}.whT"].data,
-                                       np.zeros(hidden), np.zeros(hidden))
+                                       np.zeros((1, hidden)), np.zeros((1, hidden)), steps)
     return hs
 
 
@@ -85,7 +86,7 @@ def test_gen_joint_scores_match_tape_logliks(rng):
     ids = [5, 9, 7]
     scores = m.joint_scores(ids)
     for y in range(7):
-        want = float(m.loglik(ids, y).data) + math.log(m.params["prior"].data[y])
+        want = -float(m.loss(ids, y)[0].data) + math.log(m.params["prior"].data[y])
         assert scores[y] == pytest.approx(want, rel=1e-10)
 
 
@@ -154,7 +155,7 @@ def test_lat_marginal_matches_naive_linear_sum(rng):
         m = lat(np.random.default_rng(trial), tilted_prior(), c=int(rng.integers(1, 6)))
         ids = [int(x) for x in rng.integers(5, VOCAB, size=rng.integers(1, 6))]
         label = int(rng.integers(0, 7))
-        got = float(m.marginal_loglik(ids, label).data)
+        got = -float(m.loss(ids, label)[0].data)
         assert got == pytest.approx(naive_marginal(m, ids, label), abs=1e-9)
 
 
@@ -163,7 +164,7 @@ def test_lat_joint_scores_match_marginal(rng):
     ids = [5, 9, 7]
     scores = m.joint_scores(ids)
     for y in range(7):
-        assert scores[y] == pytest.approx(float(m.marginal_loglik(ids, y).data), abs=1e-9)
+        assert scores[y] == pytest.approx(-float(m.loss(ids, y)[0].data), abs=1e-9)
 
 
 def test_lat_latent_prior(rng):
@@ -256,3 +257,47 @@ def test_all_baselines_pass_gradcheck(rng):
         lambda: c.paragraph_loss([[5, 6], [7]], [SEType.STATE, SEType.QUESTION])[0],
         c.params, max_entries=3, rng=probes)
     assert max(errs.values()) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# batched training objective
+
+
+def batch_items(name, rng):
+    if name == "ctx":
+        # paragraphs of unequal clause counts and clause lengths
+        shapes = ([3, 1, 4], [2], [5, 2], [1, 1])
+        return [([rng.integers(5, VOCAB, size=n) for n in counts],
+                 [int(y) for y in rng.integers(7, size=len(counts))]) for counts in shapes]
+    # unequal lengths, with ties and a one-token clause
+    return [(rng.integers(5, VOCAB, size=n), int(rng.integers(7))) for n in (3, 1, 5, 3, 2)]
+
+
+@pytest.mark.parametrize("name", ["disc", "gen", "lat", "ctx"])
+def test_batch_loss_equals_the_per_item_sum(name):
+    rng = np.random.default_rng(13)
+    m = {"disc": disc, "gen": gen, "lat": lat, "ctx": ctx}[name](np.random.default_rng(4))
+    items = batch_items(name, rng)
+    trainable = {k: p for k, p in m.params.items() if p.requires_grad}
+    per_item = m.paragraph_loss if name == "ctx" else m.loss
+
+    T.zero_grads(trainable)
+    ref_parts = {}
+    for item in items:
+        with T.Tape() as tape:
+            loss, parts = per_item(*item)
+            tape.backward(loss)
+        for key, value in parts.items():
+            ref_parts[key] = ref_parts.get(key, 0.0) + value
+    ref_grads = {k: p.grad.copy() for k, p in trainable.items()}
+
+    T.zero_grads(trainable)
+    with T.Tape() as tape:
+        loss, parts = m.batch_loss(items)
+        tape.backward(loss)
+    assert parts.keys() == ref_parts.keys()
+    for key, want in ref_parts.items():
+        assert parts[key] == pytest.approx(want, rel=1e-10), key
+    for k, p in trainable.items():
+        scale = max(1.0, float(np.abs(ref_grads[k]).max()))
+        np.testing.assert_allclose(p.grad, ref_grads[k], rtol=1e-10, atol=1e-10 * scale, err_msg=k)

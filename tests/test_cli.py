@@ -332,6 +332,24 @@ def test_negative_beta_warmup_is_data_error(capsys, tmp_path, synth_dir):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,flags,field", [
+    ("disc", ["--max-epochs", "0"], "max_epochs"),
+    ("disc", ["--weight-decay", "-3"], "weight_decay"),
+    ("disc", ["--grad-clip", "-1"], "grad_clip"),
+    ("vae-bow", ["--opt", "label_loss_weight=-5"], "label_loss_weight"),
+])
+def test_out_of_range_training_value_is_data_error_before_any_output(capsys, tmp_path, synth_dir,
+                                                                     model, flags, field):
+    out = tmp_path / "run"
+    base = VAE_OPTS if model.startswith("vae") else DISC_OPTS
+    rc = cli.main(["train", "--model", model, "--train", str(synth_dir / "train.jsonl"),
+                   "--out", str(out), *base, *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_outputs(tmp_path, synth_dir):
     out = tmp_path / "sweep"
     rc = cli.main([

@@ -78,6 +78,24 @@ def test_train_config_validation():
         TrainConfig(beta_warmup_steps=-1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_epochs", 0), ("max_epochs", -3),
+    ("weight_decay", -1e-4), ("weight_decay", float("nan")),
+    ("grad_clip", -1.0), ("grad_clip", float("nan")),
+    ("eps", 0.0), ("eps", -1e-8),
+    ("betas", (1.0, 0.999)), ("betas", (0.9, -0.1)), ("betas", (0.9,)),
+])
+def test_train_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(DataError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_range_edges_are_accepted():
+    # grad_clip 0 keeps meaning "no clipping", and both betas may be 0
+    cfg = TrainConfig(max_epochs=1, weight_decay=0.0, grad_clip=0.0, betas=(0.0, 0.0))
+    assert clip_global_norm({"w": np.full(3, 1e6)}, cfg.grad_clip)["w"][0] == 1e6
+
+
 def test_default_train_config_lr_by_family():
     assert default_train_config("disc").lr == 1e-3
     assert default_train_config("ctx").lr == 1e-3

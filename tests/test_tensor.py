@@ -80,10 +80,14 @@ def test_structural_ops_forward(rng):
     x = rng.standard_normal((4, 3))
     np.testing.assert_array_equal(T.reshape(leaf(x), (3, 4)).data, x.reshape(3, 4))
     np.testing.assert_array_equal(T.transpose(leaf(x), (1, 0)).data, x.T)
-    np.testing.assert_array_equal(T.flip0(leaf(x)).data, x[::-1])
     np.testing.assert_array_equal(T.narrow(leaf(x), 0, 1, 2).data, x[1:3])
     np.testing.assert_array_equal(T.concat([leaf(x), leaf(x)], axis=1).data, np.concatenate([x, x], axis=1))
-    np.testing.assert_array_equal(T.stack([leaf(x[0]), leaf(x[1])]).data, x[:2])
+    np.testing.assert_array_equal(T.segment_max(leaf(x), [1, 3]).data, [x[0], x[1:].max(axis=0)])
+    np.testing.assert_array_equal(T.segment_mean(leaf(x), [3, 1]).data, [x[:3].mean(axis=0), x[3]])
+    with pytest.raises(GraphError, match="segment lengths"):
+        T.segment_max(leaf(x), [2, 1])
+    with pytest.raises(GraphError, match="segment lengths"):
+        T.segment_mean(leaf(x), [4, 0])
     v = rng.standard_normal(3)
     np.testing.assert_array_equal(T.repeat_row(leaf(v), 5).data, np.tile(v, (5, 1)))
 
@@ -112,11 +116,12 @@ def test_cross_entropy_matches_manual(rng):
 
 
 def test_max_reduction_first_tie(rng):
-    x = leaf([1.0, 3.0, 3.0, 0.0])
+    # each segment's gradient goes to its first maximum, column by column
+    x = leaf([[1.0, 2.0], [3.0, 2.0], [3.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 5.0]])
     with T.Tape() as tape:
-        loss = T.max_(x)
+        loss = T.sum_(T.segment_max(x, [4, 2]))
         tape.backward(loss)
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(x.grad, [[0, 1], [1, 0], [0, 0], [0, 0], [1, 1], [0, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +322,7 @@ def test_gradcheck_broadcast_add_mul(rng):
     def build():
         out = T.add(p["m"], p["v"])
         out = T.mul(out, p["s"])
-        return T.mean(T.mul(out, out))
+        return T.sum_(T.segment_mean(T.mul(out, out), [1, 2]))
 
     assert grad_of(build, p) < 1e-6
 
@@ -327,11 +332,11 @@ def test_gradcheck_reductions_and_structure(rng):
 
     def build():
         x = p["x"]
-        a = T.max_(x, axis=0)
-        b = T.sum_(T.flip0(x), axis=1)
+        a = T.reshape(T.segment_max(x, [3, 1]), (6,))
+        b = T.sum_(x, axis=1)
         c = T.narrow(T.transpose(x, (1, 0)), 0, 1, 2)
         top = T.concat([a, b], axis=0)
-        return T.add(T.sum_(T.mul(top, top)), T.mean(T.mul(c, c)))
+        return T.add(T.sum_(T.mul(top, top)), T.sum_(T.segment_mean(T.mul(c, c), [2])))
 
     assert grad_of(build, p) < 1e-6
 
@@ -370,20 +375,22 @@ def test_gradcheck_lstm_seq(rng):
         "wx": leaf(rng.standard_normal((D, 4 * H)) * 0.3),
         "whT": leaf(rng.standard_normal((4 * H, H)) * 0.3),
         "b": leaf(rng.standard_normal(4 * H) * 0.1),
-        "h0": leaf(rng.standard_normal(H) * 0.2),
-        "c0": leaf(rng.standard_normal(H) * 0.2),
+        "h0": leaf(rng.standard_normal((1, H)) * 0.2),
+        "c0": leaf(rng.standard_normal((1, H)) * 0.2),
     }
 
-    def build():
-        hs = T.lstm_seq(p["x"], p["wx"], p["whT"], p["b"], p["h0"], p["c0"])
-        return T.sum_(T.mul(hs, hs))
+    for reverse in (False, True):
+        def build():
+            hs = T.lstm_seq(p["x"], p["wx"], p["whT"], p["b"], p["h0"], p["c0"], [n], reverse)
+            return T.sum_(T.mul(hs, hs))
 
-    assert grad_of(build, p) < 1e-6
+        assert grad_of(build, p) < 1e-6
 
 
 def test_gradcheck_stacked_sequence_ops(rng):
     # the (B, n) forms the length-grouped vae path uses: 2-D ids, a
-    # (B, T, V) cross-entropy, a stacked LSTM fed rows repeated per step
+    # (B, T, V) cross-entropy, an LSTM over the stack's rows back to back
+    # fed rows repeated per step
     B, T_, V, E, H = 3, 4, 6, 3, 2
     p = {
         "emb": leaf(rng.standard_normal((V, E)) * 0.5),
@@ -399,23 +406,28 @@ def test_gradcheck_stacked_sequence_ops(rng):
 
     def build():
         x = T.concat([T.embedding(p["emb"], ids), T.repeat_row(p["z"], T_)], axis=2)
-        hs = T.lstm_seq(x, p["wx"], p["whT"], p["b"], p["h0"], T.mul(p["h0"], 0.5))
+        rows = T.reshape(x, (B * T_, E + 2))
+        hs = T.lstm_seq(rows, p["wx"], p["whT"], p["b"], p["h0"], T.mul(p["h0"], 0.5), [T_] * B)
+        hs = T.reshape(hs, (B, T_, H))
         return T.cross_entropy(T.affine(hs, p["w"], T.Tensor(np.zeros(V))), targets)
 
     assert grad_of(build, p) < 1e-6
 
 
 def test_stacked_lstm_seq_equals_per_sequence_calls(rng):
-    B, n, D, H = 3, 5, 4, 3
+    # sequences of unequal length back to back, in both directions
+    lengths, D, H = [5, 2, 5, 1], 4, 3
+    B, N = len(lengths), sum(lengths)
+    starts = np.cumsum(lengths) - lengths
     p = {
-        "x": leaf(rng.standard_normal((B, n, D))),
+        "x": leaf(rng.standard_normal((N, D))),
         "wx": leaf(rng.standard_normal((D, 4 * H)) * 0.3),
         "whT": leaf(rng.standard_normal((4 * H, H)) * 0.3),
         "b": leaf(rng.standard_normal(4 * H) * 0.1),
         "h0": leaf(rng.standard_normal((B, H))),
         "c0": leaf(rng.standard_normal((B, H))),
     }
-    weights = rng.standard_normal((B, n, H))
+    weights = rng.standard_normal((N, H))
 
     def grads(build):
         T.zero_grads(p)
@@ -424,30 +436,45 @@ def test_stacked_lstm_seq_equals_per_sequence_calls(rng):
             tape.backward(loss)
         return float(loss.data), {k: t.grad.copy() for k, t in p.items()}
 
-    def stacked():
-        hs = T.lstm_seq(p["x"], p["wx"], p["whT"], p["b"], p["h0"], p["c0"])
-        return T.sum_(T.mul(hs, weights))
+    for reverse in (False, True):
+        def stacked():
+            hs = T.lstm_seq(p["x"], p["wx"], p["whT"], p["b"], p["h0"], p["c0"], lengths, reverse)
+            return T.sum_(T.mul(hs, weights))
 
-    def rows():
-        total = 0.0
-        for i in range(B):
-            pick = [T.reshape(T.narrow(p[k], 0, i, 1), p[k].shape[1:]) for k in ("x", "h0", "c0")]
-            hs = T.lstm_seq(pick[0], p["wx"], p["whT"], p["b"], pick[1], pick[2])
-            total = T.add(total, T.sum_(T.mul(hs, weights[i])))
-        return total
+        def rows():
+            total = 0.0
+            for i, (start, n) in enumerate(zip(starts, lengths)):
+                x = T.narrow(p["x"], 0, start, n)
+                h0, c0 = (T.narrow(p[k], 0, i, 1) for k in ("h0", "c0"))
+                hs = T.lstm_seq(x, p["wx"], p["whT"], p["b"], h0, c0, [n], reverse)
+                total = T.add(total, T.sum_(T.mul(hs, weights[start:start + n])))
+            return total
 
-    loss_s, grad_s = grads(stacked)
-    loss_r, grad_r = grads(rows)
-    assert loss_s == pytest.approx(loss_r, rel=1e-12)
-    for k in p:
-        np.testing.assert_allclose(grad_s[k], grad_r[k], rtol=1e-12, atol=1e-14, err_msg=k)
+        loss_s, grad_s = grads(stacked)
+        loss_r, grad_r = grads(rows)
+        assert loss_s == pytest.approx(loss_r, rel=1e-12)
+        for k in p:
+            np.testing.assert_allclose(grad_s[k], grad_r[k], rtol=1e-12, atol=1e-14, err_msg=k)
 
 
-def test_gradcheck_stack_repeat_row(rng):
+def test_lstm_seq_rejects_bad_lengths_and_states(rng):
+    x = leaf(rng.standard_normal((5, 2)))
+    wx, whT, b = leaf(np.zeros((2, 8))), leaf(np.zeros((8, 2))), leaf(np.zeros(8))
+    h0 = leaf(np.zeros((2, 2)))
+    with pytest.raises(GraphError, match="segment lengths"):
+        T.lstm_seq(x, wx, whT, b, h0, h0, [3, 3])
+    with pytest.raises(GraphError, match="segment lengths"):
+        T.lstm_seq(x, wx, whT, b, h0, h0, [5, 0])
+    with pytest.raises(GraphError, match="initial states"):
+        T.lstm_seq(x, wx, whT, b, h0, h0, [5])
+
+
+def test_gradcheck_concat_repeat_row(rng):
     p = {"v": leaf(rng.standard_normal(4)), "u": leaf(rng.standard_normal(4))}
 
     def build():
-        m = T.stack([p["v"], p["u"], p["v"]])
+        v, u = T.reshape(p["v"], (1, 4)), T.reshape(p["u"], (1, 4))
+        m = T.concat([v, u, v], axis=0)
         r = T.repeat_row(p["u"], 3)
         return T.sum_(T.mul(T.add(m, r), T.add(m, r)))
 
@@ -458,37 +485,62 @@ def test_gradcheck_stack_repeat_row(rng):
 # factored next-token log-likelihood
 
 
-def factored_inputs(rng, n_rows, n_cols, n_steps, n_vocab, scale):
+def factored_inputs(rng, lengths, n_rows, n_cols, n_vocab, scale):
     p = {
-        "base": leaf(rng.standard_normal((n_steps, n_vocab)) * scale),
-        "rows": leaf(rng.standard_normal((n_rows, n_vocab)) * scale),
+        "base": leaf(rng.standard_normal((sum(lengths), n_vocab)) * scale),
+        "rows": leaf(rng.standard_normal((len(lengths), n_rows, n_vocab)) * scale),
         "cols": leaf(rng.standard_normal((n_cols, n_vocab)) * scale),
     }
-    return p, rng.integers(0, n_vocab, size=n_steps)
+    return p, rng.integers(0, n_vocab, size=sum(lengths))
+
+
+def naive_factored(base, rows, cols, targets, lengths):
+    """Entry by entry and step by step: out[s, i, j] sums, over the steps t
+    of segment s, log softmax(base[t] + rows[s, i] + cols[j])[targets[t]]."""
+    out = np.zeros((len(lengths), rows.shape[1], cols.shape[0]))
+    start = 0
+    for s, n in enumerate(lengths):
+        for i in range(rows.shape[1]):
+            for j in range(cols.shape[0]):
+                for t in range(start, start + n):
+                    logits = base[t] + rows[s, i] + cols[j]
+                    top = logits.max()
+                    out[s, i, j] += logits[targets[t]] - top - math.log(np.exp(logits - top).sum())
+        start += n
+    return out
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
-    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 7)),
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 7)),
     scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+    forced=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_factored_loglik_matches_direct_reference(dims, scale, seed):
+def test_factored_loglik_matches_direct_reference(lengths, dims, scale, forced, seed):
     # scale 1e3 spreads the tilts past the factored normaliser's underflow
-    # limit, so both the factored path and the direct fallback are drawn
+    # limit, so both the factored path and the direct fallback are drawn;
+    # forced takes the fallback at every scale
     rng = np.random.default_rng(seed)
-    p, targets = factored_inputs(rng, *dims, scale)
-    got = T.factored_loglik(p["base"], p["rows"], p["cols"], targets).data
-    want = T._direct_loglik(p["base"].data, p["rows"].data, p["cols"].data, targets)
-    assert got.shape == want.shape == dims[:2]
-    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
-
-    weights = rng.standard_normal(dims[:2])
+    p, targets = factored_inputs(rng, lengths, *dims, scale)
+    weights = rng.standard_normal((len(lengths),) + dims[:2])
+    want = naive_factored(p["base"].data, p["rows"].data, p["cols"].data, targets, lengths)
 
     def build():
-        return T.sum_(T.mul(T.factored_loglik(p["base"], p["rows"], p["cols"], targets), weights))
+        out = T.factored_loglik(p["base"], p["rows"], p["cols"], targets, lengths)
+        return T.sum_(T.mul(out, weights))
 
-    assert grad_of(build, p) < 1e-5
+    tiny = T._FACTORED_TINY
+    if forced:
+        T._FACTORED_TINY = math.inf
+    try:
+        got = T.factored_loglik(p["base"], p["rows"], p["cols"], targets, lengths).data
+        assert got.shape == want.shape == (len(lengths),) + dims[:2]
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+        assert grad_of(build, p) < 1e-5
+    finally:
+        T._FACTORED_TINY = tiny
 
 
 def test_factored_loglik_falls_back_when_normaliser_underflows(monkeypatch):
@@ -499,20 +551,25 @@ def test_factored_loglik_falls_back_when_normaliser_underflows(monkeypatch):
     # factored term underflows, while each logit of the sum is -2000
     p = {
         "base": leaf([[0.0, -1e3, -1e3], [0.0, -1e3, -1e3]]),
-        "rows": leaf([[-1e3, 0.0, -1e3]]),
+        "rows": leaf([[[-1e3, 0.0, -1e3]]]),
         "cols": leaf([[-1e3, -1e3, 0.0]]),
     }
-    out = T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 2])
+    out = T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 2], [2])
     assert len(calls) == 1
-    np.testing.assert_allclose(out.data, [[-2.0 * math.log(3.0)]], rtol=1e-14)
-    assert grad_of(lambda: T.sum_(T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 2])), p) < 1e-6
+    np.testing.assert_allclose(out.data, [[[-2.0 * math.log(3.0)]]], rtol=1e-14)
+    build = lambda: T.sum_(T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 2], [2]))
+    assert grad_of(build, p) < 1e-6
 
 
 def test_factored_loglik_rejects_bad_shapes_and_targets(rng):
-    p, targets = factored_inputs(rng, 2, 3, 4, 5, 1.0)
+    p, targets = factored_inputs(rng, [1, 3], 2, 3, 5, 1.0)
     with pytest.raises(GraphError, match=r"all in \[0, 5\)"):
-        T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 1, 2, 5])
+        T.factored_loglik(p["base"], p["rows"], p["cols"], [0, 1, 2, 5], [1, 3])
     with pytest.raises(GraphError, match="targets of shape"):
-        T.factored_loglik(p["base"], p["rows"], p["cols"], targets[:3])
+        T.factored_loglik(p["base"], p["rows"], p["cols"], targets[:3], [1, 3])
     with pytest.raises(GraphError, match="widths differ"):
-        T.factored_loglik(p["base"], p["rows"], leaf(np.zeros((3, 4))), targets)
+        T.factored_loglik(p["base"], p["rows"], leaf(np.zeros((3, 4))), targets, [1, 3])
+    with pytest.raises(GraphError, match="segment lengths"):
+        T.factored_loglik(p["base"], p["rows"], p["cols"], targets, [2, 3])
+    with pytest.raises(GraphError, match="3 segments but rows"):
+        T.factored_loglik(p["base"], p["rows"], p["cols"], targets, [1, 1, 2])
