@@ -14,6 +14,12 @@ lat's tagging shape, 7 labels x 30 latent values.
 The encoder section runs 32 clauses of 8 tokens through the default
 vae encoder (width 128, 2 layers, 4 heads) as 32/B tapes of B stacked
 clauses each, the way length-grouped training runs a group.
+The tagging section builds each of the seven models at its default size
+(vocabulary 383, untrained) and tags S clauses of n tokens (for ctx, S
+one-clause paragraphs) once as S batch-of-one calls (predict_probs,
+predict_paragraph_probs) and once as one batch_probs call, the pass a
+tagging run makes; it reports the largest relative difference of their
+probabilities, which the tagging contract bounds by 1e-12.
 
 Usage: python3 benchmarks/bench_kernels.py [--reps 30]
 """
@@ -26,6 +32,7 @@ import numpy as np
 
 from sevae import encoders, kernels
 from sevae import tensor
+from sevae.models import MODEL_NAMES, build_model, default_spec
 
 
 def _time(fn, reps):
@@ -132,6 +139,25 @@ def bench_encoder(batch, reps, rng, n_clauses=32, n_tokens=8, vocab=383):
     return _time(run, reps)
 
 
+def bench_tagging(model, n_clauses, n_tokens, reps, rng):
+    """Median seconds of n_clauses batch-of-one calls and of one batched
+    call, and the largest relative difference of their probabilities."""
+    clauses = [rng.integers(5, model.vocab_size, size=n_tokens).tolist() for _ in range(n_clauses)]
+    if model.consumes == "paragraph":
+        units = [[ids] for ids in clauses]
+        one = model.predict_paragraph_probs
+    else:
+        units = clauses
+        one = model.predict_probs
+
+    def singles():
+        return np.concatenate([np.reshape(one(unit), (-1, 7)) for unit in units])
+
+    batched, single = model.batch_probs(units), singles()
+    agree = float(np.max(np.abs(batched - single) / single))
+    return _time(singles, reps), _time(lambda: model.batch_probs(units), reps), agree
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
@@ -171,6 +197,17 @@ def main():
         t = bench_encoder(batch, args.reps, rng)
         base = base or t
         print(f"{f'B={batch} ({32 // batch} tapes)':>40s} {t * 1e3:9.2f}ms {t / 32 * 1e3:9.3f}ms {base / t:7.2f}x")
+
+    print()
+    print(f"{'tagging, S clauses x n tokens':>30s} {'one by one':>11s} {'batched':>10s} "
+          f"{'speedup':>8s} {'max rel diff':>12s}")
+    for name in MODEL_NAMES:
+        model = build_model(default_spec(name), 383, np.full(7, 1 / 7), seed=0)
+        for n_tokens in (8, 64):
+            for n_clauses in (1, 4, 32):
+                t_one, t_batch, agree = bench_tagging(model, n_clauses, n_tokens, args.reps, rng)
+                print(f"{f'{name} S={n_clauses} n={n_tokens}':>30s} {t_one * 1e3:10.2f}ms "
+                      f"{t_batch * 1e3:9.2f}ms {t_one / t_batch:7.2f}x {agree:12.2e}")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,15 @@ Training calls batch_loss on a whole logical batch of (ids, label) items
 to back, so each LSTM direction is one lstm_seq over the batch and the
 batch is one tape. loss and paragraph_loss are the batch of one.
 
+Tagging calls batch_probs on a run of clauses (paragraphs for ctx) and
+runs the code batch_loss runs, with no tape active: disc and ctx the same
+_logits, gen and lat one LSTM pass over the run's language-model rows and
+one factored_loglik that scores every clause under all 7 label tilts.
+predict_probs and predict_paragraph_probs are the batch of one. A batch
+rounds differently from its items run one at a time (a matmul over
+several rows against one over a single row), so its probabilities agree
+with theirs within 1e-12 relative, not bit for bit.
+
 All label ties break toward the lowest label code. The empirical label
 prior rides along as a non-trainable named parameter so checkpoints are
 self-contained.
@@ -25,7 +34,6 @@ self-contained.
 
 import numpy as np
 
-from . import kernels
 from . import tensor as T
 from .data import N_LABELS, Vocab
 from .errors import DataError
@@ -88,18 +96,6 @@ def _split_items(items):
     return [ids for ids, _ in items], np.array([int(label) for _, label in items])
 
 
-def _eval_hidden_states(params, name, ids, hidden):
-    """Prediction-path LSTM run on raw arrays (no tape, no gradients):
-    hidden states and targets of one clause's language-model rows."""
-    inputs, targets, _ = _lm_rows([ids], params["emb"].data.shape[0])
-    x = params["emb"].data[inputs]
-    xw = x @ params[f"{name}.wx"].data + params[f"{name}.b"].data
-    zeros = np.zeros((1, hidden))
-    steps = np.ones(xw.shape[0], dtype=np.int64)
-    hs, _, _ = kernels.lstm_forward(xw, params[f"{name}.whT"].data, zeros, zeros, steps)
-    return hs, targets
-
-
 class DiscModel:
     """Mean-pooled one-layer LSTM with a 7-way softmax head."""
 
@@ -133,18 +129,45 @@ class DiscModel:
     def loss(self, ids, label, rng=None):
         return self.batch_loss([(ids, label)], rng)
 
+    def batch_probs(self, id_lists):
+        """Label probabilities, (S, 7), of S clauses in one pass."""
+        return T.softmax(self._logits(id_lists), axis=-1).data
+
     def predict_probs(self, ids):
-        return T.softmax(self._logits([ids]), axis=-1).data[0].copy()
+        return self.batch_probs([ids])[0]
 
 
 class _BayesRuleClassifier:
-    """p(y|x) for a model whose joint_scores(ids) gives log p(x, y) per label."""
+    """p(y|x) of a class-conditioned language model, by Bayes' rule.
+
+    The model's _loglik(base, label_tilts, targets, lengths) gives log p(x|y)
+    of each clause under each of its label tilts."""
+
+    def _lm_base(self, id_lists):
+        """Label-free logits (N, V) of S clauses' language-model rows stored
+        back to back, from one LSTM pass over all of them; with the targets
+        and the row counts."""
+        p = self.params
+        inputs, targets, lengths = _lm_rows(id_lists, self.vocab_size)
+        hs = _run_lstm(T.embedding(p["emb"], inputs), p, "lstm", self.hidden_dim, lengths)
+        return T.affine(hs, p["out.wh"], p["out.b"]), targets, lengths
+
+    def joint_scores(self, id_lists):
+        """log p(x|y) + log p(y), (S, 7), of S clauses under every label:
+        one LSTM pass and one factored_loglik with the 7 label tilts as
+        each clause's rows."""
+        p = self.params
+        base, targets, lengths = self._lm_base(id_lists)
+        tilts = T.matmul(p["lab_emb"], p["out.wy"]).data
+        rows = np.broadcast_to(tilts, (lengths.shape[0],) + tilts.shape)
+        return self._loglik(base, rows, targets, lengths).data + np.log(p["prior"].data)
+
+    def batch_probs(self, id_lists):
+        """Label probabilities, (S, 7), of S clauses in one pass."""
+        return T.softmax(self.joint_scores(id_lists), axis=-1).data
 
     def predict_probs(self, ids):
-        scores = self.joint_scores(ids)
-        shifted = scores - scores.max()
-        e = np.exp(shifted)
-        return e / e.sum()
+        return self.batch_probs([ids])[0]
 
 
 class ClassLMModel(_BayesRuleClassifier):
@@ -170,25 +193,19 @@ class ClassLMModel(_BayesRuleClassifier):
         step's logits read its clause's label embedding."""
         p = self.params
         id_lists, labels = _split_items(items)
-        inputs, targets, lengths = _lm_rows(id_lists, self.vocab_size)
-        hs = _run_lstm(T.embedding(p["emb"], inputs), p, "lstm", self.hidden_dim, lengths)
+        base, targets, lengths = self._lm_base(id_lists)
         v_y = T.embedding(p["lab_emb"], np.repeat(labels, lengths))
-        logits = T.affine(hs, p["out.wh"], p["out.b"]) + T.matmul(v_y, p["out.wy"])
-        nll = T.cross_entropy(logits, targets)
+        nll = T.cross_entropy(base + T.matmul(v_y, p["out.wy"]), targets)
         return nll, {"reconstruction": float(nll.data)}
 
     def loss(self, ids, label, rng=None):
         return self.batch_loss([(ids, label)], rng)
 
-    def joint_scores(self, ids):
-        """log p(x|y) + log p(y) for every label, hidden states shared."""
-        p = self.params
-        hs, targets = _eval_hidden_states(p, "lstm", ids, self.hidden_dim)
-        base = hs @ p["out.wh"].data + p["out.b"].data
-        tilts = p["lab_emb"].data @ p["out.wy"].data
-        no_col = np.zeros((1, self.vocab_size))
-        logliks = T.factored_loglik(base, tilts[None], no_col, targets, [targets.shape[0]]).data[0, :, 0]
-        return logliks + np.log(p["prior"].data)
+    def _loglik(self, base, label_tilts, targets, lengths):
+        """log p(x|y), (S, I), of each segment of base under each of its
+        label tilts (S, I, V)."""
+        out = T.factored_loglik(base, label_tilts, np.zeros((1, self.vocab_size)), targets, lengths)
+        return T.reshape(out, out.shape[:2])
 
 
 class LatentClassLMModel(_BayesRuleClassifier):
@@ -221,10 +238,10 @@ class LatentClassLMModel(_BayesRuleClassifier):
         scores = T.sum_(p["lat_w"] * p["lat_emb"], axis=1) + p["lat_b"]
         return T.log_softmax(scores, axis=-1)
 
-    def _marginal(self, base, label_tilts, targets, lengths):
-        """log sum_c p(x|c, y) p(c), (S, I), for each segment of base under
-        each of its label tilts (S, I, V); one factored_loglik shared by
-        training and prediction."""
+    def _loglik(self, base, label_tilts, targets, lengths):
+        """log p(x|y) = log sum_c p(x|c, y) p(c), (S, I), of each segment of
+        base under each of its label tilts (S, I, V); one factored_loglik
+        shared by training and prediction."""
         p = self.params
         latent_tilts = T.matmul(p["lat_emb"], p["out.wc"])
         cond = T.factored_loglik(base, label_tilts, latent_tilts, targets, lengths)
@@ -235,26 +252,15 @@ class LatentClassLMModel(_BayesRuleClassifier):
         log p(x, y) = logsumexp_c [log p(x|c,y) + log p(c)] + log p(y)."""
         p = self.params
         id_lists, labels = _split_items(items)
-        inputs, targets, lengths = _lm_rows(id_lists, self.vocab_size)
-        hs = _run_lstm(T.embedding(p["emb"], inputs), p, "lstm", self.hidden_dim, lengths)
-        base = T.affine(hs, p["out.wh"], p["out.b"])
+        base, targets, lengths = self._lm_base(id_lists)
         tilts = T.matmul(T.embedding(p["lab_emb"], labels), p["out.wy"])
         tilts = T.reshape(tilts, (labels.shape[0], 1, self.vocab_size))
-        lse = self._marginal(base, tilts, targets, lengths)
+        lse = self._loglik(base, tilts, targets, lengths)
         nll = -(T.sum_(lse) + float(np.log(p["prior"].data[labels]).sum()))
         return nll, {"reconstruction": float(nll.data)}
 
     def loss(self, ids, label, rng=None):
         return self.batch_loss([(ids, label)], rng)
-
-    def joint_scores(self, ids):
-        """Marginal log p(x, y) per label on the raw-array prediction path."""
-        p = self.params
-        hs, targets = _eval_hidden_states(p, "lstm", ids, self.hidden_dim)
-        base = hs @ p["out.wh"].data + p["out.b"].data
-        tilts_y = p["lab_emb"].data @ p["out.wy"].data
-        lse = self._marginal(base, tilts_y[None], targets, [targets.shape[0]]).data[0]
-        return lse + np.log(p["prior"].data)
 
 
 class CtxModel:
@@ -305,13 +311,14 @@ class CtxModel:
         nll = T.cross_entropy(self._logits([id_lists for id_lists, _ in items]), labels)
         return nll, {"classification": float(nll.data)}
 
-    def paragraph_logits(self, id_lists):
-        """Per-clause label logits for one paragraph of token-id lists."""
-        return self._logits([id_lists])
-
     def paragraph_loss(self, id_lists, labels, rng=None):
         return self.batch_loss([(id_lists, labels)], rng)
 
+    def batch_probs(self, paragraphs):
+        """Label probabilities, (clauses, 7), of a batch of paragraphs in one
+        pass; rows follow the clauses paragraph by paragraph."""
+        return T.softmax(self._logits(paragraphs), axis=-1).data
+
     def predict_paragraph_probs(self, id_lists):
         """Per-clause probability vectors for one paragraph."""
-        return T.softmax(self.paragraph_logits(id_lists), axis=-1).data.copy()
+        return self.batch_probs([id_lists])

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 from . import __version__, harness, vae, verify
 from .data import (
-    SEType, Split, atomic_write, cross_genre_split, genre_counts, label_counts,
+    SEType, Split, atomic_write, check_max_len, cross_genre_split, genre_counts, label_counts,
     load_corpus, make_synthetic_corpus, manifest_digest, split_manifest,
     subsample_per_label, write_jsonl,
 )
@@ -333,6 +333,7 @@ def _cmd_synth(cfg):
 def _cmd_train(cfg):
     split = _load_split(cfg)
     spec = default_spec(cfg["model"], **_split_pairs(cfg["opt"], "--opt"))
+    check_max_len(split.train + split.validation + split.test, spec.options.get("max_len"))
     train_cfg = _train_config(cfg["model"], cfg)
     inputs = [p for p in (cfg["train"], cfg["val"], cfg["test"]) if p]
     manifest_cfg = dict(cfg, spec=spec.to_json(), train_config=train_cfg.to_json())
@@ -365,6 +366,8 @@ def _cmd_train(cfg):
 def _cmd_eval(cfg):
     model, vocab, meta = harness.load_checkpoint(cfg["ckpt"])
     clauses = load_corpus(cfg["data"])
+    if isinstance(model, vae.VAEModel):
+        check_max_len(clauses, model.enc_cfg.max_len)
     _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
     report = harness.evaluate(model, clauses, vocab, dict(meta, manifest="manifest.json"))
     _write_json(os.path.join(cfg["out"], "eval.json"), report.to_json(), indent=2)
@@ -414,7 +417,8 @@ def _cmd_sweep(cfg):
             raise DataError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
     ks = _int_list(cfg["ks"], "--ks")
     seeds = _int_list(cfg["seeds"], "--seeds")
-    smallest = min(label_counts(_load_split(cfg).train).values())
+    split = _load_split(cfg)
+    smallest = min(label_counts(split.train).values())
     for k in ks:
         if not 1 <= k <= smallest:
             raise DataError(f"--ks: k={k} is outside 1..{smallest}; the rarest label has "
@@ -423,7 +427,9 @@ def _cmd_sweep(cfg):
     paths = {"train": cfg["train"], "val": cfg["val"], "test": cfg["test"]}
     jobs = []
     for name in model_names:
-        spec_json = default_spec(name, **opts).to_json()
+        spec = default_spec(name, **opts)
+        check_max_len(split.train + split.validation + split.test, spec.options.get("max_len"))
+        spec_json = spec.to_json()
         base = _train_config(name, cfg)
         for k in ks:
             for seed in seeds:
@@ -456,6 +462,7 @@ def _cmd_crossgenre(cfg):
             raise DataError(f"--genres: {target!r} not in {cfg['data']}; "
                             f"present genres: {', '.join(present)}")
     spec = default_spec(cfg["model"], **_split_pairs(cfg["opt"], "--opt"))
+    check_max_len(corpus, spec.options.get("max_len"))
     train_cfg = _train_config(cfg["model"], cfg)
     _write_manifest(cfg["out"], dict(cfg, targets=targets, spec=spec.to_json()),
                     [cfg["data"]], seed=train_cfg.seed)
@@ -489,9 +496,10 @@ def _cmd_gradcheck(cfg):
 
 def _cmd_export_latents(cfg):
     model, vocab, meta = harness.load_checkpoint(cfg["ckpt"])
-    if not hasattr(model, "latent_mean"):
+    if not isinstance(model, vae.VAEModel):
         raise DataError("checkpointed model has no latent space to export")
     clauses = load_corpus(cfg["data"])
+    check_max_len(clauses, model.enc_cfg.max_len)
     _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
     rows = vae.export_latents(model, clauses, vocab)
     out_path = os.path.join(cfg["out"], "latents.tsv")

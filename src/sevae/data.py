@@ -543,3 +543,37 @@ def paragraphs_of(clauses):
         if run:
             paragraphs.append(run)
     return paragraphs
+
+
+# A tagging run closes before the next clause (paragraph, for a context
+# model) would take it past this many tokens, and a longer one runs alone;
+# one run is one inference pass, so this bounds the pass's memory.
+RUN_TOKENS = 512
+
+
+def tagging_runs(sizes):
+    """(start, stop) bounds of consecutive runs, in input order, of items
+    with the given token counts; each run holds as many items as fit in
+    RUN_TOKENS, and an item longer than that runs alone."""
+    runs, start, total = [], 0, 0
+    for pos, n in enumerate(sizes):
+        if pos > start and total + n > RUN_TOKENS:
+            runs.append((start, pos))
+            start, total = pos, 0
+        total += n
+    if start < len(sizes):
+        runs.append((start, len(sizes)))
+    return runs
+
+
+def check_max_len(clauses, max_len):
+    """DataError naming the first clause longer than max_len tokens, the
+    encoder limit of a vae spec; a model without one (None) takes any."""
+    if max_len is None:
+        return
+    for cl in clauses:
+        if len(cl.tokens) > max_len:
+            doc_id, par_id, clause_idx = cl.coords
+            raise DataError(
+                f"clause doc_id={doc_id!r} par_id={par_id} clause_idx={clause_idx} has "
+                f"{len(cl.tokens)} tokens, over the encoder max_len={max_len}")

@@ -11,6 +11,16 @@ equal-length clauses as one (B, n) stack: one tape, one loss summed over
 the group, one backward. Neither needs padding or masks, and each item's
 loss is the one the per-item path (loss, paragraph_loss, elbo_loss)
 computes.
+
+Evaluation, the per-epoch validation included, tags through tag_probs:
+one tape-free pass (model.batch_probs) per run of clauses in input order,
+or of whole paragraphs for ctx, where a run closes before it would pass
+data.RUN_TOKENS (512) tokens and a longer unit runs alone. Each pass runs
+the code training runs. A run rounds differently from its units tagged
+one at a time (the batch of one: predict_probs, predict_paragraph_probs),
+so its probabilities agree with theirs within 1e-12 relative, and its
+codes are theirs unless two labels tie within that tolerance.
+
 Everything a run reports is a pure function of (model spec, data
 manifest, seed). The protocol grids (the k-per-label sweep and
 leave-one-genre-out) are run by the CLI, one pool cell per grid point;
@@ -28,6 +38,7 @@ raw little-endian float64.
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -35,11 +46,12 @@ import numpy as np
 
 from .data import (
     N_LABELS, Vocab, atomic_write, build_vocab, default_min_count, label_prior, paragraphs_of,
+    tagging_runs,
 )
 from .errors import CheckpointError, DataError
 from .models import ModelSpec, build_model, spec_hash
 from .tensor import Tape, zero_grads
-from .vae import VAEModel
+from .vae import VAEModel, length_groups
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -196,16 +208,33 @@ def compute_metrics(gold, predicted):
     return accuracy, float(f1s.mean()), per_class, confusion
 
 
-def predict_codes(model, clauses, vocab):
-    """Per-clause predicted label codes, honoring the model's input unit."""
+def tag_probs(model, clauses, vocab):
+    """Label probabilities, (len(clauses), 7), row for row with clauses.
+
+    The model's input units (clauses, or for a paragraph consumer the
+    paragraphs of paragraphs_of) are cut into tagging runs in that order
+    (data.tagging_runs: at most RUN_TOKENS tokens, a longer unit alone),
+    and each run is one model.batch_probs pass.
+    """
+    if not clauses:
+        return np.empty((0, N_LABELS))
     if model.consumes == "paragraph":
-        by_coords = {}
-        for par in paragraphs_of(clauses):
-            probs = model.predict_paragraph_probs([vocab.encode(cl.tokens) for cl in par])
-            for cl, row in zip(par, probs):
-                by_coords[cl.coords] = int(np.argmax(row))
-        return [by_coords[cl.coords] for cl in clauses]
-    return [int(np.argmax(model.predict_probs(vocab.encode(cl.tokens)))) for cl in clauses]
+        paragraphs = paragraphs_of(clauses)
+        units = [[vocab.encode(cl.tokens) for cl in par] for par in paragraphs]
+        sizes = [sum(len(ids) for ids in par) for par in units]
+    else:
+        units = [vocab.encode(cl.tokens) for cl in clauses]
+        sizes = [len(ids) for ids in units]
+    probs = np.concatenate([model.batch_probs(units[lo:hi]) for lo, hi in tagging_runs(sizes)])
+    if model.consumes == "paragraph":
+        row = {cl.coords: r for r, cl in enumerate(cl for par in paragraphs for cl in par)}
+        probs = probs[[row[cl.coords] for cl in clauses]]
+    return probs
+
+
+def predict_codes(model, clauses, vocab):
+    """Per-clause predicted label codes; ties go to the lowest code."""
+    return tag_probs(model, clauses, vocab).argmax(axis=1).tolist()
 
 
 def evaluate(model, clauses, vocab, metadata=None):
@@ -271,10 +300,7 @@ def _vae_group_steps(model, chunk_items, rng, beta):
     length); at dropout 0 none are drawn.
     """
     eps = rng.standard_normal((len(chunk_items), model.latent_dim))
-    groups = {}
-    for pos, (ids, _label) in enumerate(chunk_items):
-        groups.setdefault(len(ids), []).append(pos)
-    for members in groups.values():
+    for members in length_groups([ids for ids, _label in chunk_items]):
         ids = np.stack([chunk_items[pos][0] for pos in members])
         labels = [chunk_items[pos][1] for pos in members]
         with Tape() as tape:
@@ -475,7 +501,9 @@ class _Reader:
 def load_checkpoint(path, expected_spec=None):
     """Rebuild (model, vocab, meta) from a checkpoint file.
 
-    With expected_spec given, the stored spec hash must match it.
+    With expected_spec given, the stored spec hash must match it. A damaged
+    file (truncated, or any byte changed) either still parses to a model of
+    the stamped spec or raises CheckpointError, never another error.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -485,37 +513,43 @@ def load_checkpoint(path, expected_spec=None):
     version = r.u("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    stored_hash = r.take(64).decode("ascii")
-    header_len = r.u("<Q")
+    stored_hash = r.take(64)
+    header_bytes = r.take(r.u("<Q"))
     try:
-        header = json.loads(r.take(header_len).decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        raise CheckpointError("corrupt checkpoint header") from None
-    spec = ModelSpec.from_json(header["spec"])
-    if spec_hash(spec) != stored_hash:
+        header = json.loads(header_bytes.decode("utf-8"))
+        spec = ModelSpec.from_json(header["spec"])
+        vocab = Vocab.from_json(header["vocab"])
+        meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta is a {type(meta).__name__}")
+    except (ValueError, KeyError, TypeError, AttributeError, DataError) as exc:
+        # ValueError covers undecodable bytes and JSON; the others are
+        # fields of the wrong type or value
+        raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
+    if spec_hash(spec).encode("ascii") != stored_hash:
         raise CheckpointError("spec hash mismatch between header and stamp")
-    if expected_spec is not None and spec_hash(expected_spec) != stored_hash:
+    if expected_spec is not None and spec_hash(expected_spec).encode("ascii") != stored_hash:
         raise CheckpointError(
             f"spec hash mismatch: checkpoint holds {spec.name!r} with hash "
-            f"{stored_hash[:12]}…, expected {expected_spec.name!r}"
+            f"{stored_hash[:12].decode('ascii')}…, expected {expected_spec.name!r}"
         )
-    vocab = Vocab.from_json(header["vocab"])
     arrays = {}
     n_arrays = r.u("<I")
     for _ in range(n_arrays):
-        name = r.take(r.u("<H")).decode("utf-8")
-        trainable = r.u("<B")
+        # an undecodable name cannot match a parameter; the set check says so
+        name = r.take(r.u("<H")).decode("utf-8", errors="replace")
+        r.u("<B")  # the trainable flag; the rebuilt model knows its own
         ndim = r.u("<B")
         shape = tuple(r.u("<Q") for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
-        arrays[name] = (data, bool(trainable))
+        # math.prod stays exact for any u64 dims, so a damaged dim reads
+        # as a truncated file rather than overflowing; the values keep
+        # their flat form until the shape has matched the model's
+        arrays[name] = (np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").copy(), shape)
     if r.pos != len(blob):
         raise CheckpointError("trailing bytes after checkpoint payload")
-    # the variational models carry no label prior; baselines store theirs
-    # as a non-trainable array and the parameter-set check enforces it
-    prior = arrays["prior"][0] if "prior" in arrays else np.full(N_LABELS, 1.0 / N_LABELS)
-    model = build_model(spec, len(vocab), prior, seed=0)
+    # a baseline's label prior is a stored non-trainable array that
+    # replaces this placeholder below; the vae models have none
+    model = build_model(spec, len(vocab), np.full(N_LABELS, 1.0 / N_LABELS), seed=0)
     stored = set(arrays)
     expected = set(model.params)
     if stored != expected:
@@ -523,10 +557,10 @@ def load_checkpoint(path, expected_spec=None):
         extra = sorted(stored - expected)
         raise CheckpointError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
     for name, p in model.params.items():
-        data, _trainable = arrays[name]
-        if data.shape != p.data.shape:
+        data, shape = arrays[name]
+        if shape != p.data.shape:
             raise CheckpointError(
-                f"shape mismatch for {name!r}: checkpoint {data.shape}, model {p.data.shape}"
+                f"shape mismatch for {name!r}: checkpoint {shape}, model {p.data.shape}"
             )
-        p.data = data
-    return model, vocab, header["meta"]
+        p.data = data.reshape(shape)
+    return model, vocab, meta

@@ -9,7 +9,10 @@ reparameterization and minimizes
 
 with beta fixed at 0.5 by default (a linear warm-up schedule is available
 through the trainer). Prediction is deterministic: the classifier reads
-the posterior mean, never a sample.
+the posterior mean, never a sample. Tagging and latent export take a run
+of clauses at a time (batch_probs, posterior_means) and encode each group
+of equal-length clauses as one (B, n) stack; classify_map is the batch of
+one.
 
 Three reconstruction decoders satisfy one contract (scalar log p(x|z)):
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import encoders
 from . import tensor as T
-from .data import N_LABELS, Vocab, atomic_write
+from .data import N_LABELS, Vocab, atomic_write, tagging_runs
 from .errors import DataError, GraphError
 
 LOGVAR_MIN, LOGVAR_MAX = -8.0, 8.0
@@ -265,26 +268,45 @@ class VAEModel:
         eps = np.asarray(eps, dtype=np.float64)[None]
         return self.batch_loss(np.asarray(ids, dtype=np.int64)[None], labels, eps, beta, train_rng)
 
+    def posterior_means(self, id_lists):
+        """Posterior means, (S, latent_dim), of S clauses; each group of
+        equal-length clauses is one encode pass."""
+        out = np.empty((len(id_lists), self.latent_dim))
+        for members in length_groups(id_lists):
+            ids = np.array([id_lists[pos] for pos in members], dtype=np.int64)
+            out[members] = self._posterior_heads(encoders.encode(ids, self.enc_cfg, self.enc_params)).mu.data
+        return out
+
+    def batch_probs(self, id_lists):
+        """Class probabilities, (S, 7), of S clauses read at their posterior
+        means; no sampling."""
+        return T.softmax(self.label_logits(T.Tensor(self.posterior_means(id_lists))), axis=-1).data
+
     def classify_map(self, ids):
-        """Class probabilities read at the posterior mean; no sampling."""
-        q = self.posterior(ids)
-        probs = T.softmax(self.label_logits(q.mu), axis=-1)
-        return probs.data.copy()
+        """Class probabilities of one clause: the batch of one."""
+        return self.batch_probs([ids])[0]
 
     def predict_probs(self, ids):
         return self.classify_map(ids)
 
-    def latent_mean(self, ids):
-        return self.posterior(ids).mu.data.copy()
+
+def length_groups(id_lists):
+    """Positions of the clauses of each token length, lengths in order of
+    first appearance."""
+    groups = {}
+    for pos, ids in enumerate(id_lists):
+        groups.setdefault(len(ids), []).append(pos)
+    return list(groups.values())
 
 
 def export_latents(model, clauses, vocab):
-    """One (coords, label, genre, mu) row per clause, in input order."""
-    rows = []
-    for cl in clauses:
-        mu = model.latent_mean(vocab.encode(cl.tokens))
-        rows.append((cl.doc_id, cl.par_id, cl.clause_idx, cl.label.name, cl.genre, mu))
-    return rows
+    """One (coords, label, genre, mu) row per clause, in input order; the
+    posterior means come one inference pass per tagging run of clauses."""
+    units = [vocab.encode(cl.tokens) for cl in clauses]
+    means = [mu for lo, hi in tagging_runs([len(ids) for ids in units])
+             for mu in model.posterior_means(units[lo:hi])]
+    return [(cl.doc_id, cl.par_id, cl.clause_idx, cl.label.name, cl.genre, mu)
+            for cl, mu in zip(clauses, means)]
 
 
 def write_latents_tsv(rows, latent_dim, path):

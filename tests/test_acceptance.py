@@ -164,7 +164,7 @@ def test_criterion_4_degenerate_identities():
     prior = np.full(7, 1 / 7)
     glm = ClassLMModel(V, prior, np.random.default_rng(2), embed_dim=5, hidden_dim=6)
     _zero(glm, ["out.wh", "out.wy", "out.b"])
-    scores = glm.joint_scores([5, 9])
+    scores = glm.joint_scores([[5, 9]])[0]
     for y in range(7):
         assert scores[y] - math.log(prior[y]) == pytest.approx(3 * uniform_step, rel=1e-12)
 

@@ -84,7 +84,7 @@ def test_prior_param_is_frozen(rng):
 def test_gen_joint_scores_match_tape_logliks(rng):
     m = gen(rng, tilted_prior())
     ids = [5, 9, 7]
-    scores = m.joint_scores(ids)
+    scores = m.joint_scores([ids])[0]
     for y in range(7):
         want = -float(m.loss(ids, y)[0].data) + math.log(m.params["prior"].data[y])
         assert scores[y] == pytest.approx(want, rel=1e-10)
@@ -97,8 +97,7 @@ def test_gen_label_tilt_is_order_blind(rng):
     m = gen(rng)
     m.params["out.wh"].data[...] = 0.0
     m.params["out.b"].data[...] = 0.0
-    a = m.joint_scores([5, 9, 7, 12])
-    b = m.joint_scores([12, 7, 9, 5])
+    a, b = m.joint_scores([[5, 9, 7, 12], [12, 7, 9, 5]])
     np.testing.assert_allclose(a, b, atol=1e-10)
     assert np.argmax(m.predict_probs([5, 9, 7, 12])) == np.argmax(m.predict_probs([12, 7, 9, 5]))
 
@@ -116,7 +115,7 @@ def test_gen_tie_breaks_to_lowest_code(rng):
     for name in ("out.wh", "out.wy", "out.b"):
         m.params[name].data[...] = 0.0
     # uniform prior + label-independent likelihood -> all scores equal
-    scores = m.joint_scores([5, 6])
+    scores = m.joint_scores([[5, 6]])[0]
     np.testing.assert_allclose(scores, scores[0], atol=1e-12)
     assert np.argmax(m.predict_probs([5, 6])) == int(SEType.STATE)
 
@@ -162,7 +161,7 @@ def test_lat_marginal_matches_naive_linear_sum(rng):
 def test_lat_joint_scores_match_marginal(rng):
     m = lat(rng, tilted_prior(), c=4)
     ids = [5, 9, 7]
-    scores = m.joint_scores(ids)
+    scores = m.joint_scores([ids])[0]
     for y in range(7):
         assert scores[y] == pytest.approx(-float(m.loss(ids, y)[0].data), abs=1e-9)
 
@@ -205,9 +204,9 @@ def test_lat_zeroed_emission_predicts_prior_argmax(rng):
 
 def test_ctx_paragraph_shapes(rng):
     m = ctx(rng)
-    logits = m.paragraph_logits([[5, 6, 7], [8, 9], [10]])
+    logits = m._logits([[[5, 6, 7], [8, 9], [10]]])
     assert logits.data.shape == (3, 7)
-    single = m.paragraph_logits([[5]])
+    single = m._logits([[[5]]])
     assert single.data.shape == (1, 7)
     probs = m.predict_paragraph_probs([[5, 6], [7]])
     assert probs.shape == (2, 7)
@@ -216,8 +215,8 @@ def test_ctx_paragraph_shapes(rng):
 
 def test_ctx_uses_neighboring_clauses(rng):
     m = ctx(rng)
-    a = m.paragraph_logits([[5, 6], [7, 8]]).data
-    b = m.paragraph_logits([[5, 6], [9, 8]]).data
+    a = m._logits([[[5, 6], [7, 8]]]).data
+    b = m._logits([[[5, 6], [9, 8]]]).data
     # changing a neighbor changes this clause's logits through shared context
     assert not np.allclose(a[0], b[0])
 

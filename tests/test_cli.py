@@ -11,7 +11,7 @@ import os
 import pytest
 
 from sevae import __version__, cli
-from sevae.data import load_corpus, make_synthetic_corpus, write_jsonl
+from sevae.data import Clause, load_corpus, make_synthetic_corpus, write_jsonl
 
 DISC_OPTS = ["--opt", "embed_dim=8", "--opt", "hidden_dim=8"]
 VAE_OPTS = [
@@ -599,6 +599,65 @@ def test_gradcheck_failure_exit_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "gradient check failed" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# clauses past a vae encoder's max_len
+
+
+@pytest.fixture(scope="module")
+def long_clause_file(tmp_path_factory):
+    """A three-genre corpus with one clause of 40 tokens, past VAE_OPTS's
+    max_len of 32; returns its path and that clause's coordinates."""
+    clauses = make_synthetic_corpus(2, seed=4, genres=("news", "fiction", "blog"))
+    cl = clauses[3]
+    clauses[3] = Clause(" ".join(["word"] * 40), cl.label, cl.genre, cl.doc_id, cl.par_id, cl.clause_idx)
+    path = tmp_path_factory.mktemp("long") / "long.jsonl"
+    write_jsonl(clauses, str(path))
+    return path, cl.coords
+
+
+def assert_names_long_clause(err, coords):
+    doc_id, par_id, clause_idx = coords
+    assert f"doc_id={doc_id!r} par_id={par_id} clause_idx={clause_idx} has 40 tokens" in err
+    assert "max_len=32" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--model", "vae-bow", "--val", "LONG"],
+    ["train", "--model", "vae-bow", "--test", "LONG"],
+    ["sweep", "--models", "vae-bow", "--ks", "1", "--seeds", "1", "--test", "LONG"],
+    ["crossgenre", "--model", "vae-bow", "--data", "LONG"],
+])
+def test_training_commands_reject_over_long_clause_before_any_output(capsys, tmp_path, synth_dir,
+                                                                     long_clause_file, command):
+    path, coords = long_clause_file
+    out = tmp_path / "run"
+    train = [] if command[0] == "crossgenre" else ["--train", str(synth_dir / "train.jsonl")]
+    args = [str(path) if arg == "LONG" else arg for arg in command]
+    rc = cli.main([*args, *train, "--out", str(out), "--max-epochs", "1", *VAE_OPTS])
+    assert rc == 2
+    assert_names_long_clause(capsys.readouterr().err, coords)
+    assert not out.exists()
+
+
+def test_baselines_take_clauses_of_any_length(tmp_path, synth_dir, long_clause_file):
+    rc = cli.main(["train", "--model", "disc", "--train", str(synth_dir / "train.jsonl"),
+                   "--test", str(long_clause_file[0]), "--out", str(tmp_path / "run"),
+                   "--max-epochs", "1", *DISC_OPTS])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "export-latents"])
+def test_loaded_vae_rejects_over_long_clause_before_any_output(capsys, tmp_path, vae_run,
+                                                               long_clause_file, command):
+    path, coords = long_clause_file
+    out = tmp_path / "out"
+    rc = cli.main([command, "--ckpt", str(vae_run / "model.ckpt"), "--data", str(path),
+                   "--out", str(out)])
+    assert rc == 2
+    assert_names_long_clause(capsys.readouterr().err, coords)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

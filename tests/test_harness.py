@@ -11,16 +11,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevae import cli
 from sevae.data import (
-    Clause, SEType, Split, build_vocab, label_prior, paragraphs_of, write_jsonl,
+    RUN_TOKENS, Clause, SEType, Split, Vocab, build_vocab, label_prior, paragraphs_of,
+    tagging_runs, write_jsonl,
 )
 from sevae.errors import CheckpointError, DataError
 from sevae.harness import (
     CHECKPOINT_MAGIC, TrainConfig, _vae_group_steps, adam_step, aggregate_sweep, clip_global_norm,
     compute_metrics, default_train_config, evaluate, init_adam_state,
-    load_checkpoint, predict_codes, save_checkpoint, train, write_cross_genre_tsv,
+    TrainResult, load_checkpoint, predict_codes, save_checkpoint, tag_probs, train,
+    write_cross_genre_tsv,
     write_sweep_aggregates_tsv, write_sweep_tsv,
 )
 from sevae.models import build_model, default_spec, spec_hash
@@ -284,6 +288,28 @@ def test_evaluate_report_shape(eight_clause_fixture):
         evaluate(model, [], vocab)
 
 
+ALL_MODELS = ("disc", "gen", "lat", "ctx", "vae-bow", "vae-lstm", "vae-xfmr")
+
+
+def batch_of_one_probs(model, clauses, vocab):
+    """Each clause's probabilities from the batch-of-one calls: one
+    predict_probs per clause, or one predict_paragraph_probs per paragraph."""
+    if model.consumes == "paragraph":
+        rows = {}
+        for par in paragraphs_of(clauses):
+            probs = model.predict_paragraph_probs([vocab.encode(cl.tokens) for cl in par])
+            for cl, row in zip(par, probs):
+                rows[cl.coords] = row
+        return np.array([rows[cl.coords] for cl in clauses])
+    return np.array([model.predict_probs(vocab.encode(cl.tokens)) for cl in clauses])
+
+
+def assert_batched_matches_batch_of_one(model, clauses, vocab):
+    want = batch_of_one_probs(model, clauses, vocab)
+    np.testing.assert_allclose(tag_probs(model, clauses, vocab), want, rtol=1e-12, atol=0)
+    assert predict_codes(model, clauses, vocab) == want.argmax(axis=1).tolist()
+
+
 def test_predict_codes_paragraph_consumer(eight_clause_fixture):
     vocab = build_vocab(eight_clause_fixture, 1)
     prior = label_prior(eight_clause_fixture)
@@ -291,13 +317,65 @@ def test_predict_codes_paragraph_consumer(eight_clause_fixture):
     assert model.consumes == "paragraph"
     codes = predict_codes(model, eight_clause_fixture, vocab)
     assert len(codes) == len(eight_clause_fixture)
-    # agrees with the direct paragraph-level call, clause by clause
-    expected = {}
-    for par in paragraphs_of(eight_clause_fixture):
-        probs = model.predict_paragraph_probs([vocab.encode(cl.tokens) for cl in par])
-        for cl, row in zip(par, probs):
-            expected[cl.coords] = int(np.argmax(row))
-    assert codes == [expected[cl.coords] for cl in eight_clause_fixture]
+    # agrees with the paragraph-level calls clause by clause, in any input order
+    assert_batched_matches_batch_of_one(model, eight_clause_fixture, vocab)
+    assert_batched_matches_batch_of_one(model, eight_clause_fixture[::-1], vocab)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_tagging_runs_split_long_input_and_match_batch_of_one(name, eight_clause_fixture):
+    # 20 copies of the fixture, 160 clauses in 80 paragraphs: more than
+    # RUN_TOKENS tokens, so several runs
+    clauses = [Clause(cl.text, cl.label, cl.genre, f"{cl.doc_id}-{rep}", cl.par_id, cl.clause_idx)
+               for rep in range(20) for cl in eight_clause_fixture]
+    sizes = [len(cl.tokens) for cl in clauses]
+    assert sum(sizes) > RUN_TOKENS and len(tagging_runs(sizes)) > 1
+    vocab = build_vocab(eight_clause_fixture, 1)
+    model = build_model(tiny_spec(name), len(vocab), label_prior(eight_clause_fixture), seed=5)
+    assert_batched_matches_batch_of_one(model, clauses, vocab)
+
+
+def test_tagging_runs_bounds():
+    assert tagging_runs([]) == []
+    assert tagging_runs([3, 4, 5]) == [(0, 3)]
+    assert tagging_runs([RUN_TOKENS - 12, 12, 1]) == [(0, 2), (2, 3)]
+    # a unit longer than the bound runs alone, wherever it stands
+    assert tagging_runs([3, RUN_TOKENS + 1, 3]) == [(0, 1), (1, 2), (2, 3)]
+    assert tagging_runs([RUN_TOKENS + 1]) == [(0, 1)]
+
+
+FUZZ_WORDS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def tagged_documents(draw):
+    """One document of 1-6 clauses of 1-6 tokens (ties and one-token clauses
+    are frequent, and "zz" is out of vocabulary), cut into paragraphs at
+    drawn points and given in a drawn input order."""
+    n = draw(st.integers(1, 6))
+    clauses, par_id, clause_idx = [], 0, 0
+    for pos in range(n):
+        if pos and draw(st.booleans()):
+            par_id, clause_idx = par_id + 1, 0
+        tokens = draw(st.lists(st.sampled_from(FUZZ_WORDS + ("zz",)), min_size=1, max_size=6))
+        clauses.append(Clause(" ".join(tokens), SEType.STATE, "news", "d", par_id, clause_idx, tokens))
+        clause_idx += 1
+    return draw(st.permutations(clauses))
+
+
+@pytest.fixture(scope="module")
+def fuzz_taggers():
+    vocab = Vocab(FUZZ_WORDS, 1)
+    return {name: (build_model(tiny_spec(name), len(vocab), np.full(7, 1 / 7), seed=3), vocab)
+            for name in ALL_MODELS}
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+@settings(max_examples=30, deadline=None)
+@given(clauses=tagged_documents())
+def test_batched_tagging_equals_batch_of_one(fuzz_taggers, name, clauses):
+    model, vocab = fuzz_taggers[name]
+    assert_batched_matches_batch_of_one(model, clauses, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +655,66 @@ def test_checkpoint_shape_mismatch(disc_ckpt, tmp_path):
     out.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="shape mismatch for 'emb'"):
         load_checkpoint(out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_ckpt(tmp_path_factory, eight_clause_fixture):
+    """A small untrained disc checkpoint: its bytes and a path to write
+    damaged copies to."""
+    vocab = build_vocab(eight_clause_fixture, 1)
+    spec = tiny_spec("disc", embed_dim=3, hidden_dim=2)
+    model = build_model(spec, len(vocab), label_prior(eight_clause_fixture), seed=0)
+    result = TrainResult(model, vocab, spec, TrainConfig(), [], -1.0, {})
+    tmp = tmp_path_factory.mktemp("fuzz")
+    save_checkpoint(result, tmp / "model.ckpt", {"note": "fuzz"})
+    return (tmp / "model.ckpt").read_bytes(), tmp / "damaged.ckpt"
+
+
+def load_damaged(fuzz_ckpt, blob):
+    """Load a damaged copy; only CheckpointError may escape."""
+    path = fuzz_ckpt[1]
+    path.write_bytes(bytes(blob))
+    return load_checkpoint(path)
+
+
+def flipped(blob, offset, bit):
+    out = bytearray(blob)
+    out[offset] ^= 1 << bit
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_truncated_checkpoint_raises_checkpoint_error(fuzz_ckpt, data):
+    blob = fuzz_ckpt[0]
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(CheckpointError):
+        load_damaged(fuzz_ckpt, blob[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bit_flipped_checkpoint_loads_or_raises_checkpoint_error(fuzz_ckpt, data):
+    blob = fuzz_ckpt[0]
+    offset = data.draw(st.integers(0, len(blob) - 1))
+    try:
+        load_damaged(fuzz_ckpt, flipped(blob, offset, data.draw(st.integers(0, 7))))
+    except CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("where", ["stamp", "meta key", "model name", "array dim"])
+def test_damaged_checkpoint_fields_raise_checkpoint_error(fuzz_ckpt, where):
+    blob = fuzz_ckpt[0]
+    offset, bit = {
+        "stamp": (12, 7),  # a non-ascii byte in the spec-hash stamp
+        "meta key": (blob.index(b'"meta"') + 1, 0),
+        "model name": (blob.index(b'"disc"') + 2, 2),
+        # the high bit of the vocabulary dim of the embedding matrix
+        "array dim": (blob.index(struct.pack("<H", 3) + b"emb" + bytes([1, 2])) + 13, 7),
+    }[where]
+    with pytest.raises(CheckpointError):
+        load_damaged(fuzz_ckpt, flipped(blob, offset, bit))
 
 
 # ---------------------------------------------------------------------------
