@@ -1,19 +1,20 @@
-"""Benchmark the LSTM sequence kernels (JIT-compiled vs pure numpy), the
-ragged-batch LSTM op against one call per sequence, the factored
-next-token likelihood op (matmul normaliser vs direct reference) and the
-transformer encoder's forward+backward at several stack sizes.
+"""Benchmark the LSTM sequence kernels, the ragged-batch LSTM op against
+one call per sequence, the factored next-token likelihood op (matmul
+normaliser vs direct reference) and the transformer encoder's
+forward+backward at several stack sizes.
 
-Runs both implementations of each in one process on the same inputs, so the
-numbers are directly comparable. The JIT path is what SEVAE_BACKEND=auto
-selects when numba is installed; the numpy path is the fallback. The
+Each comparison runs both variants in one process on the same inputs, so
+the numbers are directly comparable. The kernel section times the
+forward and backward LSTM kernels over one sequence of T steps. The
 ragged section runs B sequences of 5-12 steps (the clause lengths of a
 training batch) through tensor.lstm_seq forward and backward, once as one
 batch and once as B single-sequence calls, and reports the largest
 difference of their outputs and gradients. The factored op is timed at
 lat's tagging shape, 7 labels x 30 latent values.
-The encoder section runs 32 clauses of 8 tokens through the default
-vae encoder (width 128, 2 layers, 4 heads) as 32/B tapes of B stacked
-clauses each, the way length-grouped training runs a group.
+The encoder section runs 32 clauses of 3-40 tokens through the default
+vae encoder (width 128, 2 layers, 4 heads) as 32/B tapes of B clauses
+each, every tape one stack padded to its longest clause, the way
+training runs a logical batch; it reports the share of pad positions.
 The tagging section builds each of the seven models at its default size
 (vocabulary 383, untrained) and tags S clauses of n tokens (for ctx, S
 one-clause paragraphs) once as S batch-of-one calls (predict_probs,
@@ -45,32 +46,18 @@ def _time(fn, reps):
 
 
 def bench_case(T, H, reps, rng):
+    """Median seconds of the forward and backward LSTM kernels over one
+    sequence of T steps, width H."""
     xw = rng.standard_normal((T, 4 * H))
     whT = rng.standard_normal((4 * H, H)) * 0.1
     h0 = rng.standard_normal((1, H))
     c0 = rng.standard_normal((1, H))
     steps = np.ones(T, dtype=np.int64)
-    hs, cs, gates = kernels.lstm_forward_py(xw, whT, h0, c0, steps)
+    hs, cs, gates = kernels.lstm_forward(xw, whT, h0, c0, steps)
     dhs = rng.standard_normal((T, H))
-
-    rows = []
-    for label, fwd, bwd in (
-        ("numpy", kernels.lstm_forward_py, kernels.lstm_backward_py),
-        (kernels.BACKEND, kernels.lstm_forward, kernels.lstm_backward),
-    ):
-        fwd(xw, whT, h0, c0, steps)  # warm cache / trigger JIT outside the timer
-        bwd(dhs, gates, cs, whT, c0, steps)
-        t_fwd = _time(lambda: fwd(xw, whT, h0, c0, steps), reps)
-        t_bwd = _time(lambda: bwd(dhs, gates, cs, whT, c0, steps), reps)
-        rows.append((label, t_fwd, t_bwd))
-
-    j_hs, j_cs, j_gates = kernels.lstm_forward(xw, whT, h0, c0, steps)
-    agree = max(
-        float(np.max(np.abs(j_hs - hs))),
-        float(np.max(np.abs(j_cs - cs))),
-        float(np.max(np.abs(j_gates - gates))),
-    )
-    return rows, agree
+    t_fwd = _time(lambda: kernels.lstm_forward(xw, whT, h0, c0, steps), reps)
+    t_bwd = _time(lambda: kernels.lstm_backward(dhs, gates, cs, whT, c0, steps), reps)
+    return t_fwd, t_bwd
 
 
 def bench_ragged(n_seq, H, reps, rng, E=100):
@@ -121,22 +108,27 @@ def bench_factored(n_steps, V, reps, rng, n_rows=7, n_cols=30):
     return t_fac, t_dir, agree
 
 
-def bench_encoder(batch, reps, rng, n_clauses=32, n_tokens=8, vocab=383):
-    """Median seconds of forward+backward over n_clauses clauses run as
-    stacks of `batch` clauses, one tape per stack."""
+def bench_encoder(batch, reps, rng, n_clauses=32, min_tokens=3, max_tokens=40, vocab=383):
+    """Median seconds of forward+backward over n_clauses clauses of
+    min_tokens..max_tokens tokens run as padded stacks of `batch` clauses,
+    one tape per stack; with the share of the stacks' positions that are
+    padding."""
     cfg = encoders.EncoderConfig()
     params = encoders.init_params(cfg, vocab, rng)
-    ids = rng.integers(5, vocab, size=(n_clauses, n_tokens))
+    ids = [rng.integers(5, vocab, size=n) for n in rng.integers(min_tokens, max_tokens + 1, size=n_clauses)]
+    stacks = [ids[lo:lo + batch] for lo in range(0, n_clauses, batch)]
+    padded = sum(len(stack) * max(len(c) for c in stack) for stack in stacks)
+    pad_share = 1.0 - sum(len(c) for c in ids) / padded
 
     def run():
         tensor.zero_grads(params)
-        for lo in range(0, n_clauses, batch):
+        for stack in stacks:
             with tensor.Tape() as tape:
-                h = encoders.encode(ids[lo:lo + batch], cfg, params)
+                h = encoders.encode(stack, cfg, params)
                 tape.backward(tensor.sum_(tensor.mul(h, h)))
 
     run()
-    return _time(run, reps)
+    return _time(run, reps), pad_share
 
 
 def bench_tagging(model, n_clauses, n_tokens, reps, rng):
@@ -164,15 +156,10 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    print(f"active backend: {kernels.BACKEND}")
-    print(f"{'case':>14s} {'impl':>6s} {'forward':>10s} {'backward':>10s} {'speedup':>8s}")
+    print(f"{'lstm kernels':>14s} {'forward':>10s} {'backward':>10s}")
     for T, H in ((20, 100), (60, 100), (60, 300), (200, 300)):
-        rows, agree = bench_case(T, H, args.reps, rng)
-        base_fwd, base_bwd = rows[0][1], rows[0][2]
-        for label, t_fwd, t_bwd in rows:
-            speed = (base_fwd + base_bwd) / (t_fwd + t_bwd)
-            print(f"{f'T={T} H={H}':>14s} {label:>6s} {t_fwd * 1e3:9.3f}ms {t_bwd * 1e3:9.3f}ms {speed:7.2f}x")
-        print(f"{'':>14s} max |numpy - {kernels.BACKEND}| on outputs: {agree:.2e}")
+        t_fwd, t_bwd = bench_case(T, H, args.reps, rng)
+        print(f"{f'T={T} H={H}':>14s} {t_fwd * 1e3:9.3f}ms {t_bwd * 1e3:9.3f}ms")
 
     print()
     print(f"{'lstm_seq fwd+bwd, 5-12 steps':>30s} {'batched':>10s} {'sequential':>11s} "
@@ -191,12 +178,14 @@ def main():
               f"{t_dir / t_fac:7.2f}x {agree:12.2e}")
 
     print()
-    print(f"{'encoder fwd+bwd, 32 clauses x 8 tokens':>40s} {'total':>10s} {'per clause':>11s} {'speedup':>8s}")
+    print(f"{'encoder fwd+bwd, 32 clauses x 3-40 tokens':>42s} {'total':>10s} {'per clause':>11s} "
+          f"{'speedup':>8s} {'pad share':>10s}")
     base = None
     for batch in (1, 4, 32):
-        t = bench_encoder(batch, args.reps, rng)
+        t, pad_share = bench_encoder(batch, args.reps, np.random.default_rng(1))
         base = base or t
-        print(f"{f'B={batch} ({32 // batch} tapes)':>40s} {t * 1e3:9.2f}ms {t / 32 * 1e3:9.3f}ms {base / t:7.2f}x")
+        print(f"{f'B={batch} ({32 // batch} tapes)':>42s} {t * 1e3:9.2f}ms {t / 32 * 1e3:9.3f}ms "
+              f"{base / t:7.2f}x {pad_share:10.3f}")
 
     print()
     print(f"{'tagging, S clauses x n tokens':>30s} {'one by one':>11s} {'batched':>10s} "

@@ -35,7 +35,7 @@ self-contained.
 import numpy as np
 
 from . import tensor as T
-from .data import N_LABELS, Vocab
+from .data import N_LABELS, concat_ids, lm_rows
 from .errors import DataError
 
 EMBED_DIM = 100
@@ -67,30 +67,6 @@ def _run_lstm(x, params, name, hidden, lengths, reverse=False):
                       zeros, zeros, lengths, reverse)
 
 
-def _check_ids(ids, vocab_size):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size == 0:
-        raise DataError("cannot process an empty token sequence")
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise DataError(f"token id out of range [0, {vocab_size})")
-    return ids
-
-
-def _concat_ids(id_lists, vocab_size):
-    """The checked token ids of several clauses back to back, and their lengths."""
-    checked = [_check_ids(ids, vocab_size) for ids in id_lists]
-    return np.concatenate(checked), np.array([ids.shape[0] for ids in checked])
-
-
-def _lm_rows(id_lists, vocab_size):
-    """Language-model rows of several clauses back to back: inputs (BOS,
-    then the clause), targets (the clause, then EOS), and the lengths."""
-    checked = [_check_ids(ids, vocab_size) for ids in id_lists]
-    inputs = np.concatenate([np.concatenate(([Vocab.BOS], ids)) for ids in checked])
-    targets = np.concatenate([np.concatenate((ids, [Vocab.EOS])) for ids in checked])
-    return inputs, targets, np.array([ids.shape[0] + 1 for ids in checked])
-
-
 def _split_items(items):
     """(token-id lists, label codes) of a batch of (ids, label) items."""
     return [ids for ids, _ in items], np.array([int(label) for _, label in items])
@@ -115,7 +91,7 @@ class DiscModel:
     def _logits(self, id_lists):
         """(S, 7) label logits of S clauses: one LSTM pass over all of them,
         then each clause's mean hidden state."""
-        ids, lengths = _concat_ids(id_lists, self.vocab_size)
+        ids, lengths = concat_ids(id_lists, self.vocab_size)
         x = T.embedding(self.params["emb"], ids)
         hs = _run_lstm(x, self.params, "lstm", self.hidden_dim, lengths)
         return T.affine(T.segment_mean(hs, lengths), self.params["out.w"], self.params["out.b"])
@@ -148,7 +124,7 @@ class _BayesRuleClassifier:
         back to back, from one LSTM pass over all of them; with the targets
         and the row counts."""
         p = self.params
-        inputs, targets, lengths = _lm_rows(id_lists, self.vocab_size)
+        inputs, targets, lengths = lm_rows(id_lists, self.vocab_size)
         hs = _run_lstm(T.embedding(p["emb"], inputs), p, "lstm", self.hidden_dim, lengths)
         return T.affine(hs, p["out.wh"], p["out.b"]), targets, lengths
 
@@ -292,7 +268,7 @@ class CtxModel:
         lstm_seq over the whole batch."""
         if not paragraphs or not all(len(par) for par in paragraphs):
             raise DataError("empty paragraph")
-        ids, clause_lengths = _concat_ids([ids for par in paragraphs for ids in par], self.vocab_size)
+        ids, clause_lengths = concat_ids([ids for par in paragraphs for ids in par], self.vocab_size)
         counts = np.array([len(par) for par in paragraphs])
         word_lengths = np.add.reduceat(clause_lengths, np.cumsum(counts) - counts)
         p, h = self.params, self.hidden_dim

@@ -142,6 +142,38 @@ class Vocab:
         return cls(obj["tokens"], obj["min_count"])
 
 
+def check_ids(ids, vocab_size, max_len=None):
+    """One clause's token ids as a 1-D int64 array; DataError for anything
+    else, an empty clause, an id outside [0, vocab_size) or, with max_len
+    given (an encoder's limit), a clause longer than max_len."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise DataError(f"expected a 1-D token id list, got shape {ids.shape}")
+    if ids.shape[0] == 0:
+        raise DataError("cannot process an empty token sequence")
+    if max_len is not None and ids.shape[0] > max_len:
+        raise DataError(f"sequence of length {ids.shape[0]} exceeds max_len={max_len}; refusing to truncate")
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise DataError(f"token id out of range [0, {vocab_size})")
+    return ids
+
+
+def concat_ids(id_lists, vocab_size, max_len=None):
+    """The checked token ids of several clauses back to back, and their lengths."""
+    checked = [check_ids(ids, vocab_size, max_len) for ids in id_lists]
+    if not checked:
+        raise DataError("cannot process an empty batch of clauses")
+    return np.concatenate(checked), np.array([ids.shape[0] for ids in checked])
+
+
+def lm_rows(id_lists, vocab_size):
+    """Language-model rows of several clauses back to back: inputs (BOS,
+    then the clause), targets (the clause, then EOS), and the row counts."""
+    ids, lengths = concat_ids(id_lists, vocab_size)
+    ends = np.cumsum(lengths)
+    return np.insert(ids, ends - lengths, Vocab.BOS), np.insert(ids, ends, Vocab.EOS), lengths + 1
+
+
 def build_vocab(clauses, min_count):
     """Frequency-threshold vocabulary from a clause list (training split only)."""
     if not clauses:
@@ -546,21 +578,23 @@ def paragraphs_of(clauses):
 
 
 # A tagging run closes before the next clause (paragraph, for a context
-# model) would take it past this many tokens, and a longer one runs alone;
-# one run is one inference pass, so this bounds the pass's memory.
+# model) would take its padded size, items x longest item, past this many
+# tokens, and a longer item runs alone; one run is one inference pass (for
+# the vae family one padded stack), so this bounds the pass's memory.
 RUN_TOKENS = 512
 
 
 def tagging_runs(sizes):
     """(start, stop) bounds of consecutive runs, in input order, of items
     with the given token counts; each run holds as many items as fit in
-    RUN_TOKENS, and an item longer than that runs alone."""
-    runs, start, total = [], 0, 0
+    RUN_TOKENS once padded to its longest, and an item longer than that
+    runs alone."""
+    runs, start, longest = [], 0, 0
     for pos, n in enumerate(sizes):
-        if pos > start and total + n > RUN_TOKENS:
+        if pos > start and (pos - start + 1) * max(longest, n) > RUN_TOKENS:
             runs.append((start, pos))
-            start, total = pos, 0
-        total += n
+            start, longest = pos, 0
+        longest = max(longest, n)
     if start < len(sizes):
         runs.append((start, len(sizes)))
     return runs

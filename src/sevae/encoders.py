@@ -6,11 +6,15 @@ representation is the final state of the CLS slot. embed_dim doubles as
 the model width. The block itself, transformer_block, also serves the
 xfmr-latent decoder (vae.py), which adds a memory slot and a causal mask.
 
-Everything runs over a (B, n) stack of equal-length id rows, so a batch of
-same-length clauses is one pass; a single clause is the B=1 case.
-Encoders never truncate: over-length input is an error. Dropout exists on
-the training path only and is driven by an explicit generator, so eval
-passes are bit-deterministic and train passes replay exactly per seed.
+encode takes B clauses of any lengths as one (B, n) stack padded to the
+longest with Vocab.PAD; a key mask hides each row's pad positions from
+every query, so each clause's CLS state is the one it has alone, up to
+rounding. A single clause is the B=1 case. The last block computes only
+the CLS query, reading the token states as its memory, since no other
+position of it is read. Encoders never truncate: over-length input is an
+error. Dropout exists on the training path only and is driven by an
+explicit generator, so eval passes are bit-deterministic and train passes
+replay exactly per seed.
 """
 
 from dataclasses import dataclass
@@ -18,8 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Vocab
+from .data import Vocab, concat_ids
 from .errors import DataError
+
+# additive attention-mask value of a hidden key: finite, so softmax's input
+# check passes, and exp(MASKED - max) is exactly 0 next to any visible key
+MASKED = -1e30
 
 
 @dataclass
@@ -33,8 +41,8 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.embed_dim < 1 or self.heads < 1:
-            raise DataError("encoder embed_dim and heads must be >= 1")
+        if self.embed_dim < 1 or self.layers < 1 or self.heads < 1:
+            raise DataError("encoder embed_dim, layers and heads must be >= 1")
         if self.embed_dim % self.heads:
             raise DataError(f"heads={self.heads} must divide embed_dim={self.embed_dim}")
         if not 0.0 <= self.dropout < 1.0:
@@ -69,9 +77,11 @@ def transformer_block(x, p, prefix, heads, memory=None, mask=None, dropout=0.0, 
     """One post-layer-norm block over a (B, n, d) stack.
 
     memory, (B, m, d), is prepended to the keys and values only, so every
-    query may also attend to it; mask, (n, m + n), is added to the attention
-    scores. Dropout on the attention and feed-forward outputs applies only
-    when train_rng is given; at rate 0 it draws nothing from it.
+    query may also attend to it; mask, broadcastable to (B, heads, n, m + n)
+    (a shared (n, m + n) causal mask, or a per-row (B, 1, 1, m + n) key
+    mask), is added to the attention scores. Dropout on the attention and
+    feed-forward outputs applies only when train_rng is given; at rate 0 it
+    draws nothing from it.
     """
     n_seq, n, d = x.shape
     dh = d // heads
@@ -97,30 +107,34 @@ def transformer_block(x, p, prefix, heads, memory=None, mask=None, dropout=0.0, 
     return T.layer_norm(x + maybe_dropout(ffn), p[prefix + "ln2g"], p[prefix + "ln2b"])
 
 
-def _check_ids(ids, cfg, vocab_size):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise DataError(f"expected a (batch, length) id array, got shape {ids.shape}")
-    if ids.shape[1] < 1:
-        raise DataError("cannot encode an empty token sequence")
-    if ids.shape[1] > cfg.max_len:
-        raise DataError(f"sequence of length {ids.shape[1]} exceeds max_len={cfg.max_len}; refusing to truncate")
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise DataError(f"token id out of range [0, {vocab_size})")
-    return ids
+def pad_stack(ids, lengths):
+    """B id rows stored back to back, lengths (B,), as one (B, longest)
+    stack padded with Vocab.PAD; with the stack's mask of real positions."""
+    real = np.arange(lengths.max()) < lengths[:, None]
+    stack = np.full(real.shape, Vocab.PAD)
+    stack[real] = ids
+    return stack, real
 
 
-def encode(ids, cfg, params, train_rng=None):
-    """CLS states, (B, embed_dim), of a (B, n) stack of equal-length clauses."""
-    ids = _check_ids(ids, cfg, params["emb"].shape[0])
-    n_seq, n = ids.shape
-    seq = np.concatenate((np.full((n_seq, 1), Vocab.CLS), ids), axis=1)
+def encode(id_lists, cfg, params, train_rng=None):
+    """CLS states, (B, embed_dim), of B clauses given as token-id lists."""
+    stack, real = pad_stack(*concat_ids(id_lists, params["emb"].shape[0], cfg.max_len))
+    n_seq, n = stack.shape
+    seq = np.concatenate((np.full((n_seq, 1), Vocab.CLS), stack), axis=1)
+    keys = np.zeros((n_seq, 1, 1, n + 1))  # [CLS | tokens]
+    keys[:, 0, 0, 1:][~real] = MASKED
     x = T.embedding(params["emb"], seq) + T.embedding(params["pos"], np.arange(n + 1))
-    for layer in range(cfg.layers):
-        x = transformer_block(x, params, f"l{layer}.", cfg.heads, dropout=cfg.dropout, train_rng=train_rng)
-    return T.reshape(T.narrow(x, 1, 0, 1), (n_seq, cfg.embed_dim))
+    last = cfg.layers - 1
+    for layer in range(last):
+        x = transformer_block(x, params, f"l{layer}.", cfg.heads, mask=keys,
+                              dropout=cfg.dropout, train_rng=train_rng)
+    # the CLS query alone, its keys [tokens | CLS]
+    cls = transformer_block(T.narrow(x, 1, 0, 1), params, f"l{last}.", cfg.heads,
+                            memory=T.narrow(x, 1, 1, n), mask=np.roll(keys, -1, axis=3),
+                            dropout=cfg.dropout, train_rng=train_rng)
+    return T.reshape(cls, (n_seq, cfg.embed_dim))
 
 
 def encode_pooled(ids, cfg, params, train_rng=None):
     """Representation vector, (embed_dim,), of one clause: the B=1 encode."""
-    return T.reshape(encode(np.asarray(ids, dtype=np.int64)[None], cfg, params, train_rng), (cfg.embed_dim,))
+    return T.reshape(encode([ids], cfg, params, train_rng), (cfg.embed_dim,))

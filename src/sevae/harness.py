@@ -3,19 +3,19 @@
 Training accumulates gradients over a logical batch, then takes one Adam
 step with bias correction and global-norm clipping before the update;
 early stopping watches validation macro-F1 (the best-validation parameter
-snapshot is what training returns). The baselines run each logical batch
-as one tape: their batch_loss stores the clauses (paragraphs for ctx) back
-to back, and each LSTM direction is one ragged-batch kernel call. The vae
-models group each logical batch by token length and run each group of
-equal-length clauses as one (B, n) stack: one tape, one loss summed over
-the group, one backward. Neither needs padding or masks, and each item's
-loss is the one the per-item path (loss, paragraph_loss, elbo_loss)
-computes.
+snapshot is what training returns). Every model runs each logical batch
+the same way: one tape, one model.batch_loss summed over the batch, one
+backward. The baselines store the clauses (paragraphs for ctx) back to
+back, so each LSTM direction is one ragged-batch kernel call; the vae
+models run the clauses as one padded (B, n) stack with a key mask. Each
+item's loss is the one the per-item path (loss, paragraph_loss,
+elbo_loss) computes, up to rounding.
 
 Evaluation, the per-epoch validation included, tags through tag_probs:
 one tape-free pass (model.batch_probs) per run of clauses in input order,
-or of whole paragraphs for ctx, where a run closes before it would pass
-data.RUN_TOKENS (512) tokens and a longer unit runs alone. Each pass runs
+or of whole paragraphs for ctx, where a run closes before its size padded
+to its longest unit would pass data.RUN_TOKENS (512) tokens and a longer
+unit runs alone. Each pass runs
 the code training runs. A run rounds differently from its units tagged
 one at a time (the batch of one: predict_probs, predict_paragraph_probs),
 so its probabilities agree with theirs within 1e-12 relative, and its
@@ -51,7 +51,7 @@ from .data import (
 from .errors import CheckpointError, DataError
 from .models import ModelSpec, build_model, spec_hash
 from .tensor import Tape, zero_grads
-from .vae import VAEModel, length_groups
+from .vae import VAEModel
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -213,7 +213,8 @@ def tag_probs(model, clauses, vocab):
 
     The model's input units (clauses, or for a paragraph consumer the
     paragraphs of paragraphs_of) are cut into tagging runs in that order
-    (data.tagging_runs: at most RUN_TOKENS tokens, a longer unit alone),
+    (data.tagging_runs: at most RUN_TOKENS tokens once padded to the
+    run's longest unit, a longer unit alone),
     and each run is one model.batch_probs pass.
     """
     if not clauses:
@@ -279,36 +280,6 @@ def _restore(params, snap):
         p.data = snap[k].copy()
 
 
-def _baseline_steps(model, chunk_items, rng):
-    """Forward and backward of one logical batch of a baseline: one tape
-    over all its clauses (paragraphs for ctx); yields the batch's summed
-    loss parts and the number of items they stand for."""
-    with Tape() as tape:
-        loss, parts = model.batch_loss(chunk_items, rng)
-        tape.backward(loss)
-    yield parts, len(chunk_items)
-
-
-def _vae_group_steps(model, chunk_items, rng, beta):
-    """Forward and backward of one logical batch of a vae model, one tape per
-    group of equal-length clauses; yields each group's summed loss parts and
-    its size.
-
-    The chunk's eps is drawn first, one row per clause in chunk order, which
-    is the stream the per-clause path draws. Each group's dropout masks then
-    come from the same step rng, in group order (first appearance of each
-    length); at dropout 0 none are drawn.
-    """
-    eps = rng.standard_normal((len(chunk_items), model.latent_dim))
-    for members in length_groups([ids for ids, _label in chunk_items]):
-        ids = np.stack([chunk_items[pos][0] for pos in members])
-        labels = [chunk_items[pos][1] for pos in members]
-        with Tape() as tape:
-            loss, parts = model.batch_loss(ids, labels, eps[members], beta=beta, train_rng=rng)
-            tape.backward(loss)
-        yield parts, len(members)
-
-
 def train(spec, split, cfg, log_hook=None):
     """Build and fit a model on a split; returns the best-validation state.
 
@@ -334,23 +305,17 @@ def train(spec, split, cfg, log_hook=None):
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(items))
         part_sums = {}
-        part_counts = {}
         for lo in range(0, len(order), cfg.logical_batch):
             chunk = order[lo:lo + cfg.logical_batch]
             zero_grads(model.params)
+            warmup = {}
             if is_vae and cfg.beta_warmup_steps > 0:
-                beta = model.beta * min(1.0, (step + 1) / cfg.beta_warmup_steps)
-            else:
-                beta = None
-            chunk_items = [items[idx] for idx in chunk]
-            if is_vae:
-                steps = _vae_group_steps(model, chunk_items, rng, beta)
-            else:
-                steps = _baseline_steps(model, chunk_items, rng)
-            for parts, count in steps:
-                for key, value in parts.items():
-                    part_sums[key] = part_sums.get(key, 0.0) + value
-                    part_counts[key] = part_counts.get(key, 0) + count
+                warmup["beta"] = model.beta * min(1.0, (step + 1) / cfg.beta_warmup_steps)
+            with Tape() as tape:
+                loss, parts = model.batch_loss([items[idx] for idx in chunk], rng, **warmup)
+                tape.backward(loss)
+            for key, value in parts.items():
+                part_sums[key] = part_sums.get(key, 0.0) + value
             inv = 1.0 / len(chunk)
             grads = {
                 k: (p.grad * inv if p.grad is not None else np.zeros_like(p.data))
@@ -360,7 +325,7 @@ def train(spec, split, cfg, log_hook=None):
             step += 1
         record = {"epoch": epoch}
         for key in sorted(part_sums):
-            record[key] = part_sums[key] / part_counts[key]
+            record[key] = part_sums[key] / len(items)
         if split.validation:
             report = evaluate(model, split.validation, vocab)
             record["val_accuracy"] = report.accuracy

@@ -1,54 +1,26 @@
-"""Hot numeric kernels: LSTM sequence recurrences, JIT-compiled or plain numpy.
+"""Hot numeric kernels: the LSTM sequence recurrences, in plain numpy.
 
 Every recurrent model in the package runs its time loop through the two
-kernels below, so they dominate training time. By default they are compiled
-with numba's ``@njit``; setting the environment variable ``SEVAE_BACKEND=numpy``
-before import selects the pure-numpy fallback instead (identical code path,
-interpreted). ``SEVAE_BACKEND=numba`` forces JIT and raises if numba is
-missing. The un-jitted functions stay importable as ``lstm_forward_py`` /
-``lstm_backward_py`` so benchmarks can compare both backends in one process.
+kernels below, so they dominate training time.
 
 Both kernels take a batch of sequences in packed time-major form, the
 layout of PyTorch's PackedSequence: with the sequences sorted longest
 first, step t holds one row for each of the first batch_sizes[t]
 sequences, and the steps follow each other. Each step is then one matmul
 over the sequences still running; a single sequence is the batch of one,
-whose steps are matvecs. The kernels use only slices, elementwise ufuncs
-and np.dot, so that numba can compile them.
+whose steps are matvecs.
 
 Gate layout along the 4H axis is [input, forget, cell, output]. The weight
 matrix is stored pre-transposed as ``whT`` with shape (4H, H).
 """
 
-import os
-
 import numpy as np
 
-_choice = os.environ.get("SEVAE_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"SEVAE_BACKEND must be auto, numba, or numpy (got {_choice!r})")
-
-if _choice == "numpy":
-    BACKEND = "numpy"
-else:
-    try:
-        from numba import njit
-
-        BACKEND = "numba"
-    except ImportError:
-        if _choice == "numba":
-            raise
-        BACKEND = "numpy"
-
-if BACKEND == "numba":
-    _jit = njit(cache=True)
-else:
-
-    def _jit(fn):
-        return fn
+# the kernel implementation, recorded in benchmark environments
+BACKEND = "numpy"
 
 
-def lstm_forward_py(xw, whT, h0, c0, batch_sizes):
+def lstm_forward(xw, whT, h0, c0, batch_sizes):
     """Run an LSTM over a batch of sequences in packed time-major form.
 
     xw:  (N, 4H) input projections, x_t @ Wx + b already applied; the rows
@@ -89,7 +61,7 @@ def lstm_forward_py(xw, whT, h0, c0, batch_sizes):
     return hs, cs, gates
 
 
-def lstm_backward_py(dhs, gates, cs, whT, c0, batch_sizes):
+def lstm_backward(dhs, gates, cs, whT, c0, batch_sizes):
     """Reverse-time LSTM gradient over the packed layout of lstm_forward.
 
     dhs: (N, H) upstream gradient on every hidden state
@@ -132,6 +104,3 @@ def lstm_backward_py(dhs, gates, cs, whT, c0, batch_sizes):
         stop = start
     return dgates, dh, dc
 
-
-lstm_forward = _jit(lstm_forward_py)
-lstm_backward = _jit(lstm_backward_py)

@@ -14,15 +14,17 @@ elementwise arithmetic and activations, concat/slice/reshape/transpose,
 sums and per-segment means and maxima, embedding lookup, softmax /
 log-softmax / logsumexp, cross-entropy, layer norm, dropout, a fused LSTM
 op over a batch of sequences stored back to back, whose forward/backward
-run through the kernels backend, and factored_loglik, the next-token
+run through the numpy kernels, and factored_loglik, the next-token
 log-likelihood of each segment under every (row, column) tilt of shared
 base logits, whose softmax normaliser is a matmul over max-shifted
 exponentials. Everything else in the package is composed from these.
 
 A batch of variable-length sequences is one (N, ...) array of their rows
 stored back to back plus their lengths; the segment ops, lstm_seq and
-factored_loglik take it in that form, so a batch needs no padding or
-masks, and a single sequence is the batch of one.
+factored_loglik take it in that form, so the recurrent models need no
+padding or masks, and a single sequence is the batch of one. Attention
+cannot run back to back: the transformers (encoders.py) pad a batch to
+one stack and add a key mask to the attention scores.
 """
 
 import math
@@ -104,10 +106,13 @@ class Tensor:
 class Tape:
     """Ordered record of ops for one forward pass.
 
-    Nodes are (inputs, backward_fn, out): ``backward_fn(out_grad)`` returns
-    one gradient array per input (or None for inputs that need none).
-    backward consumes the nodes, so it runs once per tape. Tapes do not
-    nest; evaluation code simply runs outside any tape.
+    Nodes are (targets, backward_fn): ``backward_fn(out_grad)`` returns
+    one gradient array per input (or None for inputs that need none), and
+    targets says where each goes: the node id of an op output on this tape,
+    the leaf tensor itself, or None for a constant. A node holds no op
+    output, so an activation stays alive only while a backward_fn (or the
+    caller) needs it. backward consumes the nodes, so it runs once per
+    tape. Tapes do not nest; evaluation code simply runs outside any tape.
     """
 
     def __init__(self):
@@ -140,25 +145,25 @@ class Tape:
         grads = {loss._node_id: np.ones((), dtype=np.float64)}
         for node_id in range(len(self.nodes) - 1, -1, -1):
             out_grad = grads.pop(node_id, None)
+            # a node is dropped once replayed: the arrays only it holds are
+            # freed while the rest of the backward pass runs
+            node, self.nodes[node_id] = self.nodes[node_id], None
             if out_grad is None:
                 continue
-            inputs, backward_fn, _out = self.nodes[node_id]
-            in_grads = backward_fn(out_grad)
-            for tensor, grad in zip(inputs, in_grads):
-                if grad is None or not tensor.requires_grad:
+            targets, backward_fn = node
+            for target, grad in zip(targets, backward_fn(out_grad)):
+                if grad is None or target is None:
                     continue
-                if tensor._tape is self and tensor._node_id >= 0:
-                    prev = grads.get(tensor._node_id)
-                    grads[tensor._node_id] = grad if prev is None else prev + grad
-                elif tensor.grad is None:
+                if isinstance(target, int):
+                    prev = grads.get(target)
+                    grads[target] = grad if prev is None else prev + grad
+                elif target.grad is None:
                     # a backward_fn may hand one array to several inputs
                     # (add passes g through), so the first contribution
                     # is copied before later ones are added in place
-                    tensor.grad = np.array(grad, dtype=np.float64)
+                    target.grad = np.array(grad, dtype=np.float64)
                 else:
-                    np.add(tensor.grad, grad, out=tensor.grad)
-        # nodes and their outputs reference each other; dropping the nodes
-        # frees the graph's arrays now instead of at a cyclic collection
+                    np.add(target.grad, grad, out=target.grad)
         self.nodes = []
 
 
@@ -183,7 +188,17 @@ def _check_finite(arr, op_name):
         raise NumericsError(f"non-finite values in output of op '{op_name}'")
 
 
+def _grad_target(t, tape):
+    """Where the backward pass sends input t's gradient (see Tape)."""
+    if not t.requires_grad:
+        return None
+    return t._node_id if t._tape is tape and t._node_id >= 0 else t
+
+
 def _from_op(op_name, out_data, inputs, backward_fn):
+    """Wrap an op's output; on an active tape, record its node. A
+    backward_fn captures the arrays it needs, never an input tensor, so
+    that the tape keeps no more of the forward pass alive than that."""
     _check_finite(out_data, op_name)
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -191,7 +206,7 @@ def _from_op(op_name, out_data, inputs, backward_fn):
     if tape is not None and out.requires_grad:
         out._tape = tape
         out._node_id = len(tape.nodes)
-        tape.nodes.append((tuple(inputs), backward_fn, out))
+        tape.nodes.append((tuple(_grad_target(t, tape) for t in inputs), backward_fn))
     return out
 
 
@@ -212,18 +227,20 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _from_op("add", a.data + b.data, (a, b), backward)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
 
     return _from_op("sub", a.data - b.data, (a, b), backward)
 
@@ -276,16 +293,16 @@ def affine(x, w, b):
     leading dims. Leading dims are flattened, so a (B, n, d_in) stack costs
     one 2-D matmul per product instead of one per row."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    xd, wd = x.data, w.data
+    xd, wd, sb = x.data, w.data, b.data.shape
     x2 = xd.reshape(-1, xd.shape[-1]) if xd.ndim > 2 else xd
     out = (np.matmul(x2, wd) + b.data).reshape(xd.shape[:-1] + wd.shape[1:])
 
     def backward(g):
         if xd.ndim == 1:
-            return np.matmul(wd, g), np.outer(xd, g), _unbroadcast(g, b.data.shape)
+            return np.matmul(wd, g), np.outer(xd, g), _unbroadcast(g, sb)
         g2 = g.reshape(-1, g.shape[-1])
         dx = np.matmul(g2, wd.T).reshape(xd.shape)
-        return dx, np.matmul(x2.T, g2), _unbroadcast(g2, b.data.shape)
+        return dx, np.matmul(x2.T, g2), _unbroadcast(g2, sb)
 
     return _from_op("affine", out, (x, w, b), backward)
 
@@ -386,9 +403,10 @@ def narrow(a, axis, start, length):
             f"narrow [{start}, {start + length}) out of range for axis {axis} of shape {a.data.shape}"
         )
     index = tuple(slice(None) if d != axis else slice(start, start + length) for d in range(a.data.ndim))
+    shape = a.data.shape
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[index] = g
         return (full,)
 
@@ -480,9 +498,10 @@ def segment_max(a, lengths):
     layout = _segment_layout(lengths, a.data.shape[0], "segment_max")
     rows = layout.starts[:, None] + _segment_block(a.data, layout, 0, -np.inf).argmax(axis=1)
     cols = np.arange(a.data.shape[1])
+    shape = a.data.shape
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[rows, cols] = g
         return (full,)
 
@@ -500,11 +519,12 @@ def embedding(table, ids):
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim not in (1, 2):
         raise GraphError("embedding ids must be a 1-D or 2-D index array")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise GraphError(f"embedding id out of range [0, {table.data.shape[0]})")
+    shape = table.data.shape
+    if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
+        raise GraphError(f"embedding id out of range [0, {shape[0]})")
 
     def backward(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(shape)
         np.add.at(full, ids, g)
         return (full,)
 
@@ -587,12 +607,13 @@ def cross_entropy(logits, targets):
     shifted = rows - rows.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = -logp[picks].sum()
+    shape = ld.shape
 
     def backward(g):
         grad = np.exp(logp)
         grad[picks] -= 1.0
         grad *= g
-        return (grad.reshape(ld.shape),)
+        return (grad.reshape(shape),)
 
     return _from_op("cross_entropy", out, (logits,), backward)
 
@@ -802,7 +823,7 @@ def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
     def backward(g):
         dgates, dh0s, dc0s = kernels.lstm_backward(g[src], gates, cs, whT.data, c0s, batch_sizes)
         hprev = np.concatenate((h0s, hs[prev]))
-        dx = np.empty_like(x.data)
+        dx = np.empty_like(xp)
         dx[src] = np.matmul(dgates, wx.data.T)
         dh0, dc0 = np.empty_like(dh0s), np.empty_like(dc0s)
         dh0[order], dc0[order] = dh0s, dc0s

@@ -9,10 +9,10 @@ reparameterization and minimizes
 
 with beta fixed at 0.5 by default (a linear warm-up schedule is available
 through the trainer). Prediction is deterministic: the classifier reads
-the posterior mean, never a sample. Tagging and latent export take a run
-of clauses at a time (batch_probs, posterior_means) and encode each group
-of equal-length clauses as one (B, n) stack; classify_map is the batch of
-one.
+the posterior mean, never a sample. Training (batch_loss), tagging and
+latent export (batch_probs, posterior_means) take a batch of clauses of
+any lengths and encode it as one padded (B, n) stack (encoders.encode);
+elbo_loss and classify_map are the batch of one.
 
 Three reconstruction decoders satisfy one contract (scalar log p(x|z)):
 
@@ -26,7 +26,9 @@ Three reconstruction decoders satisfy one contract (scalar log p(x|z)):
   embedding by W_D z.
 
 Autoregressive decoders prepend BOS and score EOS, so likelihoods are
-proper over variable-length strings.
+proper over variable-length strings. The lstm decoder runs a batch's
+rows back to back through one ragged lstm_seq; the xfmr-latent decoder
+pads them to one stack and scores only the real positions.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import encoders
 from . import tensor as T
-from .data import N_LABELS, Vocab, atomic_write, tagging_runs
+from .data import N_LABELS, atomic_write, concat_ids, lm_rows, tagging_runs
 from .errors import DataError, GraphError
 
 LOGVAR_MIN, LOGVAR_MAX = -8.0, 8.0
@@ -153,9 +155,9 @@ class VAEModel:
     # ------------------------------------------------------------------
     # posterior and heads
     #
-    # Every computation below takes a leading batch axis: ids (B, n) of
-    # equal-length clauses, z (B, P). The per-clause entry points are the
-    # B=1 case of the same code.
+    # Every computation below takes a batch: B token-id lists of any
+    # lengths, and z (B, P). The per-clause entry points are the B=1 case
+    # of the same code.
 
     def _posterior_heads(self, h):
         mu = T.affine(h, self.params["post.mu_w"], self.params["post.mu_b"])
@@ -177,79 +179,94 @@ class VAEModel:
 
     def decode(self, z, ids):
         """Scalar log p(x|z) of one clause under this model's decoder."""
-        return self.decode_batch(T.reshape(z, (1, self.latent_dim)), np.asarray(ids, dtype=np.int64)[None])
+        return self.decode_batch(T.reshape(z, (1, self.latent_dim)), [ids])
 
-    def decode_batch(self, z, ids):
-        """Summed log p(x|z) over a (B, n) stack of clauses with latents z (B, P)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape[1] == 0:
-            raise DataError("cannot score an empty token sequence")
+    def decode_batch(self, z, id_lists):
+        """Summed log p(x|z) of B clauses, token-id lists, with latents z (B, P)."""
         if self.dec_spec.kind == "bow":
-            return self._bow_loglik(z, ids)
-        n_seq = ids.shape[0]
-        inputs = np.concatenate((np.full((n_seq, 1), Vocab.BOS), ids), axis=1)
-        targets = np.concatenate((ids, np.full((n_seq, 1), Vocab.EOS)), axis=1)
+            return self._bow_loglik(z, id_lists)
+        inputs, targets, lengths = lm_rows(id_lists, self.vocab_size)
         if self.dec_spec.kind == "lstm":
-            logits = self._lstm_decoder_logits(z, inputs)
+            logits = self._lstm_decoder_logits(z, inputs, lengths)
         else:
-            logits = self._xfmr_decoder_logits(z, inputs)
+            logits = self._xfmr_decoder_logits(z, inputs, lengths)
         return -T.cross_entropy(logits, targets)
 
-    def _bow_loglik(self, z, ids):
+    def _bow_loglik(self, z, id_lists):
         """Sum over tokens of log softmax(W z + b)[token]; order-blind."""
+        ids, lengths = concat_ids(id_lists, self.vocab_size)
         logp = T.log_softmax(T.affine(z, self.params["dec.w"], self.params["dec.b"]), axis=-1)
-        counts = np.zeros((ids.shape[0], self.vocab_size))
-        np.add.at(counts, (np.arange(ids.shape[0])[:, None], ids), 1.0)
+        counts = np.zeros((lengths.shape[0], self.vocab_size))
+        np.add.at(counts, (np.repeat(np.arange(lengths.shape[0]), lengths), ids), 1.0)
         return T.sum_(logp * T.Tensor(counts))
 
     def _dec_embedding_table(self):
         return self.params["enc.emb"] if self.dec_spec.tie_embeddings else self.params["dec.emb"]
 
-    def _lstm_decoder_logits(self, z, inputs):
+    # The two autoregressive decoders take the language-model input rows of
+    # B clauses back to back (data.lm_rows) with their lengths, and return
+    # logits row for row with them.
+
+    def _lstm_decoder_logits(self, z, inputs, lengths):
         p = self.params
-        n_seq, n = inputs.shape
-        x = T.embedding(self._dec_embedding_table(), inputs)
-        x = T.concat([x, T.repeat_row(z, n)], axis=2)
+        owner = np.repeat(np.arange(lengths.shape[0]), lengths)
+        x = T.concat([T.embedding(self._dec_embedding_table(), inputs), T.embedding(z, owner)], axis=1)
         h0 = T.affine(z, p["dec.h0_w"], p["dec.h0_b"])
         c0 = T.affine(z, p["dec.c0_w"], p["dec.c0_b"])
-        # the group's clauses back to back: one kernel call for all of them
-        rows = T.reshape(x, (n_seq * n, x.shape[2]))
-        hs = T.lstm_seq(rows, p["dec.wx"], p["dec.whT"], p["dec.lb"], h0, c0, np.full(n_seq, n))
-        return T.affine(T.reshape(hs, (n_seq, n, hs.shape[1])), p["dec.out_w"], p["dec.out_b"])
+        hs = T.lstm_seq(x, p["dec.wx"], p["dec.whT"], p["dec.lb"], h0, c0, lengths)
+        return T.affine(hs, p["dec.out_w"], p["dec.out_b"])
 
-    def _xfmr_decoder_logits(self, z, inputs):
+    def _xfmr_decoder_logits(self, z, inputs, lengths):
         p = self.params
         spec = self.dec_spec
-        n_seq, n = inputs.shape
+        padded, real = encoders.pad_stack(inputs, lengths)
+        n_seq, n = padded.shape
         d = spec.hidden_dim
         shift = T.reshape(T.matmul(z, p["dec.wd"]), (n_seq, 1, d))
-        x = T.embedding(self._dec_embedding_table(), inputs) + T.embedding(p["dec.pos"], np.arange(n)) + shift
+        x = T.embedding(self._dec_embedding_table(), padded) + T.embedding(p["dec.pos"], np.arange(n)) + shift
         mem_all = T.reshape(T.matmul(z, p["dec.wm"]), (n_seq, spec.layers, d))
-        # additive causal mask over [memory slot | positions]; slot always visible
-        mask = np.full((n, n + 1), -1e30)
+        # additive causal mask over [memory slot | positions]; slot always
+        # visible. A row's pad positions all follow its real ones, so this
+        # mask already hides them from every real query; the pad queries'
+        # own states are never read
+        mask = np.full((n, n + 1), encoders.MASKED)
         mask[:, 0] = 0.0
         mask[:, 1:][np.tril_indices(n)] = 0.0
-        mask_t = T.Tensor(mask)
         for layer in range(spec.layers):
             mem = T.narrow(mem_all, 1, layer, 1)
-            x = encoders.transformer_block(x, p, f"dec.l{layer}.", spec.heads, memory=mem, mask=mask_t)
-        return T.affine(x, p["dec.out_w"], p["dec.out_b"])
+            x = encoders.transformer_block(x, p, f"dec.l{layer}.", spec.heads, memory=mem, mask=mask)
+        states = T.embedding(T.reshape(x, (n_seq * n, d)), np.flatnonzero(real))
+        return T.affine(states, p["dec.out_w"], p["dec.out_b"])
 
     # ------------------------------------------------------------------
     # objective and prediction
 
-    def batch_loss(self, ids, labels, eps, beta=None, train_rng=None):
-        """Negated annealed ELBO summed over a (B, n) stack of equal-length
-        clauses; labels (B,) or None drops the label term; eps (B, P).
+    def batch_loss(self, items, rng, beta=None):
+        """Negated annealed ELBO summed over a batch of (ids, label) clauses
+        of any lengths, run as one padded stack.
 
+        The batch's eps comes first from rng, one (B, latent_dim) block in
+        item order; the encoder's dropout masks, if any, follow from it.
         Returns (loss Tensor, components dict of floats) where components
-        holds reconstruction/kl/classification summed over the stack.
+        holds reconstruction/kl/classification summed over the batch.
         """
+        id_lists = [ids for ids, _ in items]
+        labels = [int(label) for _, label in items]
+        eps = rng.standard_normal((len(items), self.latent_dim))
+        return self._elbo(id_lists, labels, eps, beta, rng)
+
+    def elbo_loss(self, ids, label, eps, beta=None, train_rng=None):
+        """Negated annealed ELBO for one clause with the given eps, shape
+        (latent_dim,); label None drops the label term. The batch of one."""
+        labels = None if label is None else [int(label)]
+        return self._elbo([ids], labels, np.asarray(eps, dtype=np.float64)[None], beta, train_rng)
+
+    def _elbo(self, id_lists, labels, eps, beta, train_rng):
         beta = self.beta if beta is None else beta
-        h = encoders.encode(ids, self.enc_cfg, self.enc_params, train_rng)
+        h = encoders.encode(id_lists, self.enc_cfg, self.enc_params, train_rng)
         q = self._posterior_heads(h)
         z = reparameterize(q, eps)
-        log_px = self.decode_batch(z, ids)
+        log_px = self.decode_batch(z, id_lists)
         kl = kl_to_standard_normal(q)
         loss = -log_px + beta * kl
         parts = {"reconstruction": -float(log_px.data), "kl": float(kl.data)}
@@ -259,23 +276,9 @@ class VAEModel:
             parts["classification"] = float(nll_y.data)
         return loss, parts
 
-    def elbo_loss(self, ids, label, eps, beta=None, train_rng=None):
-        """Negated annealed ELBO for one clause; label None drops that term.
-
-        The B=1 case of batch_loss, with eps of shape (latent_dim,).
-        """
-        labels = None if label is None else [int(label)]
-        eps = np.asarray(eps, dtype=np.float64)[None]
-        return self.batch_loss(np.asarray(ids, dtype=np.int64)[None], labels, eps, beta, train_rng)
-
     def posterior_means(self, id_lists):
-        """Posterior means, (S, latent_dim), of S clauses; each group of
-        equal-length clauses is one encode pass."""
-        out = np.empty((len(id_lists), self.latent_dim))
-        for members in length_groups(id_lists):
-            ids = np.array([id_lists[pos] for pos in members], dtype=np.int64)
-            out[members] = self._posterior_heads(encoders.encode(ids, self.enc_cfg, self.enc_params)).mu.data
-        return out
+        """Posterior means, (S, latent_dim), of S clauses: one encode pass."""
+        return self._posterior_heads(encoders.encode(id_lists, self.enc_cfg, self.enc_params)).mu.data
 
     def batch_probs(self, id_lists):
         """Class probabilities, (S, 7), of S clauses read at their posterior
@@ -288,15 +291,6 @@ class VAEModel:
 
     def predict_probs(self, ids):
         return self.classify_map(ids)
-
-
-def length_groups(id_lists):
-    """Positions of the clauses of each token length, lengths in order of
-    first appearance."""
-    groups = {}
-    for pos, ids in enumerate(id_lists):
-        groups.setdefault(len(ids), []).append(pos)
-    return list(groups.values())
 
 
 def export_latents(model, clauses, vocab):

@@ -3,8 +3,11 @@
 Each objective is instantiated at miniature dimensions (the code paths are
 identical to full size; only the shapes shrink), a loss is built on a
 random clause with all noise frozen, and every trainable coordinate is
-probed by central finite differences. The suite is what the `gradcheck`
-CLI subcommand runs and what the test suite calls.
+probed by central finite differences. The elbo objectives probe the
+batched loss that training runs (batch_loss) on three clauses of
+distinct lengths, one of them a single token, so the encoder's key mask
+and the decoders' ragged rows are covered. The suite is what the
+`gradcheck` CLI subcommand runs and what the test suite calls.
 """
 
 import time
@@ -49,8 +52,11 @@ def _build_objective(name, seed):
     ids = _rand_ids(rng)
     if name.startswith("elbo-"):
         model = _tiny_vae(name[len("elbo-"):], rng)
-        eps = rng.standard_normal(_LATENT)
-        build = lambda: model.elbo_loss(ids, label, eps)[0]
+        items = [(ids, label)] + [(_rand_ids(rng, min_len=n, max_len=n), int(rng.integers(N_LABELS)))
+                                  for n in (1, 7)]
+        eps_seed = int(rng.integers(2 ** 32))
+        # a fresh generator per call freezes the batch's eps draw
+        build = lambda: model.batch_loss(items, np.random.default_rng(eps_seed))[0]
     elif name == "classlm":
         model = baselines.ClassLMModel(_VOCAB, prior, rng, embed_dim=5, hidden_dim=6)
         build = lambda: model.loss(ids, label)[0]
@@ -87,9 +93,10 @@ def gradient_suite(seeds=(0, 1, 2), step=DEFAULT_STEP, tol=DEFAULT_TOL, max_entr
             build, params = _build_objective(name, seed)
             per_param = check_gradients(build, params, step=step, max_entries=max_entries)
             worst = max(worst, max(per_param.values()))
+        # plain floats and bools: `sevae gradcheck --out` writes them as JSON
         results[name] = {
-            "max_rel_err": worst,
-            "passed": worst <= tol,
+            "max_rel_err": float(worst),
+            "passed": bool(worst <= tol),
             "seconds": time.perf_counter() - start,
         }
     return results

@@ -25,7 +25,7 @@ from sevae.harness import (
     TrainConfig, aggregate_sweep, compute_metrics, evaluate, load_checkpoint,
     save_checkpoint, train,
 )
-from sevae.kernels import lstm_forward_py
+from sevae.kernels import lstm_forward
 from sevae.models import MODEL_NAMES, default_spec
 from sevae.verify import gradient_suite
 
@@ -102,7 +102,7 @@ def _naive_marginal(m, ids, label):
     emb = p["emb"].data[inputs]
     xw = emb @ p["lstm.wx"].data + p["lstm.b"].data
     zeros = np.zeros((1, m.hidden_dim))
-    hs, _, _ = lstm_forward_py(xw, p["lstm.whT"].data, zeros, zeros,
+    hs, _, _ = lstm_forward(xw, p["lstm.whT"].data, zeros, zeros,
                                np.ones(xw.shape[0], dtype=np.int64))
     base = hs @ p["out.wh"].data + p["out.b"].data + p["lab_emb"].data[label] @ p["out.wy"].data
     lat_scores = (p["lat_w"].data * p["lat_emb"].data).sum(axis=1) + p["lat_b"].data

@@ -43,7 +43,7 @@ def np_lstm_states(params, name, ids, hidden):
     emb = params["emb"].data[np.asarray(ids, dtype=np.int64)]
     xw = emb @ params[f"{name}.wx"].data + params[f"{name}.b"].data
     steps = np.ones(xw.shape[0], dtype=np.int64)
-    hs, _, _ = kernels.lstm_forward_py(xw, params[f"{name}.whT"].data,
+    hs, _, _ = kernels.lstm_forward(xw, params[f"{name}.whT"].data,
                                        np.zeros((1, hidden)), np.zeros((1, hidden)), steps)
     return hs
 

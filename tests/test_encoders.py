@@ -36,8 +36,10 @@ def test_input_validation(rng):
         E.encode_pooled([25], cfg, p)
     with pytest.raises(DataError, match="out of range"):
         E.encode([[5, 6], [7, -1]], cfg, p)
-    with pytest.raises(DataError, match="batch, length"):
+    with pytest.raises(DataError, match="1-D"):
         E.encode([5, 6], cfg, p)
+    with pytest.raises(DataError, match="empty batch"):
+        E.encode([], cfg, p)
 
 
 def test_transformer_cls_deterministic_and_shaped(rng):

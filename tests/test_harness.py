@@ -21,7 +21,7 @@ from sevae.data import (
 )
 from sevae.errors import CheckpointError, DataError
 from sevae.harness import (
-    CHECKPOINT_MAGIC, TrainConfig, _vae_group_steps, adam_step, aggregate_sweep, clip_global_norm,
+    CHECKPOINT_MAGIC, TrainConfig, adam_step, aggregate_sweep, clip_global_norm,
     compute_metrics, default_train_config, evaluate, init_adam_state,
     TrainResult, load_checkpoint, predict_codes, save_checkpoint, tag_probs, train,
     write_cross_genre_tsv,
@@ -338,10 +338,22 @@ def test_tagging_runs_split_long_input_and_match_batch_of_one(name, eight_clause
 def test_tagging_runs_bounds():
     assert tagging_runs([]) == []
     assert tagging_runs([3, 4, 5]) == [(0, 3)]
-    assert tagging_runs([RUN_TOKENS - 12, 12, 1]) == [(0, 2), (2, 3)]
+    assert tagging_runs([RUN_TOKENS // 2, RUN_TOKENS // 2, 1]) == [(0, 2), (2, 3)]
     # a unit longer than the bound runs alone, wherever it stands
     assert tagging_runs([3, RUN_TOKENS + 1, 3]) == [(0, 1), (1, 2), (2, 3)]
     assert tagging_runs([RUN_TOKENS + 1]) == [(0, 1)]
+
+
+def test_tagging_runs_bound_the_padded_size():
+    # a run pads to its longest unit: the 500-token clause closes its run
+    # after one unit, though 500 + 12 tokens would fit unpadded
+    assert tagging_runs([RUN_TOKENS - 12, 12, 1]) == [(0, 1), (1, 3)]
+    # one 128-token clause then 384 one-token clauses would pad to 385 x 128
+    sizes = [128] + [1] * 384
+    runs = tagging_runs(sizes)
+    assert runs == [(0, 4), (4, 385)]
+    for lo, hi in runs:
+        assert (hi - lo) * max(sizes[lo:hi]) <= RUN_TOKENS
 
 
 FUZZ_WORDS = ("a", "b", "c", "d", "e", "f")
@@ -455,12 +467,14 @@ def test_train_result_meta(eight_clause_fixture):
 
 
 @pytest.mark.parametrize("name", ["vae-bow", "vae-lstm", "vae-xfmr"])
-def test_length_groups_equal_the_per_clause_sum(name):
-    # lengths 3, 5 and 4 make groups of three, two and one
+def test_masked_batch_equals_the_per_clause_sum(name):
+    # two encoder layers, so a full masked block runs before the CLS-only
+    # one; lengths 1..6 and max_len, no two equal, in mixed order
+    spec = tiny_spec(name, enc_layers=2, dec_layers=2)
     rng = np.random.default_rng(21)
-    lengths = [3, 5, 3, 4, 5, 3]
+    lengths = [4, 1, spec.options["max_len"], 6, 2, 5, 3]
     items = [(rng.integers(5, 12, size=n), int(rng.integers(7))) for n in lengths]
-    model = build_model(tiny_spec(name), 12, np.full(7, 1 / 7), seed=4)
+    model = build_model(spec, 12, np.full(7, 1 / 7), seed=4)
     trainable = {k: p for k, p in model.params.items() if p.requires_grad}
 
     ref_rng = np.random.default_rng(5)
@@ -475,17 +489,30 @@ def test_length_groups_equal_the_per_clause_sum(name):
             ref_parts[key] = ref_parts.get(key, 0.0) + value
     ref_grads = {k: p.grad.copy() for k, p in trainable.items()}
 
-    group_rng = np.random.default_rng(5)
+    batch_rng = np.random.default_rng(5)
     zero_grads(trainable)
-    steps = list(_vae_group_steps(model, items, group_rng, None))
-    assert [count for _, count in steps] == [3, 2, 1]
+    with Tape() as tape:
+        loss, parts = model.batch_loss(items, batch_rng)
+        tape.backward(loss)
+    assert parts.keys() == ref_parts.keys()
     for key, want in ref_parts.items():
-        assert sum(parts[key] for parts, _ in steps) == pytest.approx(want, rel=1e-10), key
+        assert parts[key] == pytest.approx(want, rel=1e-10), key
     for k, p in trainable.items():
         scale = max(1.0, float(np.abs(ref_grads[k]).max()))
         np.testing.assert_allclose(p.grad, ref_grads[k], rtol=1e-10, atol=1e-10 * scale, err_msg=k)
     # both paths drew the same number of normals from the step stream
-    assert group_rng.random() == ref_rng.random()
+    assert batch_rng.random() == ref_rng.random()
+
+
+def test_a_longer_clause_leaves_the_other_posterior_means():
+    # pad positions are hidden from every query: padding the run to a
+    # longer clause moves no other clause's posterior mean
+    model = build_model(tiny_spec("vae-bow", enc_layers=2), 12, np.full(7, 1 / 7), seed=4)
+    rng = np.random.default_rng(8)
+    run = [rng.integers(5, 12, size=n) for n in (3, 1, 5, 2)]
+    alone = model.posterior_means(run)
+    padded = model.posterior_means(run[:2] + [rng.integers(5, 12, size=20)] + run[2:])
+    assert np.abs(np.delete(padded, 2, axis=0) - alone).max() <= 1e-12
 
 
 def test_vae_dropout_option_changes_training(eight_clause_fixture):

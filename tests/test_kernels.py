@@ -64,7 +64,7 @@ def test_backward_matches_finite_differences(rng):
     dhs = rng.standard_normal((4, 3))
 
     def loss(xw_, h0_, c0_):
-        hs, _, _ = forward1(kernels.lstm_forward_py, xw_, whT, h0_, c0_)
+        hs, _, _ = forward1(kernels.lstm_forward, xw_, whT, h0_, c0_)
         return float(np.sum(hs * dhs))
 
     _, cs, gates = forward1(kernels.lstm_forward, xw, whT, h0, c0)
@@ -93,26 +93,6 @@ def test_backward_matches_finite_differences(rng):
         flat[j] = orig
         num = (up - dn) / (2 * step)
         assert abs(num - dgates.ravel()[j]) < 1e-6
-
-
-def test_backends_agree(rng):
-    # JIT and interpreted paths share the algorithm but may differ by a few
-    # ULP via different libm/BLAS code paths; require near-bit agreement.
-    for _ in range(3):
-        xw, whT, h0, c0 = make_case(rng, T=9, H=6)
-        a = forward1(kernels.lstm_forward, xw, whT, h0, c0)
-        b = forward1(kernels.lstm_forward_py, xw, whT, h0, c0)
-        for x, y in zip(a, b):
-            np.testing.assert_allclose(x, y, atol=1e-13, rtol=0)
-        dhs = rng.standard_normal(a[0].shape)
-        ga = backward1(kernels.lstm_backward, dhs, a[2], a[1], whT, c0)
-        gb = backward1(kernels.lstm_backward_py, dhs, b[2], b[1], whT, c0)
-        for x, y in zip(ga, gb):
-            np.testing.assert_allclose(x, y, atol=1e-12, rtol=0)
-
-
-def test_backend_is_named():
-    assert kernels.BACKEND in ("numba", "numpy")
 
 
 def test_single_step_sequence(rng):

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ def test_backward_frees_the_graph_and_runs_once():
         with pytest.raises(GraphError, match="already ran"):
             tape.backward(loss)
     np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+
+def test_tape_keeps_no_op_output_alive(rng):
+    # the affine output feeds only relu and add, whose backward_fns keep a
+    # mask and shapes: once the caller drops it, nothing holds its array
+    x, w, b = leaf(rng.standard_normal((4, 3))), leaf(rng.standard_normal((3, 5))), leaf(np.zeros(5))
+    with T.Tape() as tape:
+        pre = T.affine(x, w, b)
+        freed = weakref.ref(pre.data)
+        loss = T.sum_(T.mul(T.relu(pre) + 1.0, 2.0))
+        del pre
+        assert freed() is None
+        tape.backward(loss)
+    np.testing.assert_array_equal(b.grad, 2.0 * (x.data @ w.data > 0).sum(axis=0))
 
 
 def test_no_tape_means_no_recording():

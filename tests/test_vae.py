@@ -169,10 +169,10 @@ def test_xfmr_causal_masking(rng):
     # earlier target positions must not see later input tokens
     model = tiny_model("xfmr-latent")
     z = T.Tensor(rng.standard_normal((1, 4)))
-    a = model._xfmr_decoder_logits(z, np.array([[2, 5, 8, 10]]))
-    b = model._xfmr_decoder_logits(z, np.array([[2, 5, 8, 11]]))
-    np.testing.assert_array_equal(a.data[0, :3], b.data[0, :3])
-    assert not np.array_equal(a.data[0, 3], b.data[0, 3])
+    a = model._xfmr_decoder_logits(z, np.array([2, 5, 8, 10]), np.array([4]))
+    b = model._xfmr_decoder_logits(z, np.array([2, 5, 8, 11]), np.array([4]))
+    np.testing.assert_array_equal(a.data[:3], b.data[:3])
+    assert not np.array_equal(a.data[3], b.data[3])
 
 
 @pytest.mark.parametrize("kind", ["bow", "lstm", "xfmr-latent"])

@@ -1,5 +1,7 @@
 """The end-to-end gradient suite: structure and a cheap live run."""
 
+import json
+
 import pytest
 
 from sevae.verify import OBJECTIVES, gradient_suite
@@ -20,6 +22,8 @@ def test_suite_passes_on_cheap_objectives():
         assert entry["passed"], f"{name}: {entry['max_rel_err']}"
         assert entry["max_rel_err"] <= 1e-4
         assert entry["seconds"] >= 0.0
+    # the gradcheck CLI writes the results as JSON
+    assert json.loads(json.dumps(results)) == results
 
 
 def test_suite_probe_limit_speeds_up_run():
