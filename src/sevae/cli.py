@@ -159,18 +159,20 @@ def build_parser():
 def _parse_config_file(path):
     values = {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc.strerror}") from None
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    except UnicodeDecodeError:
+        raise DataError(f"config file {path} is not UTF-8 text") from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 

@@ -202,8 +202,22 @@ def default_min_count(train):
 # ingestion
 
 
+def _coordinate(value, name, where):
+    """A par_id or clause_idx as an int: an integer, an integral float or a
+    string holding an integer; DataError naming where otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise DataError(f"{where}: {name} must be an integer, got {value!r}")
+
+
 def load_corpus(path, schema=None):
-    """Parse a JSONL clause file; every record parses or the load fails.
+    """Parse a JSONL clause file; every record parses or the load fails
+    with a DataError naming its line (the file, if it is not UTF-8).
 
     schema maps our field names to the file's field names, for converting
     foreign exports; None means the fields are already named text/label/
@@ -219,49 +233,54 @@ def load_corpus(path, schema=None):
     seen = set()
     next_idx = {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            text = rec.get(fieldname("text"))
-            if text is None or not str(text).strip():
-                raise DataError(f"{path}:{line_no}: empty text")
-            raw_label = rec.get(fieldname("label"))
-            if raw_label is None:
-                raise DataError(f"{path}:{line_no}: missing label")
-            try:
-                label = label_from_string(raw_label)
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from None
-            genre = str(rec.get(fieldname("genre"), "unknown")).strip().lower() or "unknown"
-            if genre not in GENRES and genre != "unknown":
-                valid = ", ".join(GENRES + ("unknown",))
-                raise DataError(f"{path}:{line_no}: unknown genre {genre!r}; valid genres: {valid}")
-            doc_id = str(rec.get(fieldname("doc_id"), f"r{line_no}"))
-            par_id = int(rec.get(fieldname("par_id"), 0))
-            key = (doc_id, par_id)
-            clause_idx = rec.get(fieldname("clause_idx"))
-            if clause_idx is None:
-                clause_idx = next_idx.get(key, 0)
-            clause_idx = int(clause_idx)
-            next_idx[key] = clause_idx + 1
-            coords = (doc_id, par_id, clause_idx)
-            if coords in seen:
-                raise DataError(f"{path}:{line_no}: duplicate coordinates {coords}")
-            seen.add(coords)
-            try:
-                clause = Clause(str(text), label, genre, doc_id, par_id, clause_idx)
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from None
-            clauses.append(clause)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    for line_no, line in enumerate(lines, start=1):
+        where = f"{path}:{line_no}"
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:  # bad JSON, or an integer too long to convert
+            raise DataError(f"{where}: invalid JSON ({exc})") from None
+        if not isinstance(rec, dict):
+            raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+        text = rec.get(fieldname("text"))
+        if text is None or not str(text).strip():
+            raise DataError(f"{where}: empty text")
+        raw_label = rec.get(fieldname("label"))
+        if raw_label is None:
+            raise DataError(f"{where}: missing label")
+        try:
+            label = label_from_string(raw_label)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
+        genre = str(rec.get(fieldname("genre"), "unknown")).strip().lower() or "unknown"
+        if genre not in GENRES and genre != "unknown":
+            valid = ", ".join(GENRES + ("unknown",))
+            raise DataError(f"{where}: unknown genre {genre!r}; valid genres: {valid}")
+        doc_id = str(rec.get(fieldname("doc_id"), f"r{line_no}"))
+        par_id = _coordinate(rec.get(fieldname("par_id"), 0), "par_id", where)
+        key = (doc_id, par_id)
+        clause_idx = rec.get(fieldname("clause_idx"))
+        if clause_idx is None:
+            clause_idx = next_idx.get(key, 0)
+        clause_idx = _coordinate(clause_idx, "clause_idx", where)
+        next_idx[key] = clause_idx + 1
+        coords = (doc_id, par_id, clause_idx)
+        if coords in seen:
+            raise DataError(f"{where}: duplicate coordinates {coords}")
+        seen.add(coords)
+        try:
+            clause = Clause(str(text), label, genre, doc_id, par_id, clause_idx)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
+        clauses.append(clause)
     return clauses
 
 
@@ -578,23 +597,26 @@ def paragraphs_of(clauses):
 
 
 # A tagging run closes before the next clause (paragraph, for a context
-# model) would take its padded size, items x longest item, past this many
-# tokens, and a longer item runs alone; one run is one inference pass (for
-# the vae family one padded stack), so this bounds the pass's memory.
+# model) would take its size as the model stores it past this many tokens,
+# and a longer item runs alone; one run is one inference pass, so this
+# bounds the pass's memory. The vae family pads a run to one stack, items x
+# longest item; disc, gen, lat and ctx store it back to back, summed tokens.
 RUN_TOKENS = 512
 
 
-def tagging_runs(sizes):
+def tagging_runs(sizes, padded):
     """(start, stop) bounds of consecutive runs, in input order, of items
     with the given token counts; each run holds as many items as fit in
-    RUN_TOKENS once padded to its longest, and an item longer than that
-    runs alone."""
-    runs, start, longest = [], 0, 0
+    RUN_TOKENS, once padded to its longest if padded, else summed, and an
+    item longer than that runs alone."""
+    runs, start, longest, total = [], 0, 0, 0
     for pos, n in enumerate(sizes):
-        if pos > start and (pos - start + 1) * max(longest, n) > RUN_TOKENS:
+        size = (pos - start + 1) * max(longest, n) if padded else total + n
+        if pos > start and size > RUN_TOKENS:
             runs.append((start, pos))
-            start, longest = pos, 0
+            start, longest, total = pos, 0, 0
         longest = max(longest, n)
+        total += n
     if start < len(sizes):
         runs.append((start, len(sizes)))
     return runs

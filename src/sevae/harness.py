@@ -13,13 +13,14 @@ elbo_loss) computes, up to rounding.
 
 Evaluation, the per-epoch validation included, tags through tag_probs:
 one tape-free pass (model.batch_probs) per run of clauses in input order,
-or of whole paragraphs for ctx, where a run closes before its size padded
-to its longest unit would pass data.RUN_TOKENS (512) tokens and a longer
-unit runs alone. Each pass runs
-the code training runs. A run rounds differently from its units tagged
-one at a time (the batch of one: predict_probs, predict_paragraph_probs),
-so its probabilities agree with theirs within 1e-12 relative, and its
-codes are theirs unless two labels tie within that tolerance.
+or of whole paragraphs for ctx, where a run closes before its size as the
+model stores it (padded to its longest clause for the vae family, back to
+back for the baselines) would pass data.RUN_TOKENS (512) tokens and a
+longer unit runs alone. Each pass runs the code training runs. A run
+rounds differently from its units tagged one at a time (the batch of one:
+predict_probs, predict_paragraph_probs), so its probabilities agree with
+theirs within 1e-12 relative, and its codes are theirs unless two labels
+tie within that tolerance.
 
 Everything a run reports is a pure function of (model spec, data
 manifest, seed). The protocol grids (the k-per-label sweep and
@@ -60,8 +61,6 @@ from .vae import VAEModel
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.0
     logical_batch: int = 32
     max_epochs: int = 50
@@ -71,9 +70,9 @@ class TrainConfig:
     beta_warmup_steps: int = 0  # > 0: vae beta rises linearly over this many updates
 
     def __post_init__(self):
-        # the float checks are written so that NaN fails them too
-        if self.lr <= 0:
-            raise DataError("lr must be positive")
+        # the float checks are written so that NaN and infinities fail them
+        if not 0 < self.lr < math.inf:
+            raise DataError(f"lr must be positive and finite, got {self.lr}")
         if self.max_epochs < 1:
             raise DataError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -82,19 +81,13 @@ class TrainConfig:
             raise DataError("logical_batch must be >= 1")
         if self.beta_warmup_steps < 0:
             raise DataError("beta_warmup_steps must be >= 0")
-        if not self.weight_decay >= 0:
-            raise DataError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not self.grad_clip >= 0:
-            raise DataError(f"grad_clip must be >= 0 (0 turns clipping off), got {self.grad_clip}")
-        if not self.eps > 0:
-            raise DataError(f"eps must be positive, got {self.eps}")
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise DataError(f"betas must be two values in [0, 1), got {self.betas}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise DataError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 <= self.grad_clip < math.inf:
+            raise DataError(f"grad_clip must be finite and >= 0 (0 turns clipping off), got {self.grad_clip}")
 
     def to_json(self):
-        d = self.__dict__.copy()
-        d["betas"] = list(self.betas)
-        return d
+        return dict(self.__dict__)
 
 
 def default_train_config(model_name, **overrides):
@@ -108,6 +101,10 @@ def default_train_config(model_name, **overrides):
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 def clip_global_norm(grads, max_norm):
@@ -145,7 +142,7 @@ def adam_step(params, grads, state, cfg):
     grads = clip_global_norm(grads, cfg.grad_clip)
     state["t"] += 1
     t = state["t"]
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, g in grads.items():
@@ -156,7 +153,7 @@ def adam_step(params, grads, state, cfg):
         v *= b2
         v += (1.0 - b2) * g * g
         p = params[name]
-        p.data -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        p.data -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         if cfg.weight_decay:
             p.data -= cfg.lr * cfg.weight_decay * p.data
 
@@ -212,10 +209,11 @@ def tag_probs(model, clauses, vocab):
     """Label probabilities, (len(clauses), 7), row for row with clauses.
 
     The model's input units (clauses, or for a paragraph consumer the
-    paragraphs of paragraphs_of) are cut into tagging runs in that order
-    (data.tagging_runs: at most RUN_TOKENS tokens once padded to the
-    run's longest unit, a longer unit alone),
-    and each run is one model.batch_probs pass.
+    paragraphs of paragraphs_of) are cut into tagging runs in that order,
+    each one model.batch_probs pass of at most RUN_TOKENS tokens as the
+    model stores it (data.tagging_runs): the vae family pads a run to its
+    longest clause, the baselines store it back to back. A longer unit
+    runs alone.
     """
     if not clauses:
         return np.empty((0, N_LABELS))
@@ -226,7 +224,8 @@ def tag_probs(model, clauses, vocab):
     else:
         units = [vocab.encode(cl.tokens) for cl in clauses]
         sizes = [len(ids) for ids in units]
-    probs = np.concatenate([model.batch_probs(units[lo:hi]) for lo, hi in tagging_runs(sizes)])
+    runs = tagging_runs(sizes, padded=isinstance(model, VAEModel))
+    probs = np.concatenate([model.batch_probs(units[lo:hi]) for lo, hi in runs])
     if model.consumes == "paragraph":
         row = {cl.coords: r for r, cl in enumerate(cl for par in paragraphs for cl in par)}
         probs = probs[[row[cl.coords] for cl in clauses]]
@@ -336,15 +335,12 @@ def train(spec, split, cfg, log_hook=None):
                 stale = 0
             else:
                 stale += 1
-            log.append(record)
-            if log_hook:
-                log_hook(record)
-            if stale >= cfg.patience:
-                break
-        else:
-            log.append(record)
-            if log_hook:
-                log_hook(record)
+        log.append(record)
+        if log_hook:
+            log_hook(record)
+        # stale grows only with a validation split
+        if stale >= cfg.patience:
+            break
     if best_snap is not None:
         _restore(model.params, best_snap)
     meta = {"spec_hash": spec_hash(spec), "model": spec.name,
@@ -470,8 +466,11 @@ def load_checkpoint(path, expected_spec=None):
     file (truncated, or any byte changed) either still parses to a model of
     the stamped spec or raises CheckpointError, never another error.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     r = _Reader(blob)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")

@@ -9,15 +9,19 @@ Every op validates its output for NaN/Inf and fails fast naming the op;
 models therefore never silently train on poisoned values. All data is
 float64 throughout -- finite-difference verification needs the headroom.
 
-The op set is deliberately small: matmul (incl. stacked 3-D), affine,
-elementwise arithmetic and activations, concat/slice/reshape/transpose,
-sums and per-segment means and maxima, embedding lookup, softmax /
-log-softmax / logsumexp, cross-entropy, layer norm, dropout, a fused LSTM
-op over a batch of sequences stored back to back, whose forward/backward
-run through the numpy kernels, and factored_loglik, the next-token
-log-likelihood of each segment under every (row, column) tilt of shared
-base logits, whose softmax normaliser is a matmul over max-shifted
-exponentials. Everything else in the package is composed from these.
+The op set is deliberately small, and each op takes only the shapes the
+models pass it: matmul of two 2-D operands or of two stacks with identical
+batch dims, (..., m, k) @ (..., k, n), and a GraphError for anything else;
+affine, x @ w + b for x of any (..., d_in); elementwise arithmetic and
+activations; concat/narrow/reshape/transpose; sums and per-segment means
+and maxima; embedding, a row gather by a 1-D or 2-D id array (which also
+repeats rows); softmax / log-softmax / logsumexp over one axis,
+cross-entropy, layer norm, dropout; a fused LSTM op over a batch of
+sequences stored back to back, whose forward/backward run through the
+numpy kernels; and factored_loglik, the next-token log-likelihood of each
+segment under every (row, column) tilt of shared base logits, whose
+softmax normaliser is a matmul over max-shifted exponentials.
+Everything else in the package is composed from these.
 
 A batch of variable-length sequences is one (N, ...) array of their rows
 stored back to back plus their lengths; the segment ops, lstm_seq and
@@ -58,17 +62,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -265,21 +258,16 @@ def neg(a):
 
 
 def matmul(a, b):
-    """np.matmul semantics for 1-D/2-D operands and equal-batch 3-D stacks."""
+    """np.matmul of two 2-D operands, or of two stacks with identical batch
+    dims, (..., m, k) @ (..., k, n)."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim >= 3 or bd.ndim >= 3:
-        if ad.shape[:-2] != bd.shape[:-2]:
-            raise GraphError("stacked matmul requires identical batch dims")
+    if min(ad.ndim, bd.ndim) < 2 or ad.shape[:-2] != bd.shape[:-2]:
+        raise GraphError(f"matmul needs 2-D operands or stacks with identical batch dims, "
+                         f"got {ad.shape} and {bd.shape}")
     out = np.matmul(ad, bd)
 
     def backward(g):
-        if ad.ndim == 1 and bd.ndim == 1:
-            return g * bd, g * ad
-        if ad.ndim == 1:  # (k,) @ (k,n) -> (n,)
-            return np.matmul(bd, g), np.outer(ad, g)
-        if bd.ndim == 1:  # (m,k) @ (k,) -> (m,)
-            return np.outer(g, bd), np.matmul(ad.T, g)
         return (
             np.matmul(g, np.swapaxes(bd, -1, -2)),
             np.matmul(np.swapaxes(ad, -1, -2), g),
@@ -294,12 +282,10 @@ def affine(x, w, b):
     one 2-D matmul per product instead of one per row."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd, sb = x.data, w.data, b.data.shape
-    x2 = xd.reshape(-1, xd.shape[-1]) if xd.ndim > 2 else xd
+    x2 = xd.reshape(-1, xd.shape[-1])
     out = (np.matmul(x2, wd) + b.data).reshape(xd.shape[:-1] + wd.shape[1:])
 
     def backward(g):
-        if xd.ndim == 1:
-            return np.matmul(wd, g), np.outer(xd, g), _unbroadcast(g, sb)
         g2 = g.reshape(-1, g.shape[-1])
         dx = np.matmul(g2, wd.T).reshape(xd.shape)
         return dx, np.matmul(x2.T, g2), _unbroadcast(g2, sb)
@@ -413,18 +399,6 @@ def narrow(a, axis, start, length):
     return _from_op("narrow", np.ascontiguousarray(a.data[index]), (a,), backward)
 
 
-def repeat_row(v, n):
-    """Tile (..., P) into n identical rows, (..., n, P); gradient sums over rows."""
-    v = as_tensor(v)
-    if v.data.ndim < 1:
-        raise GraphError("repeat_row expects at least a vector")
-
-    def backward(g):
-        return (g.sum(axis=-2),)
-
-    return _from_op("repeat_row", np.repeat(v.data[..., None, :], n, axis=-2), (v,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -470,10 +444,7 @@ def _segment_block(x, layout, axis, fill):
 
 def _segment_sum(x, layout, axis):
     """Sum of x over the rows of each segment along `axis`, which becomes
-    the segment axis. One segment is summed by x.sum(axis=axis) itself, in
-    the order of an unsegmented sum."""
-    if layout.lengths.shape[0] == 1:
-        return x.sum(axis=axis, keepdims=True)
+    the segment axis."""
     return _segment_block(x, layout, axis, 0.0).sum(axis=axis + 1)
 
 
@@ -564,8 +535,9 @@ def log_softmax(a, axis=-1):
     return _from_op("log_softmax", out, (a,), backward)
 
 
-def logsumexp(a, axis=None):
-    """log sum exp with max-shift; exact under translation of the input."""
+def logsumexp(a, axis=-1):
+    """log sum exp over one axis with max-shift; exact under translation of
+    the input."""
     a = as_tensor(a)
     if a.data.size == 0:
         raise NumericsError("empty reduction in logsumexp")
@@ -573,14 +545,9 @@ def logsumexp(a, axis=None):
     m = a.data.max(axis=axis, keepdims=True)
     out = np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True)) + m
     soft = np.exp(a.data - out)
-    if axis is None:
-        out = out.reshape(())
-    else:
-        out = out.squeeze(axis=axis)
+    out = out.squeeze(axis=axis)
 
     def backward(g):
-        if axis is None:
-            return (soft * g,)
         return (soft * np.expand_dims(g, axis),)
 
     return _from_op("logsumexp", out, (a,), backward)
@@ -774,10 +741,6 @@ def _packed_layout(lengths, n_rows, reverse):
     reverse runs every sequence from its last row to its first.
     """
     _seg, starts, lengths = _segment_layout(lengths, n_rows, "lstm_seq")
-    if lengths.shape[0] == 1:
-        # the tagging path's single sequence: its rows one per step
-        rows = np.arange(n_rows)
-        return rows[::-1] if reverse else rows, np.zeros(1, dtype=np.int64), np.ones_like(rows), rows[:-1]
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     running = np.arange(sorted_len[0])[:, None] < sorted_len[None, :]  # (T, B)

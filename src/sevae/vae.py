@@ -257,9 +257,8 @@ class VAEModel:
 
     def elbo_loss(self, ids, label, eps, beta=None, train_rng=None):
         """Negated annealed ELBO for one clause with the given eps, shape
-        (latent_dim,); label None drops the label term. The batch of one."""
-        labels = None if label is None else [int(label)]
-        return self._elbo([ids], labels, np.asarray(eps, dtype=np.float64)[None], beta, train_rng)
+        (latent_dim,). The batch of one."""
+        return self._elbo([ids], [int(label)], np.asarray(eps, dtype=np.float64)[None], beta, train_rng)
 
     def _elbo(self, id_lists, labels, eps, beta, train_rng):
         beta = self.beta if beta is None else beta
@@ -269,11 +268,10 @@ class VAEModel:
         log_px = self.decode_batch(z, id_lists)
         kl = kl_to_standard_normal(q)
         loss = -log_px + beta * kl
-        parts = {"reconstruction": -float(log_px.data), "kl": float(kl.data)}
-        if labels is not None:
-            nll_y = T.cross_entropy(self.label_logits(z), np.asarray(labels, dtype=np.int64))
-            loss = loss + self.label_loss_weight * nll_y
-            parts["classification"] = float(nll_y.data)
+        nll_y = T.cross_entropy(self.label_logits(z), np.asarray(labels, dtype=np.int64))
+        loss = loss + self.label_loss_weight * nll_y
+        parts = {"reconstruction": -float(log_px.data), "kl": float(kl.data),
+                 "classification": float(nll_y.data)}
         return loss, parts
 
     def posterior_means(self, id_lists):
@@ -297,7 +295,7 @@ def export_latents(model, clauses, vocab):
     """One (coords, label, genre, mu) row per clause, in input order; the
     posterior means come one inference pass per tagging run of clauses."""
     units = [vocab.encode(cl.tokens) for cl in clauses]
-    means = [mu for lo, hi in tagging_runs([len(ids) for ids in units])
+    means = [mu for lo, hi in tagging_runs([len(ids) for ids in units], padded=True)
              for mu in model.posterior_means(units[lo:hi])]
     return [(cl.doc_id, cl.par_id, cl.clause_idx, cl.label.name, cl.genre, mu)
             for cl, mu in zip(clauses, means)]

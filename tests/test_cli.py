@@ -173,6 +173,47 @@ def test_eval_rejects_garbage_checkpoint(capsys, tmp_path):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()])
+def test_eval_of_missing_or_directory_checkpoint_is_data_error(capsys, tmp_path, synth_dir, make):
+    ckpt = tmp_path / "model.ckpt"
+    make(ckpt)
+    out = tmp_path / "o"
+    rc = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir / "test.jsonl"),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot read checkpoint" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    '{"text": "x.", "label": "state", "par_id": "abc"}',
+    '{"text": "x.", "label": "state", "par_id": null}',
+    '{"text": "x.", "label": "state", "par_id": NaN}',
+    '{"text": "x.", "label": "state", "par_id": 1e400}',
+    '{"text": "x.", "label": "state", "clause_idx": 1.5}',
+])
+def test_stats_of_unreadable_record_is_data_error(capsys, tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"text": "ok.", "label": "state"}\n' + line + "\n")
+    assert cli.main(["stats", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["corpus", "config"])
+def test_non_utf8_input_is_data_error(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b'{"text": "caf\xe9.", "label": "state"}\n')
+    out = tmp_path / "o"
+    args = ["stats", "--in", str(path)] if name == "corpus" else ["synth", "--config", str(path), "--out", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_with_subsample_k(tmp_path, synth_dir):
     out = tmp_path / "k2"
     rc = cli.main([
@@ -337,6 +378,10 @@ def test_negative_beta_warmup_is_data_error(capsys, tmp_path, synth_dir):
     ("disc", ["--weight-decay", "-3"], "weight_decay"),
     ("disc", ["--grad-clip", "-1"], "grad_clip"),
     ("vae-bow", ["--opt", "label_loss_weight=-5"], "label_loss_weight"),
+    ("disc", ["--lr", "nan"], "lr"),
+    ("disc", ["--lr", "inf"], "lr"),
+    ("disc", ["--weight-decay", "inf"], "weight_decay"),
+    ("disc", ["--grad-clip", "inf"], "grad_clip"),
 ])
 def test_out_of_range_training_value_is_data_error_before_any_output(capsys, tmp_path, synth_dir,
                                                                      model, flags, field):

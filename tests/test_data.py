@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevae import data as D
 from sevae.errors import DataError
@@ -122,6 +126,17 @@ def test_load_corpus_running_clause_idx(tmp_path):
     ('{"text": "x.", "label": "verb"}', "unknown label"),
     ('{"text": "x.", "label": "state", "genre": "poetry"}', "unknown genre"),
     ('{nope}', "invalid JSON"),
+    ('[1, 2]', "expected a JSON object, got list"),
+    ('"text"', "expected a JSON object, got str"),
+    ('{"text": "x.", "label": "state", "par_id": "abc"}', "par_id must be an integer"),
+    ('{"text": "x.", "label": "state", "par_id": null}', "par_id must be an integer"),
+    ('{"text": "x.", "label": "state", "par_id": NaN}', "par_id must be an integer"),
+    ('{"text": "x.", "label": "state", "par_id": 1e400}', "par_id must be an integer"),
+    ('{"text": "x.", "label": "state", "par_id": true}', "par_id must be an integer"),
+    ('{"text": "x.", "label": "state", "clause_idx": 1.5}', "clause_idx must be an integer"),
+    ('{"text": "x.", "label": "state", "clause_idx": [0]}', "clause_idx must be an integer"),
+    # json.loads refuses integers past Python's digit limit with a ValueError
+    pytest.param('{"text": "x.", "par_id": ' + "9" * 5000 + "}", "invalid JSON", id="huge-int"),
 ])
 def test_load_corpus_errors_carry_location(tmp_path, line, message):
     path = tmp_path / "bad.jsonl"
@@ -129,6 +144,53 @@ def test_load_corpus_errors_carry_location(tmp_path, line, message):
     with pytest.raises(DataError, match=message) as exc:
         D.load_corpus(str(path))
     assert f"{path}:1" in str(exc.value)
+
+
+def test_load_corpus_reads_integral_coordinates_of_any_json_type(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"text": "a.", "label": "state", "doc_id": "d", "par_id": "2", "clause_idx": 3.0}\n'
+        '{"text": "b.", "label": "state", "doc_id": "d", "par_id": 2.0}\n'
+    )
+    assert [c.coords for c in D.load_corpus(str(path))] == [("d", 2, 3), ("d", 2, 4)]
+
+
+def test_load_corpus_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes('{"text": "café.", "label": "state"}\n'.encode("latin-1"))
+    with pytest.raises(DataError, match="not UTF-8") as exc:
+        D.load_corpus(str(path))
+    assert str(path) in str(exc.value)
+
+
+_FIELDS = ("text", "label", "genre", "doc_id", "par_id", "clause_idx")
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+                 | st.sampled_from(["state", "event", "news", "0", "1.5", "x ."]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+_lines = (st.dictionaries(st.sampled_from(_FIELDS), _json_values, max_size=6).map(json.dumps)
+          .map(str.encode)
+          | _json_values.map(lambda v: json.dumps(v).encode())
+          | st.binary(max_size=16))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(_lines, max_size=5))
+def test_load_corpus_fuzz_returns_clauses_or_raises_data_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        try:
+            clauses = D.load_corpus(path)
+        except DataError:
+            return
+    assert all(isinstance(cl, D.Clause) and cl.tokens for cl in clauses)
+    assert len({cl.coords for cl in clauses}) == len(clauses)
 
 
 def test_unknown_genre_error_lists_valid_genres(tmp_path):

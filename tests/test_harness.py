@@ -21,7 +21,7 @@ from sevae.data import (
 )
 from sevae.errors import CheckpointError, DataError
 from sevae.harness import (
-    CHECKPOINT_MAGIC, TrainConfig, adam_step, aggregate_sweep, clip_global_norm,
+    ADAM_BETAS, ADAM_EPS, CHECKPOINT_MAGIC, TrainConfig, adam_step, aggregate_sweep, clip_global_norm,
     compute_metrics, default_train_config, evaluate, init_adam_state,
     TrainResult, load_checkpoint, predict_codes, save_checkpoint, tag_probs, train,
     write_cross_genre_tsv,
@@ -54,8 +54,6 @@ def overfit_split(clauses):
 def test_train_config_defaults_and_json_round_trip():
     cfg = TrainConfig()
     assert cfg.lr == 1e-3
-    assert cfg.betas == (0.9, 0.999)
-    assert cfg.eps == 1e-8
     assert cfg.weight_decay == 0.0
     assert cfg.logical_batch == 32
     assert cfg.max_epochs == 50
@@ -65,7 +63,9 @@ def test_train_config_defaults_and_json_round_trip():
     assert cfg.beta_warmup_steps == 0
 
     blob = cfg.to_json()
-    assert blob["betas"] == [0.9, 0.999]
+    assert len(blob) == 8
+    # Adam's betas and eps are constants, not settings
+    assert ADAM_BETAS == (0.9, 0.999) and ADAM_EPS == 1e-8
     # to_json feeds straight back into the constructor
     again = TrainConfig(**json.loads(json.dumps(blob)))
     assert again.to_json() == blob
@@ -86,8 +86,8 @@ def test_train_config_validation():
     ("max_epochs", 0), ("max_epochs", -3),
     ("weight_decay", -1e-4), ("weight_decay", float("nan")),
     ("grad_clip", -1.0), ("grad_clip", float("nan")),
-    ("eps", 0.0), ("eps", -1e-8),
-    ("betas", (1.0, 0.999)), ("betas", (0.9, -0.1)), ("betas", (0.9,)),
+    ("lr", float("nan")), ("lr", float("inf")),
+    ("weight_decay", float("inf")), ("grad_clip", float("inf")),
 ])
 def test_train_config_rejects_out_of_range_fields(field, value):
     with pytest.raises(DataError, match=field):
@@ -95,8 +95,8 @@ def test_train_config_rejects_out_of_range_fields(field, value):
 
 
 def test_train_config_range_edges_are_accepted():
-    # grad_clip 0 keeps meaning "no clipping", and both betas may be 0
-    cfg = TrainConfig(max_epochs=1, weight_decay=0.0, grad_clip=0.0, betas=(0.0, 0.0))
+    # grad_clip 0 keeps meaning "no clipping"
+    cfg = TrainConfig(max_epochs=1, weight_decay=0.0, grad_clip=0.0)
     assert clip_global_norm({"w": np.full(3, 1e6)}, cfg.grad_clip)["w"][0] == 1e6
 
 
@@ -129,7 +129,7 @@ def test_adam_matches_reference_loop(rng):
     params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
     mirror = {k: params[k].data.copy() for k in params}
     state = init_adam_state(params)
-    cfg = TrainConfig(lr=0.01, betas=(0.9, 0.999), eps=1e-8, grad_clip=1e9)
+    cfg = TrainConfig(lr=0.01, grad_clip=1e9)
 
     # independent reference: textbook bias-corrected Adam, elementwise
     m = {k: np.zeros(shapes[k]) for k in shapes}
@@ -329,31 +329,64 @@ def test_tagging_runs_split_long_input_and_match_batch_of_one(name, eight_clause
     clauses = [Clause(cl.text, cl.label, cl.genre, f"{cl.doc_id}-{rep}", cl.par_id, cl.clause_idx)
                for rep in range(20) for cl in eight_clause_fixture]
     sizes = [len(cl.tokens) for cl in clauses]
-    assert sum(sizes) > RUN_TOKENS and len(tagging_runs(sizes)) > 1
+    assert sum(sizes) > RUN_TOKENS and len(tagging_runs(sizes, padded=False)) > 1
     vocab = build_vocab(eight_clause_fixture, 1)
     model = build_model(tiny_spec(name), len(vocab), label_prior(eight_clause_fixture), seed=5)
     assert_batched_matches_batch_of_one(model, clauses, vocab)
 
 
 def test_tagging_runs_bounds():
-    assert tagging_runs([]) == []
-    assert tagging_runs([3, 4, 5]) == [(0, 3)]
-    assert tagging_runs([RUN_TOKENS // 2, RUN_TOKENS // 2, 1]) == [(0, 2), (2, 3)]
-    # a unit longer than the bound runs alone, wherever it stands
-    assert tagging_runs([3, RUN_TOKENS + 1, 3]) == [(0, 1), (1, 2), (2, 3)]
-    assert tagging_runs([RUN_TOKENS + 1]) == [(0, 1)]
+    for padded in (False, True):
+        assert tagging_runs([], padded) == []
+        assert tagging_runs([3, 4, 5], padded) == [(0, 3)]
+        assert tagging_runs([RUN_TOKENS // 2, RUN_TOKENS // 2, 1], padded) == [(0, 2), (2, 3)]
+        # a unit longer than the bound runs alone, wherever it stands
+        assert tagging_runs([3, RUN_TOKENS + 1, 3], padded) == [(0, 1), (1, 2), (2, 3)]
+        assert tagging_runs([RUN_TOKENS + 1], padded) == [(0, 1)]
 
 
 def test_tagging_runs_bound_the_padded_size():
     # a run pads to its longest unit: the 500-token clause closes its run
     # after one unit, though 500 + 12 tokens would fit unpadded
-    assert tagging_runs([RUN_TOKENS - 12, 12, 1]) == [(0, 1), (1, 3)]
+    assert tagging_runs([RUN_TOKENS - 12, 12, 1], padded=True) == [(0, 1), (1, 3)]
     # one 128-token clause then 384 one-token clauses would pad to 385 x 128
     sizes = [128] + [1] * 384
-    runs = tagging_runs(sizes)
+    runs = tagging_runs(sizes, padded=True)
     assert runs == [(0, 4), (4, 385)]
     for lo, hi in runs:
         assert (hi - lo) * max(sizes[lo:hi]) <= RUN_TOKENS
+
+
+def test_tagging_runs_bound_the_summed_size_when_stored_back_to_back():
+    assert tagging_runs([RUN_TOKENS - 12, 12, 1], padded=False) == [(0, 2), (2, 3)]
+    assert tagging_runs([128] + [1] * 384, padded=False) == [(0, 385)]
+    sizes = [120] + [5] * 60
+    assert tagging_runs(sizes, padded=False) == [(0, 61)]
+    assert tagging_runs(sizes, padded=True) == [(0, 4), (4, 61)]
+    sizes = [100] * 12
+    runs = tagging_runs(sizes, padded=False)
+    assert runs == [(0, 5), (5, 10), (10, 12)]
+    for lo, hi in runs:
+        assert sum(sizes[lo:hi]) <= RUN_TOKENS
+
+
+@pytest.mark.parametrize("name", ["disc", "ctx", "vae-bow"])
+def test_tag_probs_sizes_runs_by_how_the_model_stores_them(name, monkeypatch, eight_clause_fixture):
+    # 64 clauses (32 paragraphs) of 4-7 tokens and one of 30 tokens, 374
+    # tokens: back to back they fit one run, padded to 30 they do not
+    long = Clause(" ".join(["w"] * 29) + " .", SEType.STATE, "news", "long", 0, 0)
+    clauses = [long] + [Clause(cl.text, cl.label, cl.genre, f"{cl.doc_id}-{rep}", cl.par_id, cl.clause_idx)
+                        for rep in range(8) for cl in eight_clause_fixture]
+    vocab = build_vocab(eight_clause_fixture, 1)
+    model = build_model(tiny_spec(name), len(vocab), label_prior(eight_clause_fixture), seed=5)
+    calls = []
+    batch_probs = model.batch_probs
+    monkeypatch.setattr(model, "batch_probs", lambda units: calls.append(len(units)) or batch_probs(units))
+    tag_probs(model, clauses, vocab)
+    if name == "vae-bow":
+        assert len(calls) > 1
+    else:
+        assert len(calls) == 1
 
 
 FUZZ_WORDS = ("a", "b", "c", "d", "e", "f")

@@ -68,13 +68,14 @@ def test_elementwise_forward(rng):
 def test_matmul_shapes(rng):
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
     np.testing.assert_allclose(T.matmul(leaf(a), leaf(b)).data, a @ b)
-    v = rng.standard_normal(4)
-    np.testing.assert_allclose(T.matmul(leaf(v), leaf(b)).data, v @ b)
     s3 = rng.standard_normal((2, 3, 4))
     t3 = rng.standard_normal((2, 4, 5))
     np.testing.assert_allclose(T.matmul(leaf(s3), leaf(t3)).data, s3 @ t3)
-    with pytest.raises(GraphError, match="batch dims"):
-        T.matmul(leaf(rng.standard_normal((2, 3, 4))), leaf(rng.standard_normal((3, 4, 5))))
+    # a vector operand, a stack against a matrix, or unequal batch dims
+    v = rng.standard_normal(4)
+    for x, y in ((v, b), (a, v), (v, v), (s3, b), (s3, rng.standard_normal((3, 4, 5)))):
+        with pytest.raises(GraphError, match="batch dims"):
+            T.matmul(leaf(x), leaf(y))
 
 
 def test_structural_ops_forward(rng):
@@ -89,8 +90,6 @@ def test_structural_ops_forward(rng):
         T.segment_max(leaf(x), [2, 1])
     with pytest.raises(GraphError, match="segment lengths"):
         T.segment_mean(leaf(x), [4, 0])
-    v = rng.standard_normal(3)
-    np.testing.assert_array_equal(T.repeat_row(leaf(v), 5).data, np.tile(v, (5, 1)))
 
 
 def test_embedding_lookup_and_bad_ids(rng):
@@ -403,9 +402,9 @@ def test_gradcheck_lstm_seq(rng):
 
 
 def test_gradcheck_stacked_sequence_ops(rng):
-    # the (B, n) forms the length-grouped vae path uses: 2-D ids, a
-    # (B, T, V) cross-entropy, an LSTM over the stack's rows back to back
-    # fed rows repeated per step
+    # the (B, n) forms: 2-D ids, a (B, T, V) cross-entropy, an LSTM over
+    # the stack's rows back to back fed each sequence's z at every step,
+    # gathered by embedding as the lstm decoder does
     B, T_, V, E, H = 3, 4, 6, 3, 2
     p = {
         "emb": leaf(rng.standard_normal((V, E)) * 0.5),
@@ -420,7 +419,8 @@ def test_gradcheck_stacked_sequence_ops(rng):
     targets = rng.integers(0, V, size=(B, T_))
 
     def build():
-        x = T.concat([T.embedding(p["emb"], ids), T.repeat_row(p["z"], T_)], axis=2)
+        z_rows = T.embedding(p["z"], np.repeat(np.arange(B), T_).reshape(B, T_))
+        x = T.concat([T.embedding(p["emb"], ids), z_rows], axis=2)
         rows = T.reshape(x, (B * T_, E + 2))
         hs = T.lstm_seq(rows, p["wx"], p["whT"], p["b"], p["h0"], T.mul(p["h0"], 0.5), [T_] * B)
         hs = T.reshape(hs, (B, T_, H))
@@ -472,6 +472,16 @@ def test_stacked_lstm_seq_equals_per_sequence_calls(rng):
             np.testing.assert_allclose(grad_s[k], grad_r[k], rtol=1e-12, atol=1e-14, err_msg=k)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_packed_layout_of_one_sequence_is_its_rows(reverse):
+    src, order, batch_sizes, prev = T._packed_layout([6], 6, reverse)
+    rows = np.arange(6)
+    np.testing.assert_array_equal(src, rows[::-1] if reverse else rows)
+    np.testing.assert_array_equal(order, [0])
+    np.testing.assert_array_equal(batch_sizes, np.ones(6))
+    np.testing.assert_array_equal(prev, rows[:-1])
+
+
 def test_lstm_seq_rejects_bad_lengths_and_states(rng):
     x = leaf(rng.standard_normal((5, 2)))
     wx, whT, b = leaf(np.zeros((2, 8))), leaf(np.zeros((8, 2))), leaf(np.zeros(8))
@@ -490,7 +500,7 @@ def test_gradcheck_concat_repeat_row(rng):
     def build():
         v, u = T.reshape(p["v"], (1, 4)), T.reshape(p["u"], (1, 4))
         m = T.concat([v, u, v], axis=0)
-        r = T.repeat_row(p["u"], 3)
+        r = T.embedding(u, [0, 0, 0])  # u repeated in 3 rows
         return T.sum_(T.mul(T.add(m, r), T.add(m, r)))
 
     assert grad_of(build, p) < 1e-6
