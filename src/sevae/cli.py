@@ -49,15 +49,17 @@ class _Parser(argparse.ArgumentParser):
 # in a config file). Defaults live here, not in argparse, so a config file
 # can fill any flag the command line left out.
 
+_TC = harness.TrainConfig  # the training flags' defaults are its fields'
 _TRAIN_FLAGS = {
     "lr": (float, None, False, {"help": "learning rate (default 1e-3, 5e-4 for vae-*)"}),
-    "max_epochs": (int, 50, False, {}),
-    "patience": (int, 5, False, {"help": "epochs without validation gain before stopping"}),
-    "seed": (int, 0, False, {}),
-    "batch": (int, 32, False, {"help": "logical batch size"}),
-    "grad_clip": (float, 5.0, False, {}),
-    "weight_decay": (float, 0.0, False, {}),
-    "beta_warmup_steps": (int, 0, False, {"help": "vae beta rises linearly from 0 over N updates"}),
+    "max_epochs": (int, _TC.max_epochs, False, {}),
+    "patience": (int, _TC.patience, False, {"help": "epochs without validation gain before stopping"}),
+    "seed": (int, _TC.seed, False, {}),
+    "batch": (int, _TC.logical_batch, False, {"help": "logical batch size"}),
+    "grad_clip": (float, _TC.grad_clip, False, {}),
+    "weight_decay": (float, _TC.weight_decay, False, {}),
+    "beta_warmup_steps": (int, _TC.beta_warmup_steps, False,
+                          {"help": "vae beta rises linearly from 0 over N updates"}),
     "opt": ("list", [], False, {"help": "model option override key=value, repeatable"}),
 }
 

@@ -251,7 +251,9 @@ def load_corpus(path, schema=None):
         if not isinstance(rec, dict):
             raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
         text = rec.get(fieldname("text"))
-        if text is None or not str(text).strip():
+        if text is not None and not isinstance(text, str):
+            raise DataError(f"{where}: text must be a string, got {text!r}")
+        if text is None or not text.strip():
             raise DataError(f"{where}: empty text")
         raw_label = rec.get(fieldname("label"))
         if raw_label is None:
@@ -264,7 +266,10 @@ def load_corpus(path, schema=None):
         if genre not in GENRES and genre != "unknown":
             valid = ", ".join(GENRES + ("unknown",))
             raise DataError(f"{where}: unknown genre {genre!r}; valid genres: {valid}")
-        doc_id = str(rec.get(fieldname("doc_id"), f"r{line_no}"))
+        doc_id = rec.get(fieldname("doc_id"), f"r{line_no}")
+        if not isinstance(doc_id, (str, int)) or isinstance(doc_id, bool):
+            raise DataError(f"{where}: doc_id must be a string or an integer, got {doc_id!r}")
+        doc_id = str(doc_id)
         par_id = _coordinate(rec.get(fieldname("par_id"), 0), "par_id", where)
         key = (doc_id, par_id)
         clause_idx = rec.get(fieldname("clause_idx"))
@@ -277,7 +282,7 @@ def load_corpus(path, schema=None):
             raise DataError(f"{where}: duplicate coordinates {coords}")
         seen.add(coords)
         try:
-            clause = Clause(str(text), label, genre, doc_id, par_id, clause_idx)
+            clause = Clause(text, label, genre, doc_id, par_id, clause_idx)
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
         clauses.append(clause)

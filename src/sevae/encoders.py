@@ -23,7 +23,6 @@ import numpy as np
 
 from . import tensor as T
 from .data import Vocab, concat_ids
-from .errors import DataError
 
 # additive attention-mask value of a hidden key: finite, so softmax's input
 # check passes, and exp(MASKED - max) is exactly 0 next to any visible key
@@ -32,21 +31,14 @@ MASKED = -1e30
 
 @dataclass
 class EncoderConfig:
-    """The desk-scale stand-in for a pretrained masked-LM encoder."""
+    """The desk-scale stand-in for a pretrained masked-LM encoder; its
+    values are checked by models.default_spec."""
 
     embed_dim: int = 128
     layers: int = 2
     heads: int = 4
     max_len: int = 128
     dropout: float = 0.0
-
-    def __post_init__(self):
-        if self.embed_dim < 1 or self.layers < 1 or self.heads < 1:
-            raise DataError("encoder embed_dim, layers and heads must be >= 1")
-        if self.embed_dim % self.heads:
-            raise DataError(f"heads={self.heads} must divide embed_dim={self.embed_dim}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 def init_block(p, prefix, d, rng):

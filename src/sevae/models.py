@@ -15,6 +15,7 @@ architecture fails loudly instead of silently mis-corresponding arrays.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,8 @@ def _coerce_option(name, key, value, default):
 
 
 def default_spec(name, **overrides):
+    """The spec of model `name` with `overrides` applied; the one place that
+    checks option values, so a bad one fails before anything is written."""
     if name not in MODEL_NAMES:
         raise DataError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
     options = dict(_DEFAULTS[name])
@@ -96,11 +99,33 @@ def default_spec(name, **overrides):
     for key, value in options.items():
         if type(value) is int and value < 1:
             raise DataError(f"model {name!r} option {key!r} must be >= 1, got {value}")
+        if type(value) is float and not math.isfinite(value):
+            raise DataError(f"model {name!r} option {key!r} must be finite, got {value}")
     if name.startswith("vae"):
-        # the checks build_model would hit, made before anything is written
-        enc_cfg, dec_spec = _vae_configs(name, options)
-        vae.check_options(enc_cfg, dec_spec, options["beta"], options["label_loss_weight"])
+        _check_vae_options(name, options)
     return ModelSpec(name, options)
+
+
+def _check_vae_options(name, o):
+    """The conditions on a vae-* model's options beyond each int >= 1 and
+    each float finite; raises DataError."""
+    if o["enc_embed_dim"] % o["enc_heads"]:
+        raise DataError(f"heads={o['enc_heads']} must divide embed_dim={o['enc_embed_dim']}")
+    if not 0.0 <= o["dropout"] < 1.0:
+        raise DataError(f"dropout must be in [0, 1), got {o['dropout']}")
+    if not 0.0 <= o["beta"] <= 1.0:
+        raise DataError(f"beta must be in [0, 1], got {o['beta']}")
+    if not o["label_loss_weight"] >= 0.0:
+        raise DataError(f"label_loss_weight must be >= 0, got {o['label_loss_weight']}")
+    if o["tie_embeddings"] and o["dec_embed_dim"] != o["enc_embed_dim"]:
+        raise DataError("tied embeddings need matching encoder/decoder embed dims")
+    if name == "vae-xfmr":
+        if o["dec_hidden_dim"] % o["dec_heads"]:
+            raise DataError(f"heads={o['dec_heads']} must divide hidden_dim={o['dec_hidden_dim']}")
+        # the decoder adds its token embeddings to its hidden-width positions
+        if o["dec_embed_dim"] != o["dec_hidden_dim"]:
+            raise DataError(f"vae-xfmr needs dec_embed_dim == dec_hidden_dim, got "
+                            f"{o['dec_embed_dim']} and {o['dec_hidden_dim']}")
 
 
 def spec_hash(spec):
@@ -108,35 +133,30 @@ def spec_hash(spec):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _vae_configs(name, o):
-    """(EncoderConfig, DecoderSpec) of a vae-* model; both check their fields."""
+_BASELINES = {
+    "disc": baselines.DiscModel,
+    "gen": baselines.ClassLMModel,
+    "lat": baselines.LatentClassLMModel,
+    "ctx": baselines.CtxModel,
+}
+
+
+def build_model(spec, vocab_size, prior, seed):
+    """Freshly initialized model for a spec from default_spec; identical
+    (spec, seed) twice yields identical parameters."""
+    rng = np.random.default_rng(seed)
+    o = spec.options
+    if spec.name in _BASELINES:
+        # each baseline option is its constructor's keyword
+        return _BASELINES[spec.name](vocab_size, prior, rng, **o)
     enc_cfg = encoders.EncoderConfig(
         o["enc_embed_dim"], o["enc_layers"], o["enc_heads"], o["max_len"], o["dropout"]
     )
-    dec_kind = {"vae-bow": "bow", "vae-lstm": "lstm", "vae-xfmr": "xfmr-latent"}[name]
+    dec_kind = {"vae-bow": "bow", "vae-lstm": "lstm", "vae-xfmr": "xfmr-latent"}[spec.name]
     dec_spec = vae.DecoderSpec(
         dec_kind, o["dec_embed_dim"], o["dec_hidden_dim"], o["dec_layers"], o["dec_heads"],
         o["tie_embeddings"],
     )
-    return enc_cfg, dec_spec
-
-
-def build_model(spec, vocab_size, prior, seed):
-    """Freshly initialized model for a spec; identical (spec, seed) twice
-    yields identical parameters."""
-    rng = np.random.default_rng(seed)
-    o = spec.options
-    if spec.name == "disc":
-        return baselines.DiscModel(vocab_size, prior, rng, o["embed_dim"], o["hidden_dim"])
-    if spec.name == "gen":
-        return baselines.ClassLMModel(vocab_size, prior, rng, o["embed_dim"], o["hidden_dim"])
-    if spec.name == "lat":
-        return baselines.LatentClassLMModel(
-            vocab_size, prior, rng, o["embed_dim"], o["hidden_dim"], o["n_latent"]
-        )
-    if spec.name == "ctx":
-        return baselines.CtxModel(vocab_size, prior, rng, o["embed_dim"], o["hidden_dim"])
-    enc_cfg, dec_spec = _vae_configs(spec.name, o)
     return vae.VAEModel(
         enc_cfg, dec_spec, vocab_size,
         latent_dim=o["latent_dim"], beta=o["beta"],

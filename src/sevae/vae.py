@@ -38,11 +38,9 @@ import numpy as np
 from . import encoders
 from . import tensor as T
 from .data import N_LABELS, atomic_write, concat_ids, lm_rows, tagging_runs
-from .errors import DataError, GraphError
+from .errors import GraphError
 
 LOGVAR_MIN, LOGVAR_MAX = -8.0, 8.0
-
-DECODER_KINDS = ("bow", "lstm", "xfmr-latent")
 
 
 @dataclass
@@ -55,18 +53,15 @@ class LatentGaussian:
 
 @dataclass
 class DecoderSpec:
+    """One of the decoders "bow", "lstm" or "xfmr-latent"; its values are
+    checked by models.default_spec."""
+
     kind: str
     embed_dim: int = 128
     hidden_dim: int = 128
     layers: int = 2
     heads: int = 4
     tie_embeddings: bool = False
-
-    def __post_init__(self):
-        if self.kind not in DECODER_KINDS:
-            raise DataError(f"unknown decoder kind {self.kind!r}; expected one of {DECODER_KINDS}")
-        if self.kind == "xfmr-latent" and self.hidden_dim % self.heads:
-            raise DataError(f"heads={self.heads} must divide hidden_dim={self.hidden_dim}")
 
 
 def reparameterize(q, eps):
@@ -82,17 +77,6 @@ def kl_to_standard_normal(q):
     return 0.5 * T.sum_(q.mu * q.mu + T.exp(q.logvar) - 1.0 - q.logvar)
 
 
-def check_options(enc_cfg, dec_spec, beta, label_loss_weight):
-    """The checks a VAEModel makes beyond those of its EncoderConfig and
-    DecoderSpec; raises DataError."""
-    if not 0.0 <= beta <= 1.0:
-        raise DataError(f"beta must be in [0, 1], got {beta}")
-    if not label_loss_weight >= 0.0:
-        raise DataError(f"label_loss_weight must be >= 0, got {label_loss_weight}")
-    if dec_spec.tie_embeddings and dec_spec.embed_dim != enc_cfg.embed_dim:
-        raise DataError("tied embeddings need matching encoder/decoder embed dims")
-
-
 class VAEModel:
     """Encoder, posterior heads, classifier head, and one decoder."""
 
@@ -100,7 +84,6 @@ class VAEModel:
 
     def __init__(self, enc_cfg, dec_spec, vocab_size, latent_dim=30, beta=0.5,
                  label_loss_weight=1.0, rng=None):
-        check_options(enc_cfg, dec_spec, beta, label_loss_weight)
         self.enc_cfg = enc_cfg
         self.dec_spec = dec_spec
         self.vocab_size = vocab_size

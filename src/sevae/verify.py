@@ -1,14 +1,15 @@
 """End-to-end gradient verification of every training objective.
 
-Each objective is instantiated at miniature dimensions (the code paths are
-identical to full size; only the shapes shrink), the batched loss that
-training runs (batch_loss) is built on a random batch with all noise
-frozen, and every trainable coordinate is probed by central finite
-differences. A clause batch holds three clauses of distinct lengths, one
-of them a single token, so the encoder's key mask, the decoders' ragged
-rows and the baselines' packed LSTM layouts and segments are covered; the
-ctx batch holds three paragraphs of 2, 1 and 3 clauses. The suite is what
-the `gradcheck` CLI subcommand runs and what the test suite calls.
+Each objective's model is built by models.build_model at miniature
+dimensions (the code paths are identical to full size; only the shapes
+shrink), the batched loss that training runs (batch_loss) is built on a
+random batch with all noise frozen, and every trainable coordinate is
+probed by central finite differences. A clause batch holds three clauses
+of distinct lengths, one of them a single token, so the encoder's key
+mask, the decoders' ragged rows and the baselines' packed LSTM layouts
+and segments are covered; the ctx batch holds three paragraphs of 2, 1
+and 3 clauses. The suite is what the `gradcheck` CLI subcommand runs and
+what the test suite calls.
 """
 
 import time
@@ -16,39 +17,30 @@ import zlib
 
 import numpy as np
 
-from . import baselines, encoders, vae
 from .data import N_LABELS
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, check_gradients
-
-OBJECTIVES = (
-    "elbo-bow", "elbo-lstm", "elbo-xfmr",
-    "classlm", "latent-marginal", "disc", "ctx",
-)
+from .models import build_model, default_spec
 
 _VOCAB = 12
-_LATENT = 4
+
+_TINY_VAE = {"enc_embed_dim": 8, "enc_layers": 1, "enc_heads": 2, "max_len": 16, "latent_dim": 4}
+
+# each objective's model name and miniature options
+_TINY = {
+    "elbo-bow": ("vae-bow", _TINY_VAE),
+    "elbo-lstm": ("vae-lstm", dict(_TINY_VAE, dec_embed_dim=6, dec_hidden_dim=6)),
+    "elbo-xfmr": ("vae-xfmr", dict(_TINY_VAE, dec_embed_dim=8, dec_hidden_dim=8, dec_layers=1, dec_heads=2)),
+    "classlm": ("gen", {"embed_dim": 5, "hidden_dim": 6}),
+    "latent-marginal": ("lat", {"embed_dim": 5, "hidden_dim": 6, "n_latent": 3}),
+    "disc": ("disc", {"embed_dim": 5, "hidden_dim": 6}),
+    "ctx": ("ctx", {"embed_dim": 4, "hidden_dim": 5}),
+}
+
+OBJECTIVES = tuple(_TINY)
 
 
 def _rand_ids(rng, low=5, high=_VOCAB, min_len=3, max_len=5):
     return rng.integers(low, high, size=int(rng.integers(min_len, max_len + 1)))
-
-
-def _tiny_model(name, prior, rng):
-    if name == "classlm":
-        return baselines.ClassLMModel(_VOCAB, prior, rng, embed_dim=5, hidden_dim=6)
-    if name == "latent-marginal":
-        return baselines.LatentClassLMModel(_VOCAB, prior, rng, embed_dim=5, hidden_dim=6, n_latent=3)
-    if name == "disc":
-        return baselines.DiscModel(_VOCAB, prior, rng, embed_dim=5, hidden_dim=6)
-    if name == "ctx":
-        return baselines.CtxModel(_VOCAB, prior, rng, embed_dim=4, hidden_dim=5)
-    enc_cfg = encoders.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=16)
-    dec = {
-        "elbo-bow": vae.DecoderSpec("bow"),
-        "elbo-lstm": vae.DecoderSpec("lstm", embed_dim=6, hidden_dim=6),
-        "elbo-xfmr": vae.DecoderSpec("xfmr-latent", embed_dim=8, hidden_dim=8, layers=1, heads=2),
-    }[name]
-    return vae.VAEModel(enc_cfg, dec, _VOCAB, latent_dim=_LATENT, beta=0.5, rng=rng)
 
 
 def _build_objective(name, seed):
@@ -60,7 +52,8 @@ def _build_objective(name, seed):
     prior /= prior.sum()
     label = int(rng.integers(N_LABELS))
     ids = _rand_ids(rng)
-    model = _tiny_model(name, prior, rng)
+    model_name, options = _TINY[name]
+    model = build_model(default_spec(model_name, **options), _VOCAB, prior, int(rng.integers(2 ** 32)))
     if name == "ctx":
         items = [([_rand_ids(rng) for _ in range(n)], rng.integers(N_LABELS, size=n).tolist())
                  for n in (2, 1, 3)]

@@ -350,6 +350,8 @@ def test_unparsable_opt_is_data_error(capsys, tmp_path, synth_dir, opt):
     ("vae-bow", "enc_heads=3"),
     ("vae-xfmr", "dec_heads=3"),
     ("vae-lstm", "beta=1.5"),
+    ("vae-xfmr", "dec_hidden_dim=16"),
+    ("vae-xfmr", "dec_embed_dim=1"),
 ])
 def test_out_of_range_opt_is_data_error_before_any_output(capsys, tmp_path, synth_dir,
                                                          model, opt):
@@ -382,6 +384,7 @@ def test_negative_beta_warmup_is_data_error(capsys, tmp_path, synth_dir):
     ("disc", ["--lr", "inf"], "lr"),
     ("disc", ["--weight-decay", "inf"], "weight_decay"),
     ("disc", ["--grad-clip", "inf"], "grad_clip"),
+    ("vae-bow", ["--opt", "label_loss_weight=inf"], "label_loss_weight"),
 ])
 def test_out_of_range_training_value_is_data_error_before_any_output(capsys, tmp_path, synth_dir,
                                                                      model, flags, field):

@@ -135,6 +135,12 @@ def test_load_corpus_running_clause_idx(tmp_path):
     ('{"text": "x.", "label": "state", "par_id": true}', "par_id must be an integer"),
     ('{"text": "x.", "label": "state", "clause_idx": 1.5}', "clause_idx must be an integer"),
     ('{"text": "x.", "label": "state", "clause_idx": [0]}', "clause_idx must be an integer"),
+    ('{"text": ["a", "b"], "label": "state"}', "text must be a string"),
+    ('{"text": 12.5, "label": "state"}', "text must be a string"),
+    ('{"text": "x.", "label": "state", "doc_id": {"x": 1}}', "doc_id must be a string or an integer"),
+    ('{"text": "x.", "label": "state", "doc_id": true}', "doc_id must be a string or an integer"),
+    ('{"text": "x.", "label": "state", "doc_id": 1.5}', "doc_id must be a string or an integer"),
+    ('{"text": "x.", "label": "state", "doc_id": null}', "doc_id must be a string or an integer"),
     # json.loads refuses integers past Python's digit limit with a ValueError
     pytest.param('{"text": "x.", "par_id": ' + "9" * 5000 + "}", "invalid JSON", id="huge-int"),
 ])
@@ -151,8 +157,9 @@ def test_load_corpus_reads_integral_coordinates_of_any_json_type(tmp_path):
     path.write_text(
         '{"text": "a.", "label": "state", "doc_id": "d", "par_id": "2", "clause_idx": 3.0}\n'
         '{"text": "b.", "label": "state", "doc_id": "d", "par_id": 2.0}\n'
+        '{"text": "c.", "label": "state", "doc_id": 3}\n'
     )
-    assert [c.coords for c in D.load_corpus(str(path))] == [("d", 2, 3), ("d", 2, 4)]
+    assert [c.coords for c in D.load_corpus(str(path))] == [("d", 2, 3), ("d", 2, 4), ("3", 0, 0)]
 
 
 def test_load_corpus_names_a_file_that_is_not_utf8(tmp_path):

@@ -5,6 +5,7 @@ from sevae import encoders as E
 from sevae import tensor as T
 from sevae.errors import DataError
 from sevae.gradcheck import check_gradients
+from sevae.models import default_spec
 
 
 def ids_for(rng, n, vocab=20):
@@ -12,12 +13,13 @@ def ids_for(rng, n, vocab=20):
 
 
 def test_config_validation():
+    # the encoder options are checked where every spec is made
     with pytest.raises(DataError, match="must divide"):
-        E.EncoderConfig(embed_dim=10, heads=3)
+        default_spec("vae-bow", enc_embed_dim=10, enc_heads=3)
     with pytest.raises(DataError, match=">= 1"):
-        E.EncoderConfig(embed_dim=8, heads=0)
+        default_spec("vae-bow", enc_embed_dim=8, enc_heads=0)
     with pytest.raises(DataError, match="dropout"):
-        E.EncoderConfig(dropout=1.0)
+        default_spec("vae-bow", dropout=1.0)
 
 
 def test_defaults_match_desk_scale():

@@ -494,7 +494,7 @@ def test_lstm_seq_rejects_bad_lengths_and_states(rng):
         T.lstm_seq(x, wx, whT, b, h0, h0, [5])
 
 
-def test_gradcheck_concat_repeat_row(rng):
+def test_gradcheck_concat_and_repeated_rows(rng):
     p = {"v": leaf(rng.standard_normal(4)), "u": leaf(rng.standard_normal(4))}
 
     def build():
@@ -504,6 +504,52 @@ def test_gradcheck_concat_repeat_row(rng):
         return T.sum_(T.mul(T.add(m, r), T.add(m, r)))
 
     assert grad_of(build, p) < 1e-6
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradcheck_ops_over_random_shapes(shape, data, seed):
+    # the partner of a binary op drops some leading axes and cuts some of
+    # the rest to size 1, so every broadcast the models rely on is drawn
+    ndim, d = len(shape), shape[-1]
+    kept = shape[data.draw(st.integers(0, ndim)):]
+    other = tuple(1 if data.draw(st.booleans()) else n for n in kept)
+    axis = data.draw(st.integers(-ndim, ndim - 1))
+    d_out = data.draw(st.integers(1, 3))
+    lengths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    rng = np.random.default_rng(seed)
+    n_rows = sum(lengths)
+    x, y = leaf(rng.standard_normal(shape)), leaf(rng.standard_normal(other))
+    w, b = leaf(rng.standard_normal((d, d_out))), leaf(rng.standard_normal(d_out))
+    gain, bias = leaf(rng.standard_normal(d)), leaf(rng.standard_normal(d))
+    # distinct values 0.5 apart: no segment_max tie within the step
+    seg = leaf(rng.permutation(n_rows * d).reshape(n_rows, d) * 0.5 + rng.uniform(0, 0.1, (n_rows, d)))
+
+    def weighted(out):
+        # a fixed weight per output entry, so no gradient cancels by symmetry
+        weights = np.random.default_rng(seed + 1).standard_normal(out.shape)
+        return T.sum_(T.mul(out, weights))
+
+    cases = {
+        "add": (lambda: weighted(T.add(x, y)), [x, y]),
+        "sub": (lambda: weighted(T.sub(y, x)), [x, y]),
+        "mul": (lambda: weighted(T.mul(x, y)), [x, y]),
+        "affine": (lambda: weighted(T.affine(x, w, b)), [x, w, b]),
+        "softmax": (lambda: weighted(T.softmax(x, axis=axis)), [x]),
+        "log_softmax": (lambda: weighted(T.log_softmax(x, axis=axis)), [x]),
+        "logsumexp": (lambda: weighted(T.logsumexp(x, axis=axis)), [x]),
+        "sum_": (lambda: weighted(T.sum_(x, axis=axis)), [x]),
+        "layer_norm": (lambda: weighted(T.layer_norm(x, gain, bias)), [x, gain, bias]),
+        "segment_mean": (lambda: weighted(T.segment_mean(seg, lengths)), [seg]),
+        "segment_max": (lambda: weighted(T.segment_max(seg, lengths)), [seg]),
+    }
+    for op, (build, params) in cases.items():
+        err = grad_of(build, {str(i): p for i, p in enumerate(params)})
+        assert err < 1e-5, (op, shape, other, axis, err)
 
 
 # ---------------------------------------------------------------------------
