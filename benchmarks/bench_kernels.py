@@ -21,7 +21,10 @@ The tagging section builds each of the seven models at its default size
 one-clause paragraphs) once as S batch-of-one calls (predict_probs,
 predict_paragraph_probs) and once as one batch_probs call, the pass a
 tagging run makes; it reports the largest relative difference of their
-probabilities, which the tagging contract bounds by 1e-12.
+probabilities, which the tagging contract bounds by 1e-12. The Adam
+section times one harness.adam_step over ctx's parameters at its default
+size (vocabulary 383) with clipping active, and reports the step's
+tracemalloc peak, which stays within two arrays of the largest parameter.
 
 Usage: python3 benchmarks/bench_kernels.py [--reps 30]
 """
@@ -29,11 +32,13 @@ Usage: python3 benchmarks/bench_kernels.py [--reps 30]
 import argparse
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
 from sevae import encoders, kernels
 from sevae import tensor
+from sevae.harness import TrainConfig, adam_step, init_adam_state
 from sevae.models import MODEL_NAMES, build_model, default_spec
 
 
@@ -151,6 +156,33 @@ def bench_tagging(model, n_clauses, n_tokens, reps, rng):
     return _time(singles, reps), _time(lambda: model.batch_probs(units), reps), agree
 
 
+def bench_adam(reps, rng):
+    """Median seconds of one adam_step over ctx's trainable parameters
+    (clipping active), the step's tracemalloc peak in bytes, and the size
+    in bytes of the largest parameter."""
+    model = build_model(default_spec("ctx"), 383, np.full(7, 1 / 7), seed=0)
+    params = {k: p for k, p in model.params.items() if p.requires_grad}
+    state = init_adam_state(params)
+    cfg = TrainConfig(grad_clip=1.0)
+
+    def grads():
+        return {k: rng.standard_normal(p.data.shape) for k, p in params.items()}
+
+    def step():
+        g = grads()
+        t0 = time.perf_counter()
+        adam_step(params, g, state, cfg)
+        return time.perf_counter() - t0
+
+    g = grads()
+    tracemalloc.start()
+    adam_step(params, g, state, cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    largest = max(p.data.nbytes for p in params.values())
+    return statistics.median(step() for _ in range(reps)), peak, largest
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
@@ -198,6 +230,11 @@ def main():
                 t_one, t_batch, agree = bench_tagging(model, n_clauses, n_tokens, args.reps, rng)
                 print(f"{f'{name} S={n_clauses} n={n_tokens}':>30s} {t_one * 1e3:10.2f}ms "
                       f"{t_batch * 1e3:9.2f}ms {t_one / t_batch:7.2f}x {agree:12.2e}")
+
+    print()
+    t, peak, largest = bench_adam(args.reps, rng)
+    print(f"adam_step over ctx's parameters: {t * 1e3:.2f}ms, tracemalloc peak "
+          f"{peak / 1e6:.1f} MB ({peak / largest:.2f} x the largest parameter, {largest / 1e6:.1f} MB)")
 
 
 if __name__ == "__main__":

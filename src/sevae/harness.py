@@ -37,7 +37,6 @@ FORMAT below; round-trips are bit-exact because parameters are stored as
 raw little-endian float64.
 """
 
-import io
 import json
 import math
 import struct
@@ -108,7 +107,10 @@ ADAM_EPS = 1e-8
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale the whole gradient set so its global L2 norm is <= max_norm."""
+    """Scale the whole gradient set so its global L2 norm is <= max_norm.
+
+    The arrays of grads are scaled in place; returns grads.
+    """
     if max_norm <= 0:
         return grads
     total = 0.0
@@ -117,7 +119,8 @@ def clip_global_norm(grads, max_norm):
     norm = np.sqrt(total)
     if norm > max_norm:
         scale = max_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
+        for g in grads.values():
+            g *= scale
     return grads
 
 
@@ -133,6 +136,9 @@ def adam_step(params, grads, state, cfg):
     """One bias-corrected Adam update; clips to global norm first.
 
     Decoupled weight decay: the decay term bypasses the moment estimates.
+    The step runs in place: clipping scales the arrays of grads, and each
+    parameter's update uses two scratch arrays of its size, freed before
+    the next parameter's.
     """
     for name, g in grads.items():
         if name not in state["m"]:
@@ -145,17 +151,31 @@ def adam_step(params, grads, state, cfg):
     b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
+    # each line keeps the operation order of the textbook expressions
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    # p -= lr*(m/c1) / (sqrt(v/c2) + eps), so the results are the same bits
     for name, g in grads.items():
         m = state["m"][name]
         v = state["v"][name]
+        p = params[name].data
         m *= b1
-        m += (1.0 - b1) * g
+        step = np.multiply(1.0 - b1, g)
+        m += step
         v *= b2
-        v += (1.0 - b2) * g * g
-        p = params[name]
-        p.data -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(1.0 - b2, g, out=step)
+        step *= g
+        v += step
+        np.divide(m, c1, out=step)
+        np.multiply(cfg.lr, step, out=step)
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        p -= step
         if cfg.weight_decay:
-            p.data -= cfg.lr * cfg.weight_decay * p.data
+            np.multiply(cfg.lr * cfg.weight_decay, p, out=step)
+            p -= step
+        del step, denom
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +290,25 @@ def _encode_items(model, clauses, vocab):
     return [(np.asarray(vocab.encode(cl.tokens)), int(cl.label)) for cl in clauses]
 
 
+def _mean_grads(params, n_items):
+    """The batch-mean gradient of every trainable parameter, scaled in
+    place in its .grad; a parameter the batch did not reach gets zeros."""
+    inv = 1.0 / n_items
+    for p in params.values():
+        if p.grad is not None:
+            p.grad *= inv
+    return {k: p.grad if p.grad is not None else np.zeros_like(p.data)
+            for k, p in params.items() if p.requires_grad}
+
+
 def _snapshot(params):
     return {k: p.data.copy() for k, p in params.items()}
 
 
 def _restore(params, snap):
+    # the snapshot is dropped after this, so its arrays are taken over
     for k, p in params.items():
-        p.data = snap[k].copy()
+        p.data = snap[k]
 
 
 def train(spec, split, cfg, log_hook=None):
@@ -306,7 +338,6 @@ def train(spec, split, cfg, log_hook=None):
         part_sums = {}
         for lo in range(0, len(order), cfg.logical_batch):
             chunk = order[lo:lo + cfg.logical_batch]
-            zero_grads(model.params)
             warmup = {}
             if is_vae and cfg.beta_warmup_steps > 0:
                 warmup["beta"] = model.beta * min(1.0, (step + 1) / cfg.beta_warmup_steps)
@@ -315,12 +346,10 @@ def train(spec, split, cfg, log_hook=None):
                 tape.backward(loss)
             for key, value in parts.items():
                 part_sums[key] = part_sums.get(key, 0.0) + value
-            inv = 1.0 / len(chunk)
-            grads = {
-                k: (p.grad * inv if p.grad is not None else np.zeros_like(p.data))
-                for k, p in model.params.items() if p.requires_grad
-            }
-            adam_step(model.params, grads, state, cfg)
+            adam_step(model.params, _mean_grads(model.params, len(chunk)), state, cfg)
+            # free the gradients before the next batch's forward, and keep
+            # them off the returned model
+            zero_grads(model.params)
             step += 1
         record = {"epoch": epoch}
         for key in sorted(part_sums):
@@ -416,30 +445,33 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(result, path, meta=None):
     """Serialize a TrainResult's model, spec, and vocabulary."""
+    atomic_write(path, _checkpoint_chunks(result, meta))
+
+
+def _checkpoint_chunks(result, meta):
+    """The checkpoint file as a stream of byte chunks; each parameter's
+    values are written straight from its float64 array."""
     header = {
         "spec": result.spec.to_json(),
         "vocab": result.vocab.to_json(),
         "meta": dict(meta or {}, seed=result.config.seed),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(spec_hash(result.spec).encode("ascii"))
-    buf.write(struct.pack("<Q", len(header_bytes)))
-    buf.write(header_bytes)
     params = result.model.params
-    buf.write(struct.pack("<I", len(params)))
+    yield b"".join([
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", CHECKPOINT_VERSION),
+        spec_hash(result.spec).encode("ascii"),
+        struct.pack("<Q", len(header_bytes)),
+        header_bytes,
+        struct.pack("<I", len(params)),
+    ])
     for name in sorted(params):
-        p = params[name]
+        data = np.ascontiguousarray(params[name].data, dtype="<f8")
         name_bytes = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(name_bytes)))
-        buf.write(name_bytes)
-        buf.write(struct.pack("<BB", 1 if p.requires_grad else 0, p.data.ndim))
-        for dim in p.data.shape:
-            buf.write(struct.pack("<Q", dim))
-        buf.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    atomic_write(path, buf.getvalue())
+        yield struct.pack(f"<H{len(name_bytes)}sBB{data.ndim}Q", len(name_bytes), name_bytes,
+                          1 if params[name].requires_grad else 0, data.ndim, *data.shape)
+        yield memoryview(data)
 
 
 class _Reader:

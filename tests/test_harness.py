@@ -8,6 +8,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from sevae import cli
 from sevae.data import (
-    RUN_TOKENS, Clause, SEType, Split, Vocab, build_vocab, label_prior, paragraphs_of,
+    RUN_TOKENS, Clause, SEType, Split, Vocab, atomic_write, build_vocab, label_prior, paragraphs_of,
     tagging_runs, write_jsonl,
 )
 from sevae.errors import CheckpointError, DataError
@@ -174,6 +175,52 @@ def test_adam_weight_decay_is_decoupled():
     plain = one_step(0.0)
     decayed = one_step(0.25)
     assert abs(decayed - plain * (1.0 - 0.1 * 0.25)) < 1e-15
+
+
+def test_adam_is_bit_identical_to_the_out_of_place_update(rng):
+    # the in-place step keeps the textbook expressions' operation order, so
+    # it matches them bit for bit, clipping and decoupled decay included
+    shapes = {"a": (5, 3), "b": (7,)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    mirror = {k: params[k].data.copy() for k in params}
+    state = init_adam_state(params)
+    cfg = TrainConfig(lr=0.01, grad_clip=0.5, weight_decay=0.01)
+    b1, b2 = ADAM_BETAS
+    m = {k: np.zeros(shapes[k]) for k in shapes}
+    v = {k: np.zeros(shapes[k]) for k in shapes}
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=shapes[k]) * 3.0 for k in shapes}
+        adam_step(params, {k: g.copy() for k, g in grads.items()}, state, cfg)
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        assert norm > cfg.grad_clip
+        grads = {k: g * (cfg.grad_clip / norm) for k, g in grads.items()}
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k, g in grads.items():
+            m[k] = m[k] * b1 + (1.0 - b1) * g
+            v[k] = v[k] * b2 + (1.0 - b2) * g * g
+            mirror[k] = mirror[k] - cfg.lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + ADAM_EPS)
+            mirror[k] = mirror[k] - cfg.lr * cfg.weight_decay * mirror[k]
+    for k in shapes:
+        assert np.array_equal(params[k].data, mirror[k]), k
+        assert np.array_equal(state["m"][k], m[k]) and np.array_equal(state["v"][k], v[k]), k
+
+
+def test_adam_step_needs_at_most_two_parameter_sized_scratch_arrays():
+    shapes = {"big": (1000, 1000), "small": (500, 1000)}
+    params = {k: Tensor(np.ones(s), requires_grad=True) for k, s in shapes.items()}
+    grads = {k: np.full(s, 10.0) for k, s in shapes.items()}
+    state = init_adam_state(params)
+    cfg = TrainConfig(grad_clip=1.0, weight_decay=0.01)
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two arrays the size of the largest parameter, 8 MB each
+    assert peak <= 2 * 8 * 1000 * 1000 + 64 * 1024
+    # clipping was active: the gradients were scaled in place
+    assert math.fsum(float(np.sum(g * g)) for g in grads.values()) == pytest.approx(1.0)
 
 
 def test_clip_global_norm():
@@ -464,6 +511,15 @@ def test_train_without_validation_runs_all_epochs(eight_clause_fixture):
     assert result.best_val_macro_f1 == -1.0
 
 
+@pytest.mark.parametrize("name", ["disc", "ctx", "vae-bow"])
+def test_trained_model_holds_no_gradients(name, eight_clause_fixture):
+    cfg = TrainConfig(max_epochs=2, patience=5, logical_batch=4, seed=0)
+    for split in (overfit_split(eight_clause_fixture),
+                  Split(list(eight_clause_fixture), [], [], "s")):
+        result = train(tiny_spec(name), split, cfg)
+        assert all(p.grad is None for p in result.model.params.values())
+
+
 def test_returned_model_attains_best_validation_f1(eight_clause_fixture):
     cfg = TrainConfig(max_epochs=6, patience=2, logical_batch=4, seed=7)
     split = overfit_split(eight_clause_fixture)
@@ -597,6 +653,57 @@ def test_checkpoint_save_load_twice_identical_bytes(disc_result, tmp_path):
     save_checkpoint(disc_result, a, {"note": "x"})
     save_checkpoint(disc_result, b, {"note": "x"})
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_bytes_follow_the_documented_layout(disc_result, disc_ckpt):
+    # format v1 rebuilt field by field from the CHECKPOINT FORMAT comment
+    header = json.dumps({"spec": disc_result.spec.to_json(), "vocab": disc_result.vocab.to_json(),
+                         "meta": {"note": "round-trip", "seed": 2}}, sort_keys=True).encode()
+    params = disc_result.model.params
+    want = [CHECKPOINT_MAGIC, struct.pack("<I", 1), spec_hash(disc_result.spec).encode(),
+            struct.pack("<Q", len(header)), header, struct.pack("<I", len(params))]
+    for name in sorted(params):
+        data = params[name].data
+        want += [struct.pack("<H", len(name)), name.encode(),
+                 struct.pack("<BB", int(params[name].requires_grad), data.ndim)]
+        want += [struct.pack("<Q", dim) for dim in data.shape]
+        want.append(data.astype("<f8").tobytes())
+    assert disc_ckpt.read_bytes() == b"".join(want)
+
+
+def test_checkpoint_save_streams_the_parameters(eight_clause_fixture, tmp_path):
+    vocab = build_vocab(eight_clause_fixture, 1)
+    spec = default_spec("ctx")
+    model = build_model(spec, len(vocab), np.full(7, 1 / 7), seed=0)
+    result = TrainResult(model, vocab, spec, TrainConfig(), [], -1.0, {})
+    largest = max(p.data.nbytes for p in model.params.values())
+    tracemalloc.start()
+    try:
+        save_checkpoint(result, tmp_path / "ctx.ckpt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no copy of the file, nor of any parameter, is built in memory
+    assert largest > 1_000_000 and peak < largest // 4
+    loaded, _, _ = load_checkpoint(tmp_path / "ctx.ckpt")
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, loaded.params[name].data), name
+
+
+def test_failed_chunk_keeps_previous_file(tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous contents")
+
+    def chunks():
+        yield b"new "
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(path, chunks())
+    assert path.read_bytes() == b"previous contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    atomic_write(path, [b"new ", memoryview(b"contents"), np.zeros(1)])
+    assert path.read_bytes() == b"new contents" + bytes(8)
 
 
 WRITERS = {
