@@ -119,8 +119,8 @@ def bench_encoder(batch, reps, rng, n_clauses=32, min_tokens=3, max_tokens=40, v
     min_tokens..max_tokens tokens run as padded stacks of `batch` clauses,
     one tape per stack; with the share of the stacks' positions that are
     padding."""
-    cfg = encoders.EncoderConfig()
-    params = encoders.init_params(cfg, vocab, rng)
+    model = build_model(default_spec("vae-bow"), vocab, np.full(7, 1 / 7), seed=0)
+    params = {k: p for k, p in model.params.items() if k.startswith("enc.")}
     ids = [rng.integers(5, vocab, size=n) for n in rng.integers(min_tokens, max_tokens + 1, size=n_clauses)]
     stacks = [ids[lo:lo + batch] for lo in range(0, n_clauses, batch)]
     padded = sum(len(stack) * max(len(c) for c in stack) for stack in stacks)
@@ -130,7 +130,7 @@ def bench_encoder(batch, reps, rng, n_clauses=32, min_tokens=3, max_tokens=40, v
         tensor.zero_grads(params)
         for stack in stacks:
             with tensor.Tape() as tape:
-                h = encoders.encode(stack, cfg, params)
+                h = encoders.encode(stack, model.enc_cfg, params, "enc.")
                 tape.backward(tensor.sum_(tensor.mul(h, h)))
 
     run()

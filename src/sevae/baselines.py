@@ -30,6 +30,10 @@ with theirs within 1e-12 relative, not bit for bit.
 All label ties break toward the lowest label code. The empirical label
 prior rides along as a non-trainable named parameter so checkpoints are
 self-contained.
+
+Each model takes its options (embed_dim, hidden_dim, and n_latent for
+LatentClassLMModel) as the keywords of models.default_spec, which holds
+their defaults and checks; models.build_model is the one constructor call.
 """
 
 import numpy as np
@@ -37,11 +41,6 @@ import numpy as np
 from . import tensor as T
 from .data import N_LABELS, concat_ids, lm_rows
 from .errors import DataError
-
-EMBED_DIM = 100
-HIDDEN_DIM = 100
-CTX_HIDDEN = 300
-LATENT_VALUES = 30
 
 
 def _prior_param(prior):
@@ -77,7 +76,7 @@ class DiscModel:
 
     consumes = "clause"
 
-    def __init__(self, vocab_size, prior, rng, embed_dim=EMBED_DIM, hidden_dim=HIDDEN_DIM):
+    def __init__(self, vocab_size, prior, rng, *, embed_dim, hidden_dim):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
         self.params = {
@@ -151,7 +150,7 @@ class ClassLMModel(_BayesRuleClassifier):
 
     consumes = "clause"
 
-    def __init__(self, vocab_size, prior, rng, embed_dim=EMBED_DIM, hidden_dim=HIDDEN_DIM):
+    def __init__(self, vocab_size, prior, rng, *, embed_dim, hidden_dim):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
         self.params = {
@@ -189,8 +188,7 @@ class LatentClassLMModel(_BayesRuleClassifier):
 
     consumes = "clause"
 
-    def __init__(self, vocab_size, prior, rng, embed_dim=EMBED_DIM, hidden_dim=HIDDEN_DIM,
-                 n_latent=LATENT_VALUES):
+    def __init__(self, vocab_size, prior, rng, *, embed_dim, hidden_dim, n_latent):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
         self.n_latent = n_latent
@@ -244,7 +242,7 @@ class CtxModel:
 
     consumes = "paragraph"
 
-    def __init__(self, vocab_size, prior, rng, embed_dim=EMBED_DIM, hidden_dim=CTX_HIDDEN):
+    def __init__(self, vocab_size, prior, rng, *, embed_dim, hidden_dim):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
         self.params = {

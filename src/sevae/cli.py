@@ -28,7 +28,7 @@ from . import __version__, harness, vae, verify
 from .data import (
     SEType, Split, atomic_write, check_max_len, cross_genre_split, genre_counts, label_counts,
     load_corpus, make_synthetic_corpus, manifest_digest, split_manifest,
-    subsample_per_label, write_jsonl,
+    subsample_per_label, write_jsonl, write_tsv,
 )
 from .errors import CheckpointError, DataError, GraphError, NumericsError
 from .models import MODEL_NAMES, ModelSpec, default_spec
@@ -285,6 +285,8 @@ def _train_config(model_name, cfg):
 
 def _load_split(cfg):
     train = load_corpus(cfg["train"])
+    if not train:
+        raise DataError(f"empty training split: {cfg['train']} holds no clauses")
     validation = load_corpus(cfg["val"]) if cfg.get("val") else []
     test = load_corpus(cfg["test"]) if cfg.get("test") else []
     split = Split(train, validation, test, "file-given")
@@ -370,6 +372,8 @@ def _cmd_train(cfg):
 def _cmd_eval(cfg):
     model, vocab, meta = harness.load_checkpoint(cfg["ckpt"])
     clauses = load_corpus(cfg["data"])
+    if not clauses:
+        raise DataError(f"cannot evaluate on zero clauses: {cfg['data']} holds none")
     if isinstance(model, vae.VAEModel):
         check_max_len(clauses, model.enc_cfg.max_len)
     _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
@@ -443,8 +447,11 @@ def _cmd_sweep(cfg):
                     inputs, seed=seeds)
     rows = _run_jobs(_sweep_cell, jobs, cfg["jobs"])
     aggregates = harness.aggregate_sweep(rows)
-    harness.write_sweep_tsv(rows, os.path.join(cfg["out"], "sweep.tsv"))
-    harness.write_sweep_aggregates_tsv(aggregates, os.path.join(cfg["out"], "sweep_aggregates.tsv"))
+    write_tsv(os.path.join(cfg["out"], "sweep.tsv"), ["model", "k", "seed", "accuracy", "macro_f1"],
+              [(name, k, seed, repr(acc), repr(f1)) for name, k, seed, acc, f1 in rows])
+    write_tsv(os.path.join(cfg["out"], "sweep_aggregates.tsv"),
+              ["model", "k", "mean_accuracy", "std_accuracy", "mean_macro_f1", "std_macro_f1"],
+              [(name, k, *map(repr, stats)) for name, k, *stats in aggregates])
     sidecar = {"manifest": "manifest.json",
                "rows": [list(r) for r in rows],
                "aggregates": [list(a) for a in aggregates]}
@@ -472,7 +479,8 @@ def _cmd_crossgenre(cfg):
                     [cfg["data"]], seed=train_cfg.seed)
     jobs = [(spec.to_json(), t, cfg["data"], train_cfg.to_json()) for t in targets]
     rows = _run_jobs(_crossgenre_cell, jobs, cfg["jobs"])
-    harness.write_cross_genre_tsv(rows, os.path.join(cfg["out"], "crossgenre.tsv"))
+    write_tsv(os.path.join(cfg["out"], "crossgenre.tsv"), ["model", "genre", "accuracy", "macro_f1"],
+              [(name, genre, repr(acc), repr(f1)) for name, genre, acc, f1 in rows])
     _write_json(os.path.join(cfg["out"], "crossgenre_meta.json"),
                 {"manifest": "manifest.json", "rows": [list(r) for r in rows]}, indent=2)
     for name, genre, acc, f1 in rows:
@@ -507,7 +515,9 @@ def _cmd_export_latents(cfg):
     _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
     rows = vae.export_latents(model, clauses, vocab)
     out_path = os.path.join(cfg["out"], "latents.tsv")
-    vae.write_latents_tsv(rows, model.latent_dim, out_path)
+    header = ["doc_id", "par_id", "clause_idx", "label", "genre"]
+    write_tsv(out_path, header + [f"mu_{i}" for i in range(model.latent_dim)],
+              [(*cells, *(repr(float(v)) for v in mu)) for *cells, mu in rows])
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 

@@ -327,6 +327,13 @@ def atomic_write(path, payload):
             os.unlink(tmp)
 
 
+def write_tsv(path, header, rows):
+    """A header line, then one line per row, each of tab-separated cells
+    written by str(), replacing path atomically. Callers format their
+    floats (by repr, so they read back exactly)."""
+    atomic_write(path, "".join("\t".join(map(str, cells)) + "\n" for cells in [header, *rows]))
+
+
 def label_counts(clauses):
     counts = {lab: 0 for lab in SEType}
     for cl in clauses:

@@ -15,6 +15,11 @@ position of it is read. Encoders never truncate: over-length input is an
 error. Dropout exists on the training path only and is driven by an
 explicit generator, so eval passes are bit-deterministic and train passes
 replay exactly per seed.
+
+The encoder owns no parameter dict: init_params, encode and
+encode_pooled, like init_block and transformer_block, take the owning
+model's flat dict and the prefix its tensors sit under ("enc." in a
+VAEModel). The model builds its EncoderConfig from its options.
 """
 
 from dataclasses import dataclass
@@ -32,13 +37,14 @@ MASKED = -1e30
 @dataclass
 class EncoderConfig:
     """The desk-scale stand-in for a pretrained masked-LM encoder; its
-    values are checked by models.default_spec."""
+    values are a vae model's enc_* options, max_len and dropout, whose
+    defaults and checks live in models.py."""
 
-    embed_dim: int = 128
-    layers: int = 2
-    heads: int = 4
-    max_len: int = 128
-    dropout: float = 0.0
+    embed_dim: int
+    layers: int
+    heads: int
+    max_len: int
+    dropout: float
 
 
 def init_block(p, prefix, d, rng):
@@ -56,13 +62,13 @@ def init_block(p, prefix, d, rng):
     p[prefix + "b2"] = T.zeros((d,), requires_grad=True)
 
 
-def init_params(cfg, vocab_size, rng):
-    """Fresh parameter dict for one encoder."""
+def init_params(p, prefix, cfg, vocab_size, rng):
+    """Add one encoder's parameters under prefix."""
     d = cfg.embed_dim
-    p = {"emb": T.uniform_param(rng, (vocab_size, d)), "pos": T.uniform_param(rng, (cfg.max_len + 1, d))}
+    p[prefix + "emb"] = T.uniform_param(rng, (vocab_size, d))
+    p[prefix + "pos"] = T.uniform_param(rng, (cfg.max_len + 1, d))
     for layer in range(cfg.layers):
-        init_block(p, f"l{layer}.", d, rng)
-    return p
+        init_block(p, f"{prefix}l{layer}.", d, rng)
 
 
 def transformer_block(x, p, prefix, heads, memory=None, mask=None, dropout=0.0, train_rng=None):
@@ -108,25 +114,26 @@ def pad_stack(ids, lengths):
     return stack, real
 
 
-def encode(id_lists, cfg, params, train_rng=None):
-    """CLS states, (B, embed_dim), of B clauses given as token-id lists."""
-    stack, real = pad_stack(*concat_ids(id_lists, params["emb"].shape[0], cfg.max_len))
+def encode(id_lists, cfg, p, prefix, train_rng=None):
+    """CLS states, (B, embed_dim), of B clauses given as token-id lists,
+    read from the encoder parameters under prefix."""
+    stack, real = pad_stack(*concat_ids(id_lists, p[prefix + "emb"].shape[0], cfg.max_len))
     n_seq, n = stack.shape
     seq = np.concatenate((np.full((n_seq, 1), Vocab.CLS), stack), axis=1)
     keys = np.zeros((n_seq, 1, 1, n + 1))  # [CLS | tokens]
     keys[:, 0, 0, 1:][~real] = MASKED
-    x = T.embedding(params["emb"], seq) + T.embedding(params["pos"], np.arange(n + 1))
+    x = T.embedding(p[prefix + "emb"], seq) + T.embedding(p[prefix + "pos"], np.arange(n + 1))
     last = cfg.layers - 1
     for layer in range(last):
-        x = transformer_block(x, params, f"l{layer}.", cfg.heads, mask=keys,
+        x = transformer_block(x, p, f"{prefix}l{layer}.", cfg.heads, mask=keys,
                               dropout=cfg.dropout, train_rng=train_rng)
     # the CLS query alone, its keys [tokens | CLS]
-    cls = transformer_block(T.narrow(x, 1, 0, 1), params, f"l{last}.", cfg.heads,
+    cls = transformer_block(T.narrow(x, 1, 0, 1), p, f"{prefix}l{last}.", cfg.heads,
                             memory=T.narrow(x, 1, 1, n), mask=np.roll(keys, -1, axis=3),
                             dropout=cfg.dropout, train_rng=train_rng)
     return T.reshape(cls, (n_seq, cfg.embed_dim))
 
 
-def encode_pooled(ids, cfg, params, train_rng=None):
+def encode_pooled(ids, cfg, p, prefix, train_rng=None):
     """Representation vector, (embed_dim,), of one clause: the B=1 encode."""
-    return T.reshape(encode([ids], cfg, params, train_rng), (cfg.embed_dim,))
+    return T.reshape(encode([ids], cfg, p, prefix, train_rng), (cfg.embed_dim,))

@@ -404,27 +404,6 @@ def aggregate_sweep(rows):
     return out
 
 
-def write_sweep_tsv(rows, path):
-    lines = ["model\tk\tseed\taccuracy\tmacro_f1\n"]
-    for name, k, seed, acc, f1 in rows:
-        lines.append(f"{name}\t{k}\t{seed}\t{acc!r}\t{f1!r}\n")
-    atomic_write(path, "".join(lines))
-
-
-def write_sweep_aggregates_tsv(aggregates, path):
-    lines = ["model\tk\tmean_accuracy\tstd_accuracy\tmean_macro_f1\tstd_macro_f1\n"]
-    for name, k, ma, sa, mf, sf in aggregates:
-        lines.append(f"{name}\t{k}\t{ma!r}\t{sa!r}\t{mf!r}\t{sf!r}\n")
-    atomic_write(path, "".join(lines))
-
-
-def write_cross_genre_tsv(rows, path):
-    lines = ["model\tgenre\taccuracy\tmacro_f1\n"]
-    for name, genre, acc, f1 in rows:
-        lines.append(f"{name}\t{genre}\t{acc!r}\t{f1!r}\n")
-    atomic_write(path, "".join(lines))
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 #

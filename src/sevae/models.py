@@ -1,5 +1,9 @@
 """Declarative model specs: names, default hyperparameters, construction.
 
+This module is the one home of every model option's default (_DEFAULTS),
+of its checks (default_spec) and of model construction (build_model); the
+model classes take their options as keywords and default none of them.
+
 Seven model names cover the experiment grid:
 
 - disc: discriminative LSTM classifier
@@ -17,10 +21,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import baselines, encoders, vae
+from . import baselines, vae
 from .errors import DataError
 
 MODEL_NAMES = ("disc", "gen", "lat", "ctx", "vae-bow", "vae-lstm", "vae-xfmr")
@@ -133,32 +138,20 @@ def spec_hash(spec):
     return hashlib.sha256(blob).hexdigest()
 
 
-_BASELINES = {
+# each class takes its spec's options as keywords; the vae family also
+# takes its decoder kind
+_CLASSES = {
     "disc": baselines.DiscModel,
     "gen": baselines.ClassLMModel,
     "lat": baselines.LatentClassLMModel,
     "ctx": baselines.CtxModel,
+    "vae-bow": partial(vae.VAEModel, decoder="bow"),
+    "vae-lstm": partial(vae.VAEModel, decoder="lstm"),
+    "vae-xfmr": partial(vae.VAEModel, decoder="xfmr-latent"),
 }
 
 
 def build_model(spec, vocab_size, prior, seed):
     """Freshly initialized model for a spec from default_spec; identical
     (spec, seed) twice yields identical parameters."""
-    rng = np.random.default_rng(seed)
-    o = spec.options
-    if spec.name in _BASELINES:
-        # each baseline option is its constructor's keyword
-        return _BASELINES[spec.name](vocab_size, prior, rng, **o)
-    enc_cfg = encoders.EncoderConfig(
-        o["enc_embed_dim"], o["enc_layers"], o["enc_heads"], o["max_len"], o["dropout"]
-    )
-    dec_kind = {"vae-bow": "bow", "vae-lstm": "lstm", "vae-xfmr": "xfmr-latent"}[spec.name]
-    dec_spec = vae.DecoderSpec(
-        dec_kind, o["dec_embed_dim"], o["dec_hidden_dim"], o["dec_layers"], o["dec_heads"],
-        o["tie_embeddings"],
-    )
-    return vae.VAEModel(
-        enc_cfg, dec_spec, vocab_size,
-        latent_dim=o["latent_dim"], beta=o["beta"],
-        label_loss_weight=o["label_loss_weight"], rng=rng,
-    )
+    return _CLASSES[spec.name](vocab_size, prior, np.random.default_rng(seed), **spec.options)

@@ -2,17 +2,17 @@
 
 The encoder produces a clause representation from which two affine heads
 read the posterior mean and log-variance of a diagonal Gaussian over a
-latent z (default 30-dimensional). Training draws one z per clause by
+latent z of latent_dim dimensions. Training draws one z per clause by
 reparameterization and minimizes
 
     loss = -[w_y * log p(y|z) + log p(x|z)] + beta * KL(q(z|x) || N(0, I))
 
-with beta fixed at 0.5 by default (a linear warm-up schedule is available
-through the trainer). Prediction is deterministic: the classifier reads
-the posterior mean, never a sample. Training (batch_loss), tagging and
-latent export (batch_probs, posterior_means) take a batch of clauses of
-any lengths and encode it as one padded (B, n) stack (encoders.encode);
-elbo_loss and classify_map are the batch of one.
+with w_y = label_loss_weight and beta fixed (a linear warm-up schedule is
+available through the trainer). Prediction is deterministic: the
+classifier reads the posterior mean, never a sample. Training
+(batch_loss), tagging and latent export (batch_probs, posterior_means)
+take a batch of clauses of any lengths and encode it as one padded (B, n)
+stack (encoders.encode); elbo_loss and classify_map are the batch of one.
 
 Three reconstruction decoders satisfy one contract (scalar log p(x|z)):
 
@@ -29,6 +29,10 @@ Autoregressive decoders prepend BOS and score EOS, so likelihoods are
 proper over variable-length strings. The lstm decoder runs a batch's
 rows back to back through one ragged lstm_seq; the xfmr-latent decoder
 pads them to one stack and scores only the real positions.
+
+VAEModel takes its options as the keywords of models.default_spec, which
+holds their defaults and checks, and the decoder kind from
+models.build_model, its one constructor call.
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import encoders
 from . import tensor as T
-from .data import N_LABELS, atomic_write, concat_ids, lm_rows, tagging_runs
+from .data import N_LABELS, concat_ids, lm_rows, tagging_runs
 from .errors import GraphError
 
 LOGVAR_MIN, LOGVAR_MAX = -8.0, 8.0
@@ -49,19 +53,6 @@ class LatentGaussian:
 
     mu: T.Tensor
     logvar: T.Tensor
-
-
-@dataclass
-class DecoderSpec:
-    """One of the decoders "bow", "lstm" or "xfmr-latent"; its values are
-    checked by models.default_spec."""
-
-    kind: str
-    embed_dim: int = 128
-    hidden_dim: int = 128
-    layers: int = 2
-    heads: int = 4
-    tie_embeddings: bool = False
 
 
 def reparameterize(q, eps):
@@ -82,55 +73,52 @@ class VAEModel:
 
     consumes = "clause"
 
-    def __init__(self, enc_cfg, dec_spec, vocab_size, latent_dim=30, beta=0.5,
-                 label_loss_weight=1.0, rng=None):
-        self.enc_cfg = enc_cfg
-        self.dec_spec = dec_spec
+    def __init__(self, vocab_size, prior, rng, *, decoder, enc_embed_dim, enc_layers, enc_heads,
+                 max_len, dropout, latent_dim, beta, label_loss_weight, dec_embed_dim,
+                 dec_hidden_dim, dec_layers, dec_heads, tie_embeddings):
+        # prior is taken only so that every model builds from one call; the
+        # classifier head reads z alone
+        self.enc_cfg = encoders.EncoderConfig(enc_embed_dim, enc_layers, enc_heads, max_len, dropout)
+        self.decoder = decoder
         self.vocab_size = vocab_size
         self.latent_dim = latent_dim
         self.beta = beta
         self.label_loss_weight = label_loss_weight
-        rng = rng or np.random.default_rng(0)
-        # the encoder's own view of its parameters: the same tensors, under
-        # the names encoders.py uses
-        self.enc_params = encoders.init_params(enc_cfg, vocab_size, rng)
-        self.params = {"enc." + name: p for name, p in self.enc_params.items()}
-        d = enc_cfg.embed_dim
-        self.params["post.mu_w"] = T.xavier_param(rng, d, latent_dim)
-        self.params["post.mu_b"] = T.zeros((latent_dim,), requires_grad=True)
-        self.params["post.lv_w"] = T.xavier_param(rng, d, latent_dim)
-        self.params["post.lv_b"] = T.zeros((latent_dim,), requires_grad=True)
-        self.params["cls.w"] = T.xavier_param(rng, latent_dim, N_LABELS)
-        self.params["cls.b"] = T.zeros((N_LABELS,), requires_grad=True)
-        self._init_decoder(rng)
-
-    def _init_decoder(self, rng):
-        p = self.params
-        spec = self.dec_spec
-        V, P = self.vocab_size, self.latent_dim
-        if spec.kind == "bow":
+        self.dec_layers = dec_layers
+        self.dec_heads = dec_heads
+        self.tie_embeddings = tie_embeddings
+        p = self.params = {}
+        encoders.init_params(p, "enc.", self.enc_cfg, vocab_size, rng)
+        p["post.mu_w"] = T.xavier_param(rng, enc_embed_dim, latent_dim)
+        p["post.mu_b"] = T.zeros((latent_dim,), requires_grad=True)
+        p["post.lv_w"] = T.xavier_param(rng, enc_embed_dim, latent_dim)
+        p["post.lv_b"] = T.zeros((latent_dim,), requires_grad=True)
+        p["cls.w"] = T.xavier_param(rng, latent_dim, N_LABELS)
+        p["cls.b"] = T.zeros((N_LABELS,), requires_grad=True)
+        V, P = vocab_size, latent_dim
+        if decoder == "bow":
             p["dec.w"] = T.xavier_param(rng, P, V)
             p["dec.b"] = T.zeros((V,), requires_grad=True)
             return
-        if not spec.tie_embeddings:
-            p["dec.emb"] = T.uniform_param(rng, (V, spec.embed_dim))
-        if spec.kind == "lstm":
-            h = spec.hidden_dim
+        if not tie_embeddings:
+            p["dec.emb"] = T.uniform_param(rng, (V, dec_embed_dim))
+        if decoder == "lstm":
+            h = dec_hidden_dim
             p["dec.h0_w"] = T.xavier_param(rng, P, h)
             p["dec.h0_b"] = T.zeros((h,), requires_grad=True)
             p["dec.c0_w"] = T.xavier_param(rng, P, h)
             p["dec.c0_b"] = T.zeros((h,), requires_grad=True)
-            p["dec.wx"] = T.xavier_param(rng, spec.embed_dim + P, 4 * h)
+            p["dec.wx"] = T.xavier_param(rng, dec_embed_dim + P, 4 * h)
             p["dec.whT"] = T.xavier_param(rng, 4 * h, h)
             p["dec.lb"] = T.zeros((4 * h,), requires_grad=True)
             p["dec.out_w"] = T.xavier_param(rng, h, V)
             p["dec.out_b"] = T.zeros((V,), requires_grad=True)
             return
-        d = spec.hidden_dim
-        p["dec.pos"] = T.uniform_param(rng, (self.enc_cfg.max_len + 2, d))
-        p["dec.wm"] = T.xavier_param(rng, P, spec.layers * d)
+        d = dec_hidden_dim
+        p["dec.pos"] = T.uniform_param(rng, (max_len + 2, d))
+        p["dec.wm"] = T.xavier_param(rng, P, dec_layers * d)
         p["dec.wd"] = T.xavier_param(rng, P, d)
-        for layer in range(spec.layers):
+        for layer in range(dec_layers):
             encoders.init_block(p, f"dec.l{layer}.", d, rng)
         p["dec.out_w"] = T.xavier_param(rng, d, V)
         p["dec.out_b"] = T.zeros((V,), requires_grad=True)
@@ -152,7 +140,8 @@ class VAEModel:
 
     def posterior(self, ids, train_rng=None):
         """Posterior of one clause; mu and logvar have shape (latent_dim,)."""
-        return self._posterior_heads(encoders.encode_pooled(ids, self.enc_cfg, self.enc_params, train_rng))
+        h = encoders.encode_pooled(ids, self.enc_cfg, self.params, "enc.", train_rng)
+        return self._posterior_heads(h)
 
     def label_logits(self, z):
         return T.affine(z, self.params["cls.w"], self.params["cls.b"])
@@ -166,10 +155,10 @@ class VAEModel:
 
     def decode_batch(self, z, id_lists):
         """Summed log p(x|z) of B clauses, token-id lists, with latents z (B, P)."""
-        if self.dec_spec.kind == "bow":
+        if self.decoder == "bow":
             return self._bow_loglik(z, id_lists)
         inputs, targets, lengths = lm_rows(id_lists, self.vocab_size)
-        if self.dec_spec.kind == "lstm":
+        if self.decoder == "lstm":
             logits = self._lstm_decoder_logits(z, inputs, lengths)
         else:
             logits = self._xfmr_decoder_logits(z, inputs, lengths)
@@ -184,7 +173,7 @@ class VAEModel:
         return T.sum_(logp * T.Tensor(counts))
 
     def _dec_embedding_table(self):
-        return self.params["enc.emb"] if self.dec_spec.tie_embeddings else self.params["dec.emb"]
+        return self.params["enc.emb"] if self.tie_embeddings else self.params["dec.emb"]
 
     # The two autoregressive decoders take the language-model input rows of
     # B clauses back to back (data.lm_rows) with their lengths, and return
@@ -201,13 +190,12 @@ class VAEModel:
 
     def _xfmr_decoder_logits(self, z, inputs, lengths):
         p = self.params
-        spec = self.dec_spec
         padded, real = encoders.pad_stack(inputs, lengths)
         n_seq, n = padded.shape
-        d = spec.hidden_dim
+        d = p["dec.wd"].shape[1]  # the decoder width, dec_hidden_dim
         shift = T.reshape(T.matmul(z, p["dec.wd"]), (n_seq, 1, d))
         x = T.embedding(self._dec_embedding_table(), padded) + T.embedding(p["dec.pos"], np.arange(n)) + shift
-        mem_all = T.reshape(T.matmul(z, p["dec.wm"]), (n_seq, spec.layers, d))
+        mem_all = T.reshape(T.matmul(z, p["dec.wm"]), (n_seq, self.dec_layers, d))
         # additive causal mask over [memory slot | positions]; slot always
         # visible. A row's pad positions all follow its real ones, so this
         # mask already hides them from every real query; the pad queries'
@@ -215,9 +203,9 @@ class VAEModel:
         mask = np.full((n, n + 1), encoders.MASKED)
         mask[:, 0] = 0.0
         mask[:, 1:][np.tril_indices(n)] = 0.0
-        for layer in range(spec.layers):
+        for layer in range(self.dec_layers):
             mem = T.narrow(mem_all, 1, layer, 1)
-            x = encoders.transformer_block(x, p, f"dec.l{layer}.", spec.heads, memory=mem, mask=mask)
+            x = encoders.transformer_block(x, p, f"dec.l{layer}.", self.dec_heads, memory=mem, mask=mask)
         states = T.embedding(T.reshape(x, (n_seq * n, d)), np.flatnonzero(real))
         return T.affine(states, p["dec.out_w"], p["dec.out_b"])
 
@@ -245,7 +233,7 @@ class VAEModel:
 
     def _elbo(self, id_lists, labels, eps, beta, train_rng):
         beta = self.beta if beta is None else beta
-        h = encoders.encode(id_lists, self.enc_cfg, self.enc_params, train_rng)
+        h = encoders.encode(id_lists, self.enc_cfg, self.params, "enc.", train_rng)
         q = self._posterior_heads(h)
         z = reparameterize(q, eps)
         log_px = self.decode_batch(z, id_lists)
@@ -259,7 +247,7 @@ class VAEModel:
 
     def posterior_means(self, id_lists):
         """Posterior means, (S, latent_dim), of S clauses: one encode pass."""
-        return self._posterior_heads(encoders.encode(id_lists, self.enc_cfg, self.enc_params)).mu.data
+        return self._posterior_heads(encoders.encode(id_lists, self.enc_cfg, self.params, "enc.")).mu.data
 
     def batch_probs(self, id_lists):
         """Class probabilities, (S, 7), of S clauses read at their posterior
@@ -282,14 +270,3 @@ def export_latents(model, clauses, vocab):
              for mu in model.posterior_means(units[lo:hi])]
     return [(cl.doc_id, cl.par_id, cl.clause_idx, cl.label.name, cl.genre, mu)
             for cl, mu in zip(clauses, means)]
-
-
-def write_latents_tsv(rows, latent_dim, path):
-    header = ["doc_id", "par_id", "clause_idx", "label", "genre"]
-    header += [f"mu_{i}" for i in range(latent_dim)]
-    lines = ["\t".join(header) + "\n"]
-    for doc_id, par_id, clause_idx, label, genre, mu in rows:
-        cells = [doc_id, str(par_id), str(clause_idx), label, genre]
-        cells += [repr(float(v)) for v in mu]
-        lines.append("\t".join(cells) + "\n")
-    atomic_write(path, "".join(lines))

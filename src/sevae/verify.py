@@ -67,13 +67,12 @@ def _build_objective(name, seed):
     return build, trainable
 
 
-def gradient_suite(seeds=(0, 1, 2), step=DEFAULT_STEP, tol=DEFAULT_TOL, max_entries=None,
-                   objectives=OBJECTIVES):
+def gradient_suite(seeds=(0, 1, 2), max_entries=None, objectives=OBJECTIVES):
     """Run the finite-difference suite; returns per-objective results.
 
     Each entry maps objective -> {"max_rel_err", "passed", "seconds"},
     where max_rel_err is the worst coordinate over all parameters and
-    seeds at the given step.
+    seeds at step DEFAULT_STEP, and passed means it is at most DEFAULT_TOL.
     """
     results = {}
     for name in objectives:
@@ -81,12 +80,12 @@ def gradient_suite(seeds=(0, 1, 2), step=DEFAULT_STEP, tol=DEFAULT_TOL, max_entr
         worst = 0.0
         for seed in seeds:
             build, params = _build_objective(name, seed)
-            per_param = check_gradients(build, params, step=step, max_entries=max_entries)
+            per_param = check_gradients(build, params, step=DEFAULT_STEP, max_entries=max_entries)
             worst = max(worst, max(per_param.values()))
         # plain floats and bools: `sevae gradcheck --out` writes them as JSON
         results[name] = {
             "max_rel_err": float(worst),
-            "passed": bool(worst <= tol),
+            "passed": bool(worst <= DEFAULT_TOL),
             "seconds": time.perf_counter() - start,
         }
     return results

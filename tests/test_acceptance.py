@@ -15,18 +15,19 @@ import numpy as np
 import pytest
 
 from sevae import tensor as T
-from sevae import encoders, vae
+from sevae import vae
 from sevae.baselines import ClassLMModel, DiscModel, LatentClassLMModel
 from sevae.data import (
     SEType, Split, Vocab, cross_genre_split, label_counts, load_corpus,
     make_synthetic_corpus, subsample_per_label,
 )
+from sevae.gradcheck import DEFAULT_STEP, DEFAULT_TOL
 from sevae.harness import (
     TrainConfig, aggregate_sweep, compute_metrics, evaluate, load_checkpoint,
     save_checkpoint, train,
 )
 from sevae.kernels import lstm_forward
-from sevae.models import MODEL_NAMES, default_spec
+from sevae.models import MODEL_NAMES, build_model, default_spec
 from sevae.verify import gradient_suite
 
 
@@ -39,8 +40,10 @@ def _verdict(criterion, detail):
 
 
 def test_criterion_1_gradient_suite():
+    # the criterion's finite-difference step and tolerance are the suite's
+    assert (DEFAULT_STEP, DEFAULT_TOL) == (1e-5, 1e-4)
     started = time.perf_counter()
-    results = gradient_suite(seeds=(0, 1, 2), step=1e-5, tol=1e-4)
+    results = gradient_suite(seeds=(0, 1, 2))
     elapsed = time.perf_counter() - started
     assert len(results) == 7
     for name, entry in results.items():
@@ -143,25 +146,29 @@ def _zero(model, names):
 
 def test_criterion_4_degenerate_identities():
     V = 12
-    enc = encoders.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=16)
+    prior = np.full(7, 1 / 7)
+
+    def tiny_vae(name, seed):
+        spec = default_spec(name, enc_embed_dim=8, enc_layers=1, enc_heads=2, max_len=16,
+                            latent_dim=4, dec_embed_dim=8, dec_hidden_dim=8, dec_layers=1,
+                            dec_heads=2)
+        return build_model(spec, V, prior, seed)
+
     rng = np.random.default_rng(4)
     z = T.Tensor(rng.standard_normal(4))
     uniform_step = math.log(1.0 / V)
 
-    bow = vae.VAEModel(enc, vae.DecoderSpec("bow", 8, 8, 1, 2), V,
-                       latent_dim=4, rng=np.random.default_rng(0))
+    bow = tiny_vae("vae-bow", 0)
     _zero(bow, ["dec.w", "dec.b"])
     assert float(bow.decode(z, [7]).data) == pytest.approx(uniform_step, abs=1e-12)
     assert float(bow.decode(z, [7, 5, 6]).data) == pytest.approx(3 * uniform_step, abs=1e-12)
 
-    for kind in ("lstm", "xfmr-latent"):
-        m = vae.VAEModel(enc, vae.DecoderSpec(kind, 8, 8, 1, 2), V,
-                         latent_dim=4, rng=np.random.default_rng(1))
+    for name in ("vae-lstm", "vae-xfmr"):
+        m = tiny_vae(name, 1)
         _zero(m, ["dec.out_w", "dec.out_b"])
         got = float(m.decode(z, [5, 9, 7]).data)
-        assert got == pytest.approx(4 * uniform_step, rel=1e-12), kind
+        assert got == pytest.approx(4 * uniform_step, rel=1e-12), name
 
-    prior = np.full(7, 1 / 7)
     glm = ClassLMModel(V, prior, np.random.default_rng(2), embed_dim=5, hidden_dim=6)
     _zero(glm, ["out.wh", "out.wy", "out.b"])
     scores = glm.joint_scores([[5, 9]])[0]
@@ -174,13 +181,11 @@ def test_criterion_4_degenerate_identities():
     loss, _ = disc.loss([5, 6, 7], SEType.GENERIC)
     assert float(loss.data) == math.log(7.0)
 
-    clf = vae.VAEModel(enc, vae.DecoderSpec("bow", 8, 8, 1, 2), V,
-                       latent_dim=4, rng=np.random.default_rng(5))
+    clf = tiny_vae("vae-bow", 5)
     _zero(clf, ["cls.w", "cls.b"])
     np.testing.assert_allclose(clf.classify_map([5, 6]), np.full(7, 1 / 7), atol=1e-15)
 
-    inj = vae.VAEModel(enc, vae.DecoderSpec("xfmr-latent", 8, 8, 1, 2), V,
-                       latent_dim=4, rng=np.random.default_rng(6))
+    inj = tiny_vae("vae-xfmr", 6)
     _zero(inj, ["dec.wm", "dec.wd"])
     a = float(inj.decode(T.Tensor(rng.standard_normal(4)), [5, 8, 10]).data)
     b = float(inj.decode(T.Tensor(rng.standard_normal(4)), [5, 8, 10]).data)

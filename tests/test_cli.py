@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from sevae import __version__, cli
+from sevae import __version__, cli, harness, vae
 from sevae.data import Clause, load_corpus, make_synthetic_corpus, write_jsonl
 
 DISC_OPTS = ["--opt", "embed_dim=8", "--opt", "hidden_dim=8"]
@@ -385,11 +385,15 @@ def test_negative_beta_warmup_is_data_error(capsys, tmp_path, synth_dir):
     ("disc", ["--weight-decay", "inf"], "weight_decay"),
     ("disc", ["--grad-clip", "inf"], "grad_clip"),
     ("vae-bow", ["--opt", "label_loss_weight=inf"], "label_loss_weight"),
+    ("disc", ["--train", "EMPTY"], "empty training split"),
 ])
 def test_out_of_range_training_value_is_data_error_before_any_output(capsys, tmp_path, synth_dir,
                                                                      model, flags, field):
     out = tmp_path / "run"
     base = VAE_OPTS if model.startswith("vae") else DISC_OPTS
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    flags = [str(empty) if flag == "EMPTY" else flag for flag in flags]
     rc = cli.main(["train", "--model", model, "--train", str(synth_dir / "train.jsonl"),
                    "--out", str(out), *base, *flags])
     assert rc == 2
@@ -708,6 +712,18 @@ def test_loaded_vae_rejects_over_long_clause_before_any_output(capsys, tmp_path,
     assert not out.exists()
 
 
+def test_eval_of_zero_clauses_is_data_error_before_any_output(capsys, tmp_path, disc_run):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    rc = cli.main(["eval", "--ckpt", str(disc_run / "model.ckpt"), "--data", str(empty),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "zero clauses" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # export-latents
 
@@ -720,9 +736,13 @@ def test_export_latents_from_vae_checkpoint(tmp_path, synth_dir, vae_run):
     lines = (out / "latents.tsv").read_text().splitlines()
     assert lines[0] == "doc_id\tpar_id\tclause_idx\tlabel\tgenre\tmu_0\tmu_1\tmu_2\tmu_3"
     assert len(lines) == 15  # header + one row per clause
-    cells = lines[1].split("\t")
-    assert len(cells) == 9
-    float(cells[5])  # posterior means parse as floats
+    # every row holds its clause's coordinates and exact posterior means
+    model, vocab, _meta = harness.load_checkpoint(vae_run / "model.ckpt")
+    rows = vae.export_latents(model, load_corpus(synth_dir / "val.jsonl"), vocab)
+    for line, (doc_id, par_id, clause_idx, label, genre, mu) in zip(lines[1:], rows):
+        cells = line.split("\t")
+        assert cells[:5] == [doc_id, str(par_id), str(clause_idx), label, genre]
+        assert [float(c) for c in cells[5:]] == mu.tolist()
 
 
 def test_export_latents_rejects_baseline_checkpoint(capsys, tmp_path, synth_dir, disc_run):

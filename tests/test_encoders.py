@@ -12,6 +12,13 @@ def ids_for(rng, n, vocab=20):
     return [int(x) for x in rng.integers(5, vocab, size=n)]
 
 
+def init(cfg, vocab_size, rng):
+    """A fresh encoder's parameters, under the prefix a VAEModel uses."""
+    p = {}
+    E.init_params(p, "enc.", cfg, vocab_size, rng)
+    return p
+
+
 def test_config_validation():
     # the encoder options are checked where every spec is made
     with pytest.raises(DataError, match="must divide"):
@@ -23,80 +30,81 @@ def test_config_validation():
 
 
 def test_defaults_match_desk_scale():
-    cfg = E.EncoderConfig()
-    assert (cfg.embed_dim, cfg.layers, cfg.heads, cfg.max_len, cfg.dropout) == (128, 2, 4, 128, 0.0)
+    o = default_spec("vae-bow").options
+    got = (o["enc_embed_dim"], o["enc_layers"], o["enc_heads"], o["max_len"], o["dropout"])
+    assert got == (128, 2, 4, 128, 0.0)
 
 
 def test_input_validation(rng):
-    cfg = E.EncoderConfig(embed_dim=6, layers=1, heads=2, max_len=4)
-    p = E.init_params(cfg, 20, rng)
+    cfg = E.EncoderConfig(embed_dim=6, layers=1, heads=2, max_len=4, dropout=0.0)
+    p = init(cfg, 20, rng)
     with pytest.raises(DataError, match="empty"):
-        E.encode_pooled([], cfg, p)
+        E.encode_pooled([], cfg, p, "enc.")
     with pytest.raises(DataError, match="refusing to truncate"):
-        E.encode_pooled([5, 6, 7, 8, 9], cfg, p)
+        E.encode_pooled([5, 6, 7, 8, 9], cfg, p, "enc.")
     with pytest.raises(DataError, match="out of range"):
-        E.encode_pooled([25], cfg, p)
+        E.encode_pooled([25], cfg, p, "enc.")
     with pytest.raises(DataError, match="out of range"):
-        E.encode([[5, 6], [7, -1]], cfg, p)
+        E.encode([[5, 6], [7, -1]], cfg, p, "enc.")
     with pytest.raises(DataError, match="1-D"):
-        E.encode([5, 6], cfg, p)
+        E.encode([5, 6], cfg, p, "enc.")
     with pytest.raises(DataError, match="empty batch"):
-        E.encode([], cfg, p)
+        E.encode([], cfg, p, "enc.")
 
 
 def test_transformer_cls_deterministic_and_shaped(rng):
-    cfg = E.EncoderConfig(embed_dim=8, layers=2, heads=2, max_len=16)
-    p = E.init_params(cfg, 20, rng)
+    cfg = E.EncoderConfig(embed_dim=8, layers=2, heads=2, max_len=16, dropout=0.0)
+    p = init(cfg, 20, rng)
     ids = ids_for(rng, 6)
-    a = E.encode_pooled(ids, cfg, p).data
-    b = E.encode_pooled(ids, cfg, p).data
+    a = E.encode_pooled(ids, cfg, p, "enc.").data
+    b = E.encode_pooled(ids, cfg, p, "enc.").data
     assert a.shape == (8,)
     np.testing.assert_array_equal(a, b)
     # positional embeddings make the encoding order-sensitive
-    c = E.encode_pooled(list(reversed(ids)), cfg, p).data
+    c = E.encode_pooled(list(reversed(ids)), cfg, p, "enc.").data
     assert not np.allclose(a, c)
 
 
 def test_shape_contract_all_lengths(rng):
-    cfg = E.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=8)
-    p = E.init_params(cfg, 15, rng)
+    cfg = E.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=8, dropout=0.0)
+    p = init(cfg, 15, rng)
     for n in range(1, 9):
-        out = E.encode_pooled(ids_for(rng, n, 15), cfg, p)
+        out = E.encode_pooled(ids_for(rng, n, 15), cfg, p, "enc.")
         assert out.data.shape == (8,)
-        assert E.encode(np.array([ids_for(rng, n, 15)] * 3), cfg, p).data.shape == (3, 8)
+        assert E.encode(np.array([ids_for(rng, n, 15)] * 3), cfg, p, "enc.").data.shape == (3, 8)
 
 
 def test_stacked_encode_equals_per_clause_rows(rng):
-    cfg = E.EncoderConfig(embed_dim=8, layers=2, heads=2, max_len=16)
-    p = E.init_params(cfg, 20, rng)
+    cfg = E.EncoderConfig(embed_dim=8, layers=2, heads=2, max_len=16, dropout=0.0)
+    p = init(cfg, 20, rng)
     rows = np.array([ids_for(rng, 5) for _ in range(4)])
-    stacked = E.encode(rows, cfg, p).data
+    stacked = E.encode(rows, cfg, p, "enc.").data
     for row, got in zip(rows, stacked):
-        np.testing.assert_allclose(got, E.encode_pooled(row, cfg, p).data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got, E.encode_pooled(row, cfg, p, "enc.").data, rtol=1e-12, atol=1e-12)
 
 
 def test_dropout_reproducible_with_frozen_rng(rng):
     cfg = E.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=16, dropout=0.3)
-    p = E.init_params(cfg, 20, rng)
+    p = init(cfg, 20, rng)
     ids = ids_for(rng, 5)
-    a = E.encode_pooled(ids, cfg, p, train_rng=np.random.default_rng(5)).data
-    b = E.encode_pooled(ids, cfg, p, train_rng=np.random.default_rng(5)).data
+    a = E.encode_pooled(ids, cfg, p, "enc.", train_rng=np.random.default_rng(5)).data
+    b = E.encode_pooled(ids, cfg, p, "enc.", train_rng=np.random.default_rng(5)).data
     np.testing.assert_array_equal(a, b)
-    c = E.encode_pooled(ids, cfg, p, train_rng=np.random.default_rng(6)).data
+    c = E.encode_pooled(ids, cfg, p, "enc.", train_rng=np.random.default_rng(6)).data
     assert not np.array_equal(a, c)
     # eval mode ignores dropout entirely
-    d = E.encode_pooled(ids, cfg, p).data
-    e = E.encode_pooled(ids, cfg, p).data
+    d = E.encode_pooled(ids, cfg, p, "enc.").data
+    e = E.encode_pooled(ids, cfg, p, "enc.").data
     np.testing.assert_array_equal(d, e)
 
 
 def test_transformer_encoder_gradients(rng):
-    cfg = E.EncoderConfig(embed_dim=6, layers=1, heads=2, max_len=8)
-    p = E.init_params(cfg, 12, rng)
+    cfg = E.EncoderConfig(embed_dim=6, layers=1, heads=2, max_len=8, dropout=0.0)
+    p = init(cfg, 12, rng)
     ids = [5, 9, 7]
 
     def build():
-        pooled = E.encode_pooled(ids, cfg, p)
+        pooled = E.encode_pooled(ids, cfg, p, "enc.")
         return T.sum_(T.mul(pooled, pooled))
 
     errs = check_gradients(build, p, max_entries=6, rng=np.random.default_rng(0))

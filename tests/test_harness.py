@@ -18,19 +18,16 @@ from hypothesis import strategies as st
 from sevae import cli
 from sevae.data import (
     RUN_TOKENS, Clause, SEType, Split, Vocab, atomic_write, build_vocab, label_prior, paragraphs_of,
-    tagging_runs, write_jsonl,
+    tagging_runs, write_jsonl, write_tsv,
 )
 from sevae.errors import CheckpointError, DataError
 from sevae.harness import (
     ADAM_BETAS, ADAM_EPS, CHECKPOINT_MAGIC, TrainConfig, adam_step, aggregate_sweep, clip_global_norm,
     compute_metrics, default_train_config, evaluate, init_adam_state,
     TrainResult, load_checkpoint, predict_codes, save_checkpoint, tag_probs, train,
-    write_cross_genre_tsv,
-    write_sweep_aggregates_tsv, write_sweep_tsv,
 )
 from sevae.models import build_model, default_spec, spec_hash
 from sevae.tensor import Tape, Tensor, zero_grads
-from sevae.vae import write_latents_tsv
 
 
 def tiny_spec(name, **overrides):
@@ -708,12 +705,17 @@ def test_failed_chunk_keeps_previous_file(tmp_path):
 
 WRITERS = {
     "checkpoint": lambda result, path: save_checkpoint(result, path),
-    "sweep": lambda result, path: write_sweep_tsv([("disc", 4, 1, 0.5, 0.25)], path),
-    "aggregates": lambda result, path: write_sweep_aggregates_tsv(
-        [("disc", 4, 0.5, 0.0, 0.25, 0.0)], path),
-    "crossgenre": lambda result, path: write_cross_genre_tsv([("disc", "news", 0.5, 0.25)], path),
-    "latents": lambda result, path: write_latents_tsv(
-        [("d0", 0, 0, "STATE", "news", [0.5])], 1, path),
+    # the four tables the CLI writes, each through write_tsv
+    "sweep": lambda result, path: write_tsv(
+        path, ["model", "k", "seed", "accuracy", "macro_f1"], [("disc", 4, 1, "0.5", "0.25")]),
+    "aggregates": lambda result, path: write_tsv(
+        path, ["model", "k", "mean_accuracy", "std_accuracy", "mean_macro_f1", "std_macro_f1"],
+        [("disc", 4, "0.5", "0.0", "0.25", "0.0")]),
+    "crossgenre": lambda result, path: write_tsv(
+        path, ["model", "genre", "accuracy", "macro_f1"], [("disc", "news", "0.5", "0.25")]),
+    "latents": lambda result, path: write_tsv(
+        path, ["doc_id", "par_id", "clause_idx", "label", "genre", "mu_0"],
+        [("d0", 0, 0, "STATE", "news", "0.5")]),
     # manifest.json, split.json, eval*.json, sweep_meta.json,
     # crossgenre_meta.json and gradcheck.json all go through cli._write_json
     "json": lambda result, path: cli._write_json(path, {"manifest": "manifest.json"}, indent=2),
@@ -908,27 +910,25 @@ def test_aggregate_sweep_hand_values():
 
 
 def test_tsv_writers_exact(tmp_path):
+    # cells are written by str(); callers pass their floats by repr, which
+    # reads back exactly
     rows = [("disc", 4, 1, 1.0 / 3.0, 0.25), ("gen", 8, 2, 0.5, 1.0 / 7.0)]
     path = tmp_path / "sweep.tsv"
-    write_sweep_tsv(rows, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "model\tk\tseed\taccuracy\tmacro_f1"
-    assert len(lines) == 3
-    cells = lines[1].split("\t")
-    assert cells[:3] == ["disc", "4", "1"]
-    # repr round-trips the floats exactly
-    assert float(cells[3]) == 1.0 / 3.0
-    assert float(cells[4]) == 0.25
+    write_tsv(path, ["model", "k", "seed", "accuracy", "macro_f1"],
+              [(name, k, seed, repr(acc), repr(f1)) for name, k, seed, acc, f1 in rows])
+    assert path.read_bytes() == (b"model\tk\tseed\taccuracy\tmacro_f1\n"
+                                 b"disc\t4\t1\t0.3333333333333333\t0.25\n"
+                                 b"gen\t8\t2\t0.5\t0.14285714285714285\n")
+    cells = path.read_text(encoding="utf-8").splitlines()[2].split("\t")
+    assert float(cells[3]) == 0.5 and float(cells[4]) == 1.0 / 7.0
 
-    aggregates = aggregate_sweep(rows)
     apath = tmp_path / "agg.tsv"
-    write_sweep_aggregates_tsv(aggregates, apath)
-    alines = apath.read_text(encoding="utf-8").splitlines()
-    assert alines[0] == "model\tk\tmean_accuracy\tstd_accuracy\tmean_macro_f1\tstd_macro_f1"
-    assert len(alines) == 3
+    write_tsv(apath, ["model", "k", "mean_accuracy", "std_accuracy"],
+              [(name, k, repr(ma), repr(sa)) for name, k, ma, sa, *_ in aggregate_sweep(rows)])
+    assert apath.read_bytes() == (b"model\tk\tmean_accuracy\tstd_accuracy\n"
+                                  b"disc\t4\t0.3333333333333333\t0.0\n"
+                                  b"gen\t8\t0.5\t0.0\n")
 
-    gpath = tmp_path / "xg.tsv"
-    write_cross_genre_tsv([("ctx", "news", 0.75, 2.0 / 3.0)], gpath)
-    glines = gpath.read_text(encoding="utf-8").splitlines()
-    assert glines[0] == "model\tgenre\taccuracy\tmacro_f1"
-    assert float(glines[1].split("\t")[3]) == 2.0 / 3.0
+    epath = tmp_path / "empty.tsv"
+    write_tsv(epath, ["model", "genre", "accuracy", "macro_f1"], [])
+    assert epath.read_bytes() == b"model\tgenre\taccuracy\tmacro_f1\n"

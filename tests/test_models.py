@@ -1,14 +1,18 @@
 """Model specs: default_spec is the one check of option values, and every
 spec it accepts builds a model that trains and tags."""
 
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevae.errors import DataError
-from sevae.models import build_model, default_spec
+from sevae.models import MODEL_NAMES, build_model, default_spec
 
 _TINY_VAE = dict(enc_embed_dim=4, enc_layers=1, enc_heads=2, max_len=8, latent_dim=2,
                  dec_embed_dim=4, dec_hidden_dim=4, dec_layers=1, dec_heads=2)
@@ -43,3 +47,23 @@ def test_every_accepted_vae_spec_trains_and_tags(name, overrides):
     clauses = [[5], [6, 7, 8]]
     model.batch_loss([(clauses[0], 1), (clauses[1], 4)], np.random.default_rng(0))
     assert model.batch_probs(clauses).shape == (2, 7)
+
+
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "model_init_golden.json")
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_fresh_model_matches_its_recorded_initialisation(name):
+    # Recorded from build_model(default_spec(name), 40, uniform prior,
+    # seed=3): every parameter's name in insertion order, its shape, and a
+    # sha256 of all values in that order. Checkpoints store arrays by name,
+    # and Adam and clip_global_norm walk the dict in insertion order, so a
+    # change to any of the three changes saved files or trained bits.
+    with open(_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)[name]
+    model = build_model(default_spec(name), 40, np.full(7, 1 / 7), seed=3)
+    assert [[k, list(p.data.shape)] for k, p in model.params.items()] == golden["params"]
+    digest = hashlib.sha256()
+    for p in model.params.values():
+        digest.update(p.data.astype("<f8", copy=False).tobytes())
+    assert digest.hexdigest() == golden["sha256"]

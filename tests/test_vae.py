@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sevae import encoders as E
 from sevae import tensor as T
 from sevae import vae
 from sevae.data import Clause, SEType, build_vocab
 from sevae.errors import GraphError
 from sevae.gradcheck import check_gradients
+from sevae.models import build_model, default_spec
 
 VOCAB = 12
 
@@ -20,11 +20,15 @@ def gaussian(mu, lv):
     )
 
 
-def tiny_model(kind="bow", latent=4, seed=0):
-    enc = E.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=16)
-    dec = vae.DecoderSpec(kind, embed_dim=8, hidden_dim=8, layers=1, heads=2)
-    return vae.VAEModel(enc, dec, VOCAB, latent_dim=latent, beta=0.5,
-                        rng=np.random.default_rng(seed))
+_MODEL_OF = {"bow": "vae-bow", "lstm": "vae-lstm", "xfmr-latent": "vae-xfmr"}
+
+
+def tiny_model(kind="bow", latent=4, seed=0, **options):
+    """A miniature vae with the given decoder kind, built as training builds one."""
+    spec = default_spec(_MODEL_OF[kind], enc_embed_dim=8, enc_layers=1, enc_heads=2, max_len=16,
+                        latent_dim=latent, dec_embed_dim=8, dec_hidden_dim=8, dec_layers=1,
+                        dec_heads=2, **options)
+    return build_model(spec, VOCAB, np.full(7, 1 / 7), seed)
 
 
 def zero_params(model, names):
@@ -212,12 +216,8 @@ def test_beta_zero_drops_kl(rng):
 
 
 def test_label_loss_weight_scales_classification(rng):
-    enc = E.EncoderConfig(embed_dim=8, layers=1, heads=2, max_len=16)
-    dec = vae.DecoderSpec("bow", embed_dim=8)
-    heavy = vae.VAEModel(enc, dec, VOCAB, latent_dim=4, beta=0.5,
-                         label_loss_weight=3.0, rng=np.random.default_rng(0))
-    light = vae.VAEModel(enc, dec, VOCAB, latent_dim=4, beta=0.5,
-                         label_loss_weight=1.0, rng=np.random.default_rng(0))
+    heavy = tiny_model("bow", label_loss_weight=3.0)
+    light = tiny_model("bow", label_loss_weight=1.0)
     ids, eps = [5, 6], np.zeros(4)
     lh, ph = heavy.elbo_loss(ids, SEType.STATE, eps)
     ll, pl = light.elbo_loss(ids, SEType.STATE, eps)
@@ -296,18 +296,3 @@ def test_export_latents_rows(rng):
     assert all(r[5].shape == (4,) for r in rows)
     for a, b in zip(rows, rows2):
         np.testing.assert_array_equal(a[5], b[5])
-
-
-def test_write_latents_tsv_round_trip(tmp_path, rng):
-    model = tiny_model()
-    clauses = [Clause("a cat .", SEType.STATE, "news", "d", 0, 0)]
-    vocab = build_vocab(clauses, min_count=1)
-    rows = vae.export_latents(model, clauses, vocab)
-    path = tmp_path / "latents.tsv"
-    vae.write_latents_tsv(rows, 4, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].split("\t") == ["doc_id", "par_id", "clause_idx", "label",
-                                    "genre", "mu_0", "mu_1", "mu_2", "mu_3"]
-    cells = lines[1].split("\t")
-    assert cells[:5] == ["d", "0", "0", "STATE", "news"]
-    np.testing.assert_array_equal([float(c) for c in cells[5:]], rows[0][5])
