@@ -25,12 +25,18 @@ probabilities, which the tagging contract bounds by 1e-12. The Adam
 section times one harness.adam_step over ctx's parameters at its default
 size (vocabulary 383) with clipping active, and reports the step's
 tracemalloc peak, which stays within two arrays of the largest parameter.
+The load section writes ctx at that size to a checkpoint in a temporary
+directory and times harness.load_checkpoint on it; it reports the load's
+tracemalloc peak, which stays within the model's parameters plus its
+largest parameter (and 64 KB of header and bookkeeping).
 
 Usage: python3 benchmarks/bench_kernels.py [--reps 30]
 """
 
 import argparse
+import os
 import statistics
+import tempfile
 import time
 import tracemalloc
 
@@ -38,7 +44,10 @@ import numpy as np
 
 from sevae import encoders, kernels
 from sevae import tensor
-from sevae.harness import TrainConfig, adam_step, init_adam_state
+from sevae.data import Vocab
+from sevae.harness import (
+    TrainConfig, TrainResult, adam_step, init_adam_state, load_checkpoint, save_checkpoint,
+)
 from sevae.models import MODEL_NAMES, build_model, default_spec
 
 
@@ -183,6 +192,25 @@ def bench_adam(reps, rng):
     return statistics.median(step() for _ in range(reps)), peak, largest
 
 
+def bench_load(reps):
+    """Median seconds of loading a checkpoint of ctx at its default size,
+    the load's tracemalloc peak in bytes, and the bytes of the model's
+    parameters and of its largest parameter."""
+    vocab = Vocab([f"w{i}" for i in range(383 - len(Vocab.SPECIALS))], 1)
+    spec = default_spec("ctx")
+    model = build_model(spec, len(vocab), np.full(7, 1 / 7), seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ctx.ckpt")
+        save_checkpoint(TrainResult(model, vocab, spec, TrainConfig(), [], -1.0, {}), path)
+        tracemalloc.start()
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        seconds = _time(lambda: load_checkpoint(path), reps)
+    sizes = [p.data.nbytes for p in model.params.values()]
+    return seconds, peak, sum(sizes), max(sizes)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=30)
@@ -235,6 +263,10 @@ def main():
     t, peak, largest = bench_adam(args.reps, rng)
     print(f"adam_step over ctx's parameters: {t * 1e3:.2f}ms, tracemalloc peak "
           f"{peak / 1e6:.1f} MB ({peak / largest:.2f} x the largest parameter, {largest / 1e6:.1f} MB)")
+
+    t, peak, total, largest = bench_load(args.reps)
+    print(f"load_checkpoint of ctx: {t * 1e3:.2f}ms, tracemalloc peak {peak / 1e6:.1f} MB "
+          f"(parameters {total / 1e6:.1f} MB, largest {largest / 1e6:.1f} MB)")
 
 
 if __name__ == "__main__":

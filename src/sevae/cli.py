@@ -369,11 +369,18 @@ def _cmd_train(cfg):
     return 0
 
 
+def _load_clauses(path, purpose):
+    """The clauses of a corpus to tag; one that holds none is a DataError
+    before any output."""
+    clauses = load_corpus(path)
+    if not clauses:
+        raise DataError(f"cannot {purpose} zero clauses: {path} holds none")
+    return clauses
+
+
 def _cmd_eval(cfg):
     model, vocab, meta = harness.load_checkpoint(cfg["ckpt"])
-    clauses = load_corpus(cfg["data"])
-    if not clauses:
-        raise DataError(f"cannot evaluate on zero clauses: {cfg['data']} holds none")
+    clauses = _load_clauses(cfg["data"], "evaluate on")
     if isinstance(model, vae.VAEModel):
         check_max_len(clauses, model.enc_cfg.max_len)
     _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
@@ -510,7 +517,7 @@ def _cmd_export_latents(cfg):
     model, vocab, meta = harness.load_checkpoint(cfg["ckpt"])
     if not isinstance(model, vae.VAEModel):
         raise DataError("checkpointed model has no latent space to export")
-    clauses = load_corpus(cfg["data"])
+    clauses = _load_clauses(cfg["data"], "export latents of")
     check_max_len(clauses, model.enc_cfg.max_len)
     _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
     rows = vae.export_latents(model, clauses, vocab)

@@ -39,7 +39,9 @@ raw little-endian float64.
 
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -454,35 +456,53 @@ def _checkpoint_chunks(result, meta):
 
 
 class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
+    """Reads a checkpoint file front to back. Every length is claimed
+    against the bytes left in the file before anything is read or
+    allocated, so a damaged length reads as a truncated file."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def claim(self, n):
+        if n > self.left:
+            raise CheckpointError("truncated checkpoint")
+        self.left -= n
 
     def take(self, n):
-        if self.pos + n > len(self.blob):
-            raise CheckpointError("truncated checkpoint")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.claim(n)
+        return self.fill(bytearray(n))
 
     def u(self, fmt):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))[0]
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
+
+    def fill(self, buf):
+        """Read the next bytes, already claimed, straight into buf."""
+        view = memoryview(buf).cast("B")
+        if self.fh.readinto(view) != view.nbytes:  # the file shrank while it was read
+            raise CheckpointError("truncated checkpoint")
+        return buf
 
 
-def load_checkpoint(path, expected_spec=None):
+def load_checkpoint(path):
     """Rebuild (model, vocab, meta) from a checkpoint file.
 
-    With expected_spec given, the stored spec hash must match it. A damaged
-    file (truncated, or any byte changed) either still parses to a model of
-    the stamped spec or raises CheckpointError, never another error.
+    The file is streamed, never read whole. Once the header has passed
+    its checks, the model of the stamped spec is built once, and each
+    stored array is read straight into the freshly drawn float64 buffer of
+    the parameter whose name and shape it matches. The model's parameters
+    are therefore the only model-sized allocation. A damaged file
+    (truncated, or any byte changed) either still parses to a model of the
+    stamped spec or raises CheckpointError, never another error.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_checkpoint(_Reader(fh))
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
-    r = _Reader(blob)
+
+
+def _read_checkpoint(r):
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = r.u("<I")
@@ -503,39 +523,32 @@ def load_checkpoint(path, expected_spec=None):
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
     if spec_hash(spec).encode("ascii") != stored_hash:
         raise CheckpointError("spec hash mismatch between header and stamp")
-    if expected_spec is not None and spec_hash(expected_spec).encode("ascii") != stored_hash:
-        raise CheckpointError(
-            f"spec hash mismatch: checkpoint holds {spec.name!r} with hash "
-            f"{stored_hash[:12].decode('ascii')}…, expected {expected_spec.name!r}"
-        )
-    arrays = {}
-    n_arrays = r.u("<I")
-    for _ in range(n_arrays):
-        # an undecodable name cannot match a parameter; the set check says so
-        name = r.take(r.u("<H")).decode("utf-8", errors="replace")
-        r.u("<B")  # the trainable flag; the rebuilt model knows its own
-        ndim = r.u("<B")
-        shape = tuple(r.u("<Q") for _ in range(ndim))
-        # math.prod stays exact for any u64 dims, so a damaged dim reads
-        # as a truncated file rather than overflowing; the values keep
-        # their flat form until the shape has matched the model's
-        arrays[name] = (np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").copy(), shape)
-    if r.pos != len(blob):
-        raise CheckpointError("trailing bytes after checkpoint payload")
     # a baseline's label prior is a stored non-trainable array that
-    # replaces this placeholder below; the vae models have none
+    # overwrites this placeholder below; the vae models have none
     model = build_model(spec, len(vocab), np.full(N_LABELS, 1.0 / N_LABELS), seed=0)
-    stored = set(arrays)
-    expected = set(model.params)
-    if stored != expected:
-        missing = sorted(expected - stored)
-        extra = sorted(stored - expected)
-        raise CheckpointError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
-    for name, p in model.params.items():
-        data, shape = arrays[name]
+    unread = set(model.params)
+    for _ in range(r.u("<I")):
+        # an undecodable name cannot match a parameter
+        name = r.take(r.u("<H")).decode("utf-8", errors="replace")
+        if name not in unread:
+            what = "stored twice" if name in model.params else "unexpected"
+            raise CheckpointError(f"parameter set mismatch: {name!r} {what}")
+        unread.remove(name)
+        r.u("<B")  # the trainable flag; the rebuilt model knows its own
+        shape = tuple(r.u("<Q") for _ in range(r.u("<B")))
+        # math.prod stays exact for any u64 dims, so a damaged dim reads
+        # as a truncated file rather than overflowing
+        r.claim(8 * math.prod(shape))
+        p = model.params[name]
         if shape != p.data.shape:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {shape}, model {p.data.shape}"
             )
-        p.data = data.reshape(shape)
+        r.fill(p.data)  # float64 and C-contiguous, as every parameter is built
+        if sys.byteorder == "big":  # the file stores little-endian values
+            p.data.byteswap(inplace=True)
+    if r.left:
+        raise CheckpointError("trailing bytes after checkpoint payload")
+    if unread:
+        raise CheckpointError(f"parameter set mismatch: missing {sorted(unread)}")
     return model, vocab, meta

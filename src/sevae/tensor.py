@@ -662,11 +662,16 @@ def factored_loglik(base, rows, cols, targets, lengths):
     mr = rd.max(axis=2, keepdims=True)
     mc = cd.max(axis=1, keepdims=True)
     a, b, c = np.exp(bd - mb), np.exp(rd - mr), np.exp(cd - mc)
-    # each step's row tilts, (I, N, V); one segment's broadcast from (I, 1, V)
+    # each step's row tilts times its base exponentials, (I, N, V), in one
+    # block: gathered, then multiplied in place (one segment's row tilts
+    # broadcast from (I, 1, V))
     b_steps = np.swapaxes(b, 0, 1)
     if n_seg > 1:
-        b_steps = b_steps[:, seg]
-    ab = (b_steps * a[None, :, :]).reshape(n_rows * n_steps, n_vocab)
+        ab = b_steps[:, seg]
+        ab *= a
+    else:
+        ab = b_steps * a
+    ab = ab.reshape(n_rows * n_steps, n_vocab)
     s = (ab @ c.T).reshape(n_rows, n_steps, n_cols)
     direct = s.min() < _FACTORED_TINY
 
@@ -693,7 +698,8 @@ def factored_loglik(base, rows, cols, targets, lengths):
         counts = np.zeros((n_seg, n_vocab))
         np.add.at(counts, (seg, tgt), 1.0)
         w = np.swapaxes(g, 0, 1)[:, seg] / s  # (I, N, J)
-        bq = b_steps * (w @ c)  # (I, N, V): sum_j W C, times B
+        bq = w @ c  # (I, N, V): sum_j W C, times B
+        bq *= b_steps[:, seg] if n_seg > 1 else b_steps
         dbase = -a * bq.sum(axis=0)
         dbase[steps, tgt] += g.sum(axis=(1, 2))[seg]
         drows = (-np.swapaxes(_segment_sum(bq * a[None, :, :], layout, 1), 0, 1)

@@ -1,8 +1,9 @@
 """Smoke test of benchmarks/bench_kernels.py: every bench_* function runs
 once at a small case, and the agreements it reports stay within the
 bounds its docstring states (1e-12; relative for tagging and the
-factored op, absolute for the ragged LSTM), and an Adam step over ctx's
-parameters peaks within two arrays of its largest parameter."""
+factored op, absolute for the ragged LSTM), an Adam step over ctx's
+parameters peaks within two arrays of its largest parameter, and loading
+a ctx checkpoint peaks within its parameters plus its largest one."""
 
 import importlib.util
 import os
@@ -38,3 +39,5 @@ def test_bench_kernels_runs_and_its_variants_agree():
         assert agree <= 1e-12, name
     seconds, peak, largest = bench.bench_adam(1, rng)
     assert seconds > 0 and peak <= 2 * largest + 64 * 1024
+    seconds, peak, total, largest = bench.bench_load(1)
+    assert seconds > 0 and peak <= total + largest + 64 * 1024

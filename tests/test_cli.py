@@ -728,6 +728,18 @@ def test_eval_of_zero_clauses_is_data_error_before_any_output(capsys, tmp_path, 
 # export-latents
 
 
+def test_export_latents_of_zero_clauses_is_data_error_before_any_output(capsys, tmp_path, vae_run):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    rc = cli.main(["export-latents", "--ckpt", str(vae_run / "model.ckpt"), "--data", str(empty),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "zero clauses" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_export_latents_from_vae_checkpoint(tmp_path, synth_dir, vae_run):
     out = tmp_path / "lat"
     rc = cli.main(["export-latents", "--ckpt", str(vae_run / "model.ckpt"),
