@@ -24,11 +24,11 @@ import sys
 import time
 from dataclasses import replace
 
-from . import __version__, harness, vae, verify
+from . import __version__, gradcheck, harness, vae
 from .data import (
-    SEType, Split, atomic_write, check_max_len, cross_genre_split, genre_counts, label_counts,
-    load_corpus, make_synthetic_corpus, manifest_digest, split_manifest,
-    subsample_per_label, write_jsonl, write_tsv,
+    SEType, Split, atomic_write, check_max_len, cross_genre_split, genre_counts, json_digest,
+    label_counts, load_corpus, make_synthetic_corpus, split_manifest, subsample_per_label,
+    write_jsonl, write_tsv,
 )
 from .errors import CheckpointError, DataError, GraphError, NumericsError
 from .models import MODEL_NAMES, ModelSpec, default_spec
@@ -208,6 +208,7 @@ def _effective(args, command):
         file_values[key_map[key]] = raw
     cfg = {}
     for dest, (typ, default, required, extra) in schema.items():
+        flag = extra.get("flag", "--" + dest.replace("_", "-"))
         value = getattr(args, dest)
         if value is None and dest in file_values:
             value = _coerce(file_values[dest], typ, dest)
@@ -215,8 +216,12 @@ def _effective(args, command):
             value = default
         if typ == "list" and value is not None:
             value = [x.strip() for entry in value for x in entry.split(",") if x.strip()]
+            # a list that must name something would otherwise run nothing
+            # and report success; only the optional, empty-default lists
+            # (--genres, --map, --opt) may stay empty
+            if not value and (required or default):
+                raise UsageError(f"{command}: {flag} needs at least one entry")
         if value is None and required:
-            flag = extra.get("flag", "--" + dest.replace("_", "-"))
             raise UsageError(f"{command}: {flag} is required")
         choices = extra.get("choices")
         if choices and value is not None and value not in choices:
@@ -239,11 +244,10 @@ def _sha256_file(path):
 
 def _write_manifest(out_dir, cfg, inputs, seed):
     os.makedirs(out_dir, exist_ok=True)
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": list(sys.argv) if sys.argv else ["sevae"],
         "config": cfg,
-        "config_digest": hashlib.sha256(blob.encode()).hexdigest(),
+        "config_digest": json_digest(cfg),
         "inputs": {p: _sha256_file(p) for p in inputs},
         "seed": seed,
         "tool_version": __version__,
@@ -324,12 +328,19 @@ def _cmd_stats(cfg):
 
 
 def _cmd_synth(cfg):
+    # the corpora are small: build all three, so a bad value fails before
+    # any output
+    corpora = []
+    for name, key, seed in (("train", "n_per_label", cfg["seed"]),
+                            ("val", "val_per_label", cfg["seed"] + 1),
+                            ("test", "test_per_label", cfg["seed"] + 2)):
+        try:
+            clauses = make_synthetic_corpus(cfg[key], seed, cfg["noise"], cfg["genre_salience"])
+        except DataError as exc:
+            raise DataError(f"{name} set: {exc}") from None
+        corpora.append((name, clauses))
     _write_manifest(cfg["out"], cfg, [], seed=cfg["seed"])
-    parts = (("train", cfg["n_per_label"], cfg["seed"]),
-             ("val", cfg["val_per_label"], cfg["seed"] + 1),
-             ("test", cfg["test_per_label"], cfg["seed"] + 2))
-    for name, n, seed in parts:
-        clauses = make_synthetic_corpus(n, seed, cfg["noise"], cfg["genre_salience"])
+    for name, clauses in corpora:
         path = os.path.join(cfg["out"], f"{name}.jsonl")
         write_jsonl(clauses, path)
         print(f"wrote {len(clauses)} clauses to {path}")
@@ -357,7 +368,7 @@ def _cmd_train(cfg):
     ckpt_path = os.path.join(cfg["out"], "model.ckpt")
     harness.save_checkpoint(result, ckpt_path, meta={
         "split_provenance": split.provenance,
-        "split_digest": manifest_digest(split_manifest(split)),
+        "split_digest": json_digest(split_manifest(split)),
         "manifest": "manifest.json",
     })
     print(f"trained {cfg['model']} for {len(result.log)} epochs; checkpoint at {ckpt_path}")
@@ -497,7 +508,7 @@ def _cmd_crossgenre(cfg):
 
 def _cmd_gradcheck(cfg):
     seeds = tuple(_int_list(cfg["seeds"], "--seeds"))
-    results = verify.gradient_suite(seeds=seeds)
+    results = gradcheck.gradient_suite(seeds=seeds)
     width = max(len(n) for n in results)
     all_passed = True
     for name, r in results.items():
@@ -520,7 +531,7 @@ def _cmd_export_latents(cfg):
     clauses = _load_clauses(cfg["data"], "export latents of")
     check_max_len(clauses, model.enc_cfg.max_len)
     _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
-    rows = vae.export_latents(model, clauses, vocab)
+    rows = harness.export_latents(model, clauses, vocab)
     out_path = os.path.join(cfg["out"], "latents.tsv")
     header = ["doc_id", "par_id", "clause_idx", "label", "genre"]
     write_tsv(out_path, header + [f"mu_{i}" for i in range(model.latent_dim)],

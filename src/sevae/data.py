@@ -334,6 +334,13 @@ def write_tsv(path, header, rows):
     atomic_write(path, "".join("\t".join(map(str, cells)) + "\n" for cells in [header, *rows]))
 
 
+def json_digest(obj):
+    """sha256 hex digest of obj's compact, key-sorted JSON: the checkpoint
+    stamp of a model spec, a split's digest and a manifest's config_digest."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
 def label_counts(clauses):
     counts = {lab: 0 for lab in SEType}
     for cl in clauses:
@@ -457,11 +464,6 @@ def restore_split(corpus, manifest):
     )
 
 
-def manifest_digest(manifest):
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # synthetic fixture corpus
 
@@ -556,6 +558,9 @@ def make_synthetic_corpus(n_per_label, seed, noise=0.5, genre_salience=0.5, genr
     """
     if n_per_label < 1:
         raise DataError(f"n_per_label must be >= 1, got {n_per_label}")
+    for key, p in (("noise", noise), ("genre_salience", genre_salience)):
+        if not 0.0 <= p <= 1.0:  # NaN fails this too
+            raise DataError(f"{key} must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     drafts = []
     for lab in SEType:

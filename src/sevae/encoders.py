@@ -71,7 +71,7 @@ def init_params(p, prefix, cfg, vocab_size, rng):
         init_block(p, f"{prefix}l{layer}.", d, rng)
 
 
-def transformer_block(x, p, prefix, heads, memory=None, mask=None, dropout=0.0, train_rng=None):
+def transformer_block(x, p, prefix, heads, mask, memory=None, dropout=0.0, train_rng=None):
     """One post-layer-norm block over a (B, n, d) stack.
 
     memory, (B, m, d), is prepended to the keys and values only, so every
@@ -94,9 +94,7 @@ def transformer_block(x, p, prefix, heads, memory=None, mask=None, dropout=0.0, 
     q = split_heads(T.affine(x, p[prefix + "wq"], p[prefix + "qb"]))
     k = split_heads(T.affine(kv_in, p[prefix + "wk"], p[prefix + "kb"]))
     v = split_heads(T.affine(kv_in, p[prefix + "wv"], p[prefix + "vb"]))
-    scores = (1.0 / np.sqrt(dh)) * T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-    if mask is not None:
-        scores = scores + mask
+    scores = (1.0 / np.sqrt(dh)) * T.matmul(q, T.transpose(k, (0, 1, 3, 2))) + mask
     ctx = T.matmul(T.softmax(scores, axis=-1), v)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n_seq, n, d))
     attn = T.affine(ctx, p[prefix + "wo"], p[prefix + "ob"])

@@ -1,4 +1,4 @@
-"""Training, evaluation, checkpointing, and the sweep/cross-genre TSVs.
+"""Training, evaluation, latent export, checkpointing, sweep aggregates.
 
 Training accumulates gradients over a logical batch, then takes one Adam
 step with bias correction and global-norm clipping before the update;
@@ -11,12 +11,14 @@ models run the clauses as one padded (B, n) stack with a key mask. Each
 item's loss is the one the per-item path (loss, paragraph_loss,
 elbo_loss) computes, up to rounding.
 
-Evaluation, the per-epoch validation included, tags through tag_probs:
-one tape-free pass (model.batch_probs) per run of clauses in input order,
-or of whole paragraphs for ctx, where a run closes before its size as the
-model stores it (padded to its longest clause for the vae family, back to
-back for the baselines) would pass data.RUN_TOKENS (512) tokens and a
-longer unit runs alone. Each pass runs the code training runs. A run
+Evaluation, the per-epoch validation included, and latent export tag
+through one loop, _tag_runs: one tape-free pass per run of clauses in
+input order, or of whole paragraphs for ctx, where a run closes before
+its size as the model stores it (padded to its longest clause for the vae
+family, back to back for the baselines) would pass data.RUN_TOKENS (512)
+tokens and a longer unit runs alone. tag_probs makes each pass
+model.batch_probs, export_latents model.posterior_means (one encoder
+pass over the same runs). Each pass runs the code training runs. A run
 rounds differently from its units tagged one at a time (the batch of one:
 predict_probs, predict_paragraph_probs), so its probabilities agree with
 theirs within 1e-12 relative, and its codes are theirs unless two labels
@@ -25,7 +27,7 @@ tie within that tolerance.
 Everything a run reports is a pure function of (model spec, data
 manifest, seed). The protocol grids (the k-per-label sweep and
 leave-one-genre-out) are run by the CLI, one pool cell per grid point;
-this module supplies their aggregation and TSV writers.
+this module supplies the sweep's aggregation (aggregate_sweep).
 
 Evaluation produces an EvalReport: micro accuracy, macro-F1 as the
 unweighted mean of per-class F1 over all 7 classes (absent classes score
@@ -227,18 +229,16 @@ def compute_metrics(gold, predicted):
     return accuracy, float(f1s.mean()), per_class, confusion
 
 
-def tag_probs(model, clauses, vocab):
-    """Label probabilities, (len(clauses), 7), row for row with clauses.
+def _tag_runs(model, clauses, vocab, run_pass):
+    """run_pass's rows (model.batch_probs or posterior_means), row for row
+    with clauses, which must not be empty.
 
     The model's input units (clauses, or for a paragraph consumer the
     paragraphs of paragraphs_of) are cut into tagging runs in that order,
-    each one model.batch_probs pass of at most RUN_TOKENS tokens as the
-    model stores it (data.tagging_runs): the vae family pads a run to its
-    longest clause, the baselines store it back to back. A longer unit
-    runs alone.
+    each one run_pass of at most RUN_TOKENS tokens as the model stores it
+    (data.tagging_runs): the vae family pads a run to its longest clause,
+    the baselines store it back to back. A longer unit runs alone.
     """
-    if not clauses:
-        return np.empty((0, N_LABELS))
     if model.consumes == "paragraph":
         paragraphs = paragraphs_of(clauses)
         units = [[vocab.encode(cl.tokens) for cl in par] for par in paragraphs]
@@ -247,11 +247,29 @@ def tag_probs(model, clauses, vocab):
         units = [vocab.encode(cl.tokens) for cl in clauses]
         sizes = [len(ids) for ids in units]
     runs = tagging_runs(sizes, padded=isinstance(model, VAEModel))
-    probs = np.concatenate([model.batch_probs(units[lo:hi]) for lo, hi in runs])
+    rows = np.concatenate([run_pass(units[lo:hi]) for lo, hi in runs])
     if model.consumes == "paragraph":
         row = {cl.coords: r for r, cl in enumerate(cl for par in paragraphs for cl in par)}
-        probs = probs[[row[cl.coords] for cl in clauses]]
-    return probs
+        rows = rows[[row[cl.coords] for cl in clauses]]
+    return rows
+
+
+def tag_probs(model, clauses, vocab):
+    """Label probabilities, (len(clauses), 7), row for row with clauses,
+    from one model.batch_probs pass per tagging run (_tag_runs)."""
+    if not clauses:
+        return np.empty((0, N_LABELS))
+    return _tag_runs(model, clauses, vocab, model.batch_probs)
+
+
+def export_latents(model, clauses, vocab):
+    """One (coords, label, genre, mu) row per clause of a vae model, in
+    input order; one model.posterior_means pass per tagging run (_tag_runs)."""
+    if not clauses:
+        return []
+    means = _tag_runs(model, clauses, vocab, model.posterior_means)
+    return [(cl.doc_id, cl.par_id, cl.clause_idx, cl.label.name, cl.genre, mu)
+            for cl, mu in zip(clauses, means)]
 
 
 def predict_codes(model, clauses, vocab):
@@ -525,7 +543,10 @@ def _read_checkpoint(r):
         raise CheckpointError("spec hash mismatch between header and stamp")
     # a baseline's label prior is a stored non-trainable array that
     # overwrites this placeholder below; the vae models have none
-    model = build_model(spec, len(vocab), np.full(N_LABELS, 1.0 / N_LABELS), seed=0)
+    try:
+        model = build_model(spec, len(vocab), np.full(N_LABELS, 1.0 / N_LABELS), seed=0)
+    except DataError as exc:
+        raise CheckpointError(f"checkpoint spec cannot be built: {exc}") from None
     unread = set(model.params)
     for _ in range(r.u("<I")):
         # an undecodable name cannot match a parameter

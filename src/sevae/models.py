@@ -1,8 +1,8 @@
 """Declarative model specs: names, default hyperparameters, construction.
 
-This module is the one home of every model option's default (_DEFAULTS),
-of its checks (default_spec) and of model construction (build_model); the
-model classes take their options as keywords and default none of them.
+This module is the one home of each model's class and option defaults
+(one table, _MODELS), of the options' checks (default_spec) and of model
+construction (build_model); the classes default none of their options.
 
 Seven model names cover the experiment grid:
 
@@ -12,13 +12,11 @@ Seven model names cover the experiment grid:
 - ctx: hierarchical context-aware tagger
 - vae-bow / vae-lstm / vae-xfmr: variational model with the three decoders
 
-A ModelSpec is (name, options) and hashes to a stable hex digest that
-checkpoints embed, so loading a checkpoint against a different
-architecture fails loudly instead of silently mis-corresponding arrays.
+A ModelSpec is (name, options) and hashes (data.json_digest) to a stable
+hex digest that checkpoints embed, so loading a checkpoint against a
+different architecture fails loudly instead of mis-corresponding arrays.
 """
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -26,9 +24,8 @@ from functools import partial
 import numpy as np
 
 from . import baselines, vae
+from .data import json_digest
 from .errors import DataError
-
-MODEL_NAMES = ("disc", "gen", "lat", "ctx", "vae-bow", "vae-lstm", "vae-xfmr")
 
 _BASELINE_DEFAULTS = {"embed_dim": 100, "hidden_dim": 100}
 
@@ -48,15 +45,19 @@ _VAE_DEFAULTS = {
     "tie_embeddings": False,
 }
 
-_DEFAULTS = {
-    "disc": dict(_BASELINE_DEFAULTS),
-    "gen": dict(_BASELINE_DEFAULTS),
-    "lat": dict(_BASELINE_DEFAULTS, n_latent=30),
-    "ctx": {"embed_dim": 100, "hidden_dim": 300},
-    "vae-bow": dict(_VAE_DEFAULTS),
-    "vae-lstm": dict(_VAE_DEFAULTS),
-    "vae-xfmr": dict(_VAE_DEFAULTS),
+# name -> (class, option defaults); each class takes its spec's options as
+# keywords, and the vae family also takes its decoder kind
+_MODELS = {
+    "disc": (baselines.DiscModel, _BASELINE_DEFAULTS),
+    "gen": (baselines.ClassLMModel, _BASELINE_DEFAULTS),
+    "lat": (baselines.LatentClassLMModel, dict(_BASELINE_DEFAULTS, n_latent=30)),
+    "ctx": (baselines.CtxModel, {"embed_dim": 100, "hidden_dim": 300}),
+    "vae-bow": (partial(vae.VAEModel, decoder="bow"), _VAE_DEFAULTS),
+    "vae-lstm": (partial(vae.VAEModel, decoder="lstm"), _VAE_DEFAULTS),
+    "vae-xfmr": (partial(vae.VAEModel, decoder="xfmr-latent"), _VAE_DEFAULTS),
 }
+
+MODEL_NAMES = tuple(_MODELS)
 
 
 @dataclass
@@ -96,7 +97,7 @@ def default_spec(name, **overrides):
     checks option values, so a bad one fails before anything is written."""
     if name not in MODEL_NAMES:
         raise DataError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
-    options = dict(_DEFAULTS[name])
+    options = dict(_MODELS[name][1])
     for key, value in overrides.items():
         if key not in options:
             raise DataError(f"model {name!r} has no option {key!r}; valid: {', '.join(sorted(options))}")
@@ -134,24 +135,23 @@ def _check_vae_options(name, o):
 
 
 def spec_hash(spec):
-    blob = json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """The checkpoint stamp: the digest of the spec's JSON form."""
+    return json_digest(spec.to_json())
 
 
-# each class takes its spec's options as keywords; the vae family also
-# takes its decoder kind
-_CLASSES = {
-    "disc": baselines.DiscModel,
-    "gen": baselines.ClassLMModel,
-    "lat": baselines.LatentClassLMModel,
-    "ctx": baselines.CtxModel,
-    "vae-bow": partial(vae.VAEModel, decoder="bow"),
-    "vae-lstm": partial(vae.VAEModel, decoder="lstm"),
-    "vae-xfmr": partial(vae.VAEModel, decoder="xfmr-latent"),
-}
+# how numpy refuses an array past its largest size, where it raises
+# ValueError rather than MemoryError
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 def build_model(spec, vocab_size, prior, seed):
     """Freshly initialized model for a spec from default_spec; identical
-    (spec, seed) twice yields identical parameters."""
-    return _CLASSES[spec.name](vocab_size, prior, np.random.default_rng(seed), **spec.options)
+    (spec, seed) twice yields identical parameters. A spec whose arrays
+    numpy refuses to allocate is a DataError; any other error propagates."""
+    try:
+        return _MODELS[spec.name][0](vocab_size, prior, np.random.default_rng(seed), **spec.options)
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
+        raise DataError(f"model {spec.name!r} with options {spec.options} is too large to build: "
+                        f"{exc}") from None

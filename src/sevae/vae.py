@@ -13,6 +13,8 @@ classifier reads the posterior mean, never a sample. Training
 (batch_loss), tagging and latent export (batch_probs, posterior_means)
 take a batch of clauses of any lengths and encode it as one padded (B, n)
 stack (encoders.encode); elbo_loss and classify_map are the batch of one.
+The tagging runs that feed batch_probs and posterior_means are cut in one
+place, harness._tag_runs, for evaluation and latent export alike.
 
 Three reconstruction decoders satisfy one contract (scalar log p(x|z)):
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import encoders
 from . import tensor as T
-from .data import N_LABELS, concat_ids, lm_rows, tagging_runs
+from .data import N_LABELS, concat_ids, lm_rows
 from .errors import GraphError
 
 LOGVAR_MIN, LOGVAR_MAX = -8.0, 8.0
@@ -261,12 +263,3 @@ class VAEModel:
     def predict_probs(self, ids):
         return self.classify_map(ids)
 
-
-def export_latents(model, clauses, vocab):
-    """One (coords, label, genre, mu) row per clause, in input order; the
-    posterior means come one inference pass per tagging run of clauses."""
-    units = [vocab.encode(cl.tokens) for cl in clauses]
-    means = [mu for lo, hi in tagging_runs([len(ids) for ids in units], padded=True)
-             for mu in model.posterior_means(units[lo:hi])]
-    return [(cl.doc_id, cl.par_id, cl.clause_idx, cl.label.name, cl.genre, mu)
-            for cl, mu in zip(clauses, means)]

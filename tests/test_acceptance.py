@@ -21,14 +21,13 @@ from sevae.data import (
     SEType, Split, Vocab, cross_genre_split, label_counts, load_corpus,
     make_synthetic_corpus, subsample_per_label,
 )
-from sevae.gradcheck import DEFAULT_STEP, DEFAULT_TOL
+from sevae.gradcheck import DEFAULT_STEP, DEFAULT_TOL, gradient_suite
 from sevae.harness import (
     TrainConfig, aggregate_sweep, compute_metrics, evaluate, load_checkpoint,
     save_checkpoint, train,
 )
 from sevae.kernels import lstm_forward
 from sevae.models import MODEL_NAMES, build_model, default_spec
-from sevae.verify import gradient_suite
 
 
 def _verdict(criterion, detail):

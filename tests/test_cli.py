@@ -7,11 +7,13 @@ work; each writing command gets its own directory under tmp_path.
 import json
 import math
 import os
+import struct
 
 import pytest
 
-from sevae import __version__, cli, harness, vae
+from sevae import __version__, cli, harness
 from sevae.data import Clause, load_corpus, make_synthetic_corpus, write_jsonl
+from sevae.models import ModelSpec, spec_hash
 
 DISC_OPTS = ["--opt", "embed_dim=8", "--opt", "hidden_dim=8"]
 VAE_OPTS = [
@@ -108,6 +110,22 @@ def test_synth_outputs(synth_dir):
         "command", "config", "config_digest", "inputs", "seed",
         "tool_version", "timestamp",
     }
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--n-per-label", "0"], "train set: n_per_label must be >= 1, got 0"),
+    (["--val-per-label", "0"], "val set: n_per_label must be >= 1, got 0"),
+    (["--test-per-label", "-1"], "test set: n_per_label must be >= 1, got -1"),
+    (["--noise", "1.5"], "noise must be in [0, 1], got 1.5"),
+    (["--noise", "nan"], "noise must be in [0, 1], got nan"),
+    (["--genre-salience", "-0.1"], "genre_salience must be in [0, 1], got -0.1"),
+])
+def test_synth_bad_value_is_data_error_before_any_output(capsys, tmp_path, flags, field):
+    out = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_stats_tables(capsys, synth_dir):
@@ -440,6 +458,35 @@ def _sweep_args(synth_dir, out, *extra):
             "--out", str(out), "--max-epochs", "1", "--batch", "8", *DISC_OPTS, *extra]
 
 
+@pytest.mark.parametrize("command,flags,flag", [
+    ("sweep", ["--models", "", "--ks", "2"], "--models"),
+    ("sweep", ["--models", "disc", "--ks", ""], "--ks"),
+    ("sweep", ["--models", "disc", "--ks", "2", "--seeds", ",", "--max-epochs", "1"], "--seeds"),
+    ("sweep", ["--models", "disc", "--ks", "2", "--config", "CONFIG"], "--seeds"),
+    ("gradcheck", ["--seeds", ""], "--seeds"),
+    ("stats", ["--in", ""], "--in"),
+])
+def test_empty_list_flag_is_usage_error_before_any_output(capsys, tmp_path, synth_dir, command,
+                                                          flags, flag):
+    # each used to run nothing and exit 0: header-only sweep TSVs, a
+    # gradcheck "pass" that probed no seed, all-zero stats tables
+    out = tmp_path / "out"
+    config = tmp_path / "empty-seeds.cfg"
+    config.write_text("seeds =\n")
+    flags = [str(config) if f == "CONFIG" else f for f in flags]
+    if command == "sweep":
+        argv = _sweep_args(synth_dir, out, *flags)
+    elif command == "gradcheck":
+        argv = ["gradcheck", "--out", str(out), *flags]
+    else:
+        argv = ["stats", *flags]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} needs at least one entry" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _tsv_rows(path):
     return [line.split("\t") for line in path.read_text().splitlines()[1:]]
 
@@ -637,7 +684,7 @@ def _fake_suite(passed):
 
 
 def test_gradcheck_pass_exit_code(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli.verify, "gradient_suite", _fake_suite(True))
+    monkeypatch.setattr(cli.gradcheck, "gradient_suite", _fake_suite(True))
     out = tmp_path / "gc"
     assert cli.main(["gradcheck", "--out", str(out)]) == 0
     assert "pass" in capsys.readouterr().out
@@ -646,11 +693,51 @@ def test_gradcheck_pass_exit_code(capsys, monkeypatch, tmp_path):
 
 
 def test_gradcheck_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli.verify, "gradient_suite", _fake_suite(False))
+    monkeypatch.setattr(cli.gradcheck, "gradient_suite", _fake_suite(False))
     assert cli.main(["gradcheck"]) == 3
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "gradient check failed" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# a model spec too large to build
+
+
+def _restamped(ckpt, out, **options):
+    """A copy of checkpoint ckpt whose header spec takes options, with the
+    stamp recomputed to match it."""
+    blob = ckpt.read_bytes()
+    (size,) = struct.unpack("<Q", blob[76:84])
+    header = json.loads(blob[84:84 + size])
+    header["spec"]["options"].update(options)
+    stamp = spec_hash(ModelSpec.from_json(header["spec"])).encode()
+    body = json.dumps(header, sort_keys=True).encode()
+    out.write_bytes(blob[:12] + stamp + struct.pack("<Q", len(body)) + body + blob[84 + size:])
+    return out
+
+
+def test_train_of_a_spec_too_large_to_build_is_data_error(capsys, tmp_path, synth_dir):
+    # the model's size is known only once it is built, after the manifest
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--model", "disc", "--train", str(synth_dir / "train.jsonl"),
+                   "--out", str(out), "--opt", f"hidden_dim={10 ** 12}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model 'disc'" in err and "too large to build" in err and "Traceback" not in err
+    assert not (out / "model.ckpt").exists()
+
+
+def test_eval_of_a_spec_too_large_to_build_is_checkpoint_error(capsys, tmp_path, synth_dir,
+                                                                disc_run):
+    ckpt = _restamped(disc_run / "model.ckpt", tmp_path / "huge.ckpt", hidden_dim=10 ** 12)
+    out = tmp_path / "out"
+    rc = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir / "val.jsonl"),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "checkpoint spec cannot be built: model 'disc'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +837,7 @@ def test_export_latents_from_vae_checkpoint(tmp_path, synth_dir, vae_run):
     assert len(lines) == 15  # header + one row per clause
     # every row holds its clause's coordinates and exact posterior means
     model, vocab, _meta = harness.load_checkpoint(vae_run / "model.ckpt")
-    rows = vae.export_latents(model, load_corpus(synth_dir / "val.jsonl"), vocab)
+    rows = harness.export_latents(model, load_corpus(synth_dir / "val.jsonl"), vocab)
     for line, (doc_id, par_id, clause_idx, label, genre, mu) in zip(lines[1:], rows):
         cells = line.split("\t")
         assert cells[:5] == [doc_id, str(par_id), str(clause_idx), label, genre]

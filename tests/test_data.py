@@ -331,18 +331,25 @@ def test_split_manifest_round_trip():
     assert [c.coords for c in restored.train] == [c.coords for c in split.train]
     assert [c.coords for c in restored.test] == [c.coords for c in split.test]
     assert restored.provenance == split.provenance
-    assert D.manifest_digest(manifest) == D.manifest_digest(D.split_manifest(restored))
+    assert D.json_digest(manifest) == D.json_digest(D.split_manifest(restored))
 
 
 def test_split_digest_stable_and_distinct(eight_clause_fixture):
-    # the split_digest a checkpoint records: manifest_digest(split_manifest(split))
+    # the split_digest a checkpoint records: json_digest(split_manifest(split))
     def digest(split):
-        return D.manifest_digest(D.split_manifest(split))
+        return D.json_digest(D.split_manifest(split))
 
     a = D.Split(eight_clause_fixture[:4], eight_clause_fixture[4:6], eight_clause_fixture[6:], "a")
     assert digest(a) == digest(a)
     b = D.Split(eight_clause_fixture[:5], eight_clause_fixture[5:6], eight_clause_fixture[6:], "a")
     assert digest(a) != digest(b)
+
+
+def test_split_digest_format_is_pinned():
+    # saved checkpoints record their split's digest: its bytes never change
+    manifest = {"provenance": "k=2 seed=5", "train": [["d0", 0, 0], ["d0", 0, 1], ["d\u00e9", 1, 0]],
+                "validation": [], "test": [["d1", 0, 2]]}
+    assert D.json_digest(manifest) == "b1410a2e82b6746d85104eaf299ecfdf08f6b8fe82d8202345a83b240beb8a34"
 
 
 def test_restore_split_missing_coordinate():

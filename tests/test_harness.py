@@ -23,7 +23,7 @@ from sevae.data import (
 from sevae.errors import CheckpointError, DataError
 from sevae.harness import (
     ADAM_BETAS, ADAM_EPS, CHECKPOINT_MAGIC, TrainConfig, adam_step, aggregate_sweep, clip_global_norm,
-    compute_metrics, default_train_config, evaluate, init_adam_state,
+    compute_metrics, default_train_config, evaluate, export_latents, init_adam_state,
     TrainResult, load_checkpoint, predict_codes, save_checkpoint, tag_probs, train,
 )
 from sevae.models import MODEL_NAMES, build_model, default_spec, spec_hash
@@ -414,8 +414,12 @@ def test_tagging_runs_bound_the_summed_size_when_stored_back_to_back():
         assert sum(sizes[lo:hi]) <= RUN_TOKENS
 
 
-@pytest.mark.parametrize("name", ["disc", "ctx", "vae-bow"])
-def test_tag_probs_sizes_runs_by_how_the_model_stores_them(name, monkeypatch, eight_clause_fixture):
+@pytest.mark.parametrize("name,tag,run_pass", [
+    *(pytest.param(name, tag_probs, "batch_probs", id=name) for name in ("disc", "ctx", "vae-bow")),
+    pytest.param("vae-bow", export_latents, "posterior_means", id="vae-bow-latents"),
+])
+def test_tag_probs_sizes_runs_by_how_the_model_stores_them(name, tag, run_pass, monkeypatch,
+                                                           eight_clause_fixture):
     # 64 clauses (32 paragraphs) of 4-7 tokens and one of 30 tokens, 374
     # tokens: back to back they fit one run, padded to 30 they do not
     long = Clause(" ".join(["w"] * 29) + " .", SEType.STATE, "news", "long", 0, 0)
@@ -424,9 +428,9 @@ def test_tag_probs_sizes_runs_by_how_the_model_stores_them(name, monkeypatch, ei
     vocab = build_vocab(eight_clause_fixture, 1)
     model = build_model(tiny_spec(name), len(vocab), label_prior(eight_clause_fixture), seed=5)
     calls = []
-    batch_probs = model.batch_probs
-    monkeypatch.setattr(model, "batch_probs", lambda units: calls.append(len(units)) or batch_probs(units))
-    tag_probs(model, clauses, vocab)
+    original = getattr(model, run_pass)
+    monkeypatch.setattr(model, run_pass, lambda units: calls.append(len(units)) or original(units))
+    assert len(tag(model, clauses, vocab)) == len(clauses)
     if name == "vae-bow":
         assert len(calls) > 1
     else:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevae import models
 from sevae.errors import DataError
-from sevae.models import MODEL_NAMES, build_model, default_spec
+from sevae.models import MODEL_NAMES, build_model, default_spec, spec_hash
 
 _TINY_VAE = dict(enc_embed_dim=4, enc_layers=1, enc_heads=2, max_len=8, latent_dim=2,
                  dec_embed_dim=4, dec_hidden_dim=4, dec_layers=1, dec_heads=2)
@@ -67,3 +68,40 @@ def test_fresh_model_matches_its_recorded_initialisation(name):
     for p in model.params.values():
         digest.update(p.data.astype("<f8", copy=False).tobytes())
     assert digest.hexdigest() == golden["sha256"]
+
+
+# the stamp each default spec writes into a checkpoint; a saved checkpoint
+# loads only if its spec still hashes to its stamp, so these never change
+_STAMPS = {
+    "disc": "55c89039dad5bec2d53fda5cda0ca5705372dfa138b7109157595517ddb3bfaa",
+    "gen": "d086f10ab61e092ba96c55e30c32fe801c5aebb65de3dd9252e2b74ddbc17af8",
+    "lat": "ff74061dea951574e03990abc7de1a594bb1a6692859e5c0f0e1552a1225634c",
+    "ctx": "e772a7b17163bda8fc5b35ed2135e30eadba17a97342781da4e112b849e3a2ef",
+    "vae-bow": "9387498e1d649d2a4bc9821f3803aabe897499bc3ee947455554325e34bfe791",
+    "vae-lstm": "a35285f6a6a7a60fec2a18c8fa6702cabd645e0ab30b0823981a48c298966a3f",
+    "vae-xfmr": "1390a82b78f51bb9e6a594265bb73de23e1f15ec5caf45703f60805de183595e",
+}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_spec_stamp_format_is_pinned(name):
+    assert spec_hash(default_spec(name)) == _STAMPS[name]
+
+
+@pytest.mark.parametrize("name,option", [("disc", "hidden_dim"), ("vae-bow", "latent_dim")])
+@pytest.mark.parametrize("size", [10 ** 12, 10 ** 30])
+def test_spec_too_large_to_allocate_is_data_error(name, option, size):
+    # numpy refuses 10**12 at once (MemoryError) and 10**30 before that
+    # (ValueError, past its largest array); neither allocates anything
+    with pytest.raises(DataError, match=f"model {name!r} .*'{option}': {size}.* too large to build"):
+        build_model(default_spec(name, **{option: size}), 10, np.full(7, 1 / 7), seed=0)
+
+
+def test_other_value_error_from_a_model_propagates(monkeypatch):
+    # only numpy's refusal of an array size is a DataError; a bug inside a
+    # constructor keeps its own error and traceback
+    def broken(*args, **kwargs):
+        raise ValueError("cannot reshape array of size 6 into shape (4,)")
+    monkeypatch.setitem(models._MODELS, "disc", (broken, models._MODELS["disc"][1]))
+    with pytest.raises(ValueError, match="cannot reshape"):
+        build_model(default_spec("disc"), 10, np.full(7, 1 / 7), seed=0)

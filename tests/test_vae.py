@@ -8,6 +8,7 @@ from sevae import vae
 from sevae.data import Clause, SEType, build_vocab
 from sevae.errors import GraphError
 from sevae.gradcheck import check_gradients
+from sevae.harness import export_latents
 from sevae.models import build_model, default_spec
 
 VOCAB = 12
@@ -289,10 +290,11 @@ def test_export_latents_rows(rng):
     ]
     vocab = build_vocab(clauses, min_count=1)
     model2 = tiny_model()  # same seed, fresh params
-    rows = vae.export_latents(model, clauses, vocab)
-    rows2 = vae.export_latents(model2, clauses, vocab)
+    rows = export_latents(model, clauses, vocab)
+    rows2 = export_latents(model2, clauses, vocab)
     assert len(rows) == 2
     assert [r[:3] for r in rows] == [("d0", 0, 0), ("d0", 0, 1)]
     assert all(r[5].shape == (4,) for r in rows)
     for a, b in zip(rows, rows2):
         np.testing.assert_array_equal(a[5], b[5])
+    assert export_latents(model, [], vocab) == []

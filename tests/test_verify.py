@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sevae.verify import OBJECTIVES, gradient_suite
+from sevae.gradcheck import OBJECTIVES, gradient_suite
 
 
 def test_objective_roster():
@@ -35,3 +35,9 @@ def test_suite_probe_limit_speeds_up_run():
 def test_unknown_objective_rejected():
     with pytest.raises(ValueError, match="unknown objective"):
         gradient_suite(seeds=(0,), objectives=("nope",))
+
+
+def test_suite_of_no_seed_raises():
+    # it would probe nothing and report every objective as passed
+    with pytest.raises(ValueError, match="at least one seed"):
+        gradient_suite(seeds=())
