@@ -28,12 +28,13 @@ several rows against one over a single row), so its probabilities agree
 with theirs within 1e-12 relative, not bit for bit.
 
 All label ties break toward the lowest label code. The empirical label
-prior rides along as a non-trainable named parameter so checkpoints are
-self-contained.
+prior rides along as a non-trainable named parameter (init "prior") so
+checkpoints are self-contained.
 
-Each model takes its options (embed_dim, hidden_dim, and n_latent for
-LatentClassLMModel) as the keywords of models.default_spec, which holds
-their defaults and checks; models.build_model is the one constructor call.
+Each model declares its parameters in plan(vocab_size, **options), from
+default_spec's options (embed_dim, hidden_dim, and n_latent for
+LatentClassLMModel); models.build_model realises it and passes the params
+dict and the same options to the constructor.
 """
 
 import numpy as np
@@ -43,19 +44,10 @@ from .data import N_LABELS, concat_ids, lm_rows
 from .errors import DataError
 
 
-def _prior_param(prior):
-    prior = np.asarray(prior, dtype=np.float64)
-    if prior.shape != (N_LABELS,):
-        raise DataError(f"label prior must have {N_LABELS} entries, got shape {prior.shape}")
-    t = T.Tensor(prior)
-    t.requires_grad = False
-    return t
-
-
-def _add_lstm(params, name, in_dim, hidden, rng):
-    params[f"{name}.wx"] = T.xavier_param(rng, in_dim, 4 * hidden)
-    params[f"{name}.whT"] = T.xavier_param(rng, 4 * hidden, hidden)
-    params[f"{name}.b"] = T.zeros((4 * hidden,), requires_grad=True)
+def _lstm_plan(name, in_dim, hidden):
+    yield f"{name}.wx", (in_dim, 4 * hidden), "xavier"
+    yield f"{name}.whT", (4 * hidden, hidden), "xavier"
+    yield f"{name}.b", (4 * hidden,), "zeros"
 
 
 def _run_lstm(x, params, name, hidden, lengths, reverse=False):
@@ -71,21 +63,26 @@ def _split_items(items):
     return [ids for ids, _ in items], np.array([int(label) for _, label in items])
 
 
-class DiscModel:
-    """Mean-pooled one-layer LSTM with a 7-way softmax head."""
+class _Baseline:
+    """A baseline's realised parameters and the options its passes read."""
 
     consumes = "clause"
 
-    def __init__(self, vocab_size, prior, rng, *, embed_dim, hidden_dim):
+    def __init__(self, vocab_size, params, *, hidden_dim, **_plan_only):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
-        self.params = {
-            "emb": T.uniform_param(rng, (vocab_size, embed_dim)),
-            "out.w": T.xavier_param(rng, hidden_dim, N_LABELS),
-            "out.b": T.zeros((N_LABELS,), requires_grad=True),
-            "prior": _prior_param(prior),
-        }
-        _add_lstm(self.params, "lstm", embed_dim, hidden_dim, rng)
+        self.params = params
+
+
+class DiscModel(_Baseline):
+    """Mean-pooled one-layer LSTM with a 7-way softmax head."""
+
+    @staticmethod
+    def plan(vocab_size, *, embed_dim, hidden_dim):
+        yield "emb", (vocab_size, embed_dim), "uniform"
+        yield from T.affine_plan("out.w", "out.b", hidden_dim, N_LABELS)
+        yield "prior", (N_LABELS,), "prior"
+        yield from _lstm_plan("lstm", embed_dim, hidden_dim)
 
     def _logits(self, id_lists):
         """(S, 7) label logits of S clauses: one LSTM pass over all of them,
@@ -112,7 +109,7 @@ class DiscModel:
         return self.batch_probs([ids])[0]
 
 
-class _BayesRuleClassifier:
+class _BayesRuleClassifier(_Baseline):
     """p(y|x) of a class-conditioned language model, by Bayes' rule.
 
     The model's _loglik(base, label_tilts, targets, lengths) gives log p(x|y)
@@ -141,6 +138,9 @@ class _BayesRuleClassifier:
         """Label probabilities, (S, 7), of S clauses in one pass."""
         return T.softmax(self.joint_scores(id_lists), axis=-1).data
 
+    def loss(self, ids, label, rng=None):
+        return self.batch_loss([(ids, label)], rng)
+
     def predict_probs(self, ids):
         return self.batch_probs([ids])[0]
 
@@ -148,20 +148,15 @@ class _BayesRuleClassifier:
 class ClassLMModel(_BayesRuleClassifier):
     """Autoregressive p(x|y) with the label embedding feeding the output head."""
 
-    consumes = "clause"
-
-    def __init__(self, vocab_size, prior, rng, *, embed_dim, hidden_dim):
-        self.vocab_size = vocab_size
-        self.hidden_dim = hidden_dim
-        self.params = {
-            "emb": T.uniform_param(rng, (vocab_size, embed_dim)),
-            "lab_emb": T.uniform_param(rng, (N_LABELS, embed_dim)),
-            "out.wh": T.xavier_param(rng, hidden_dim, vocab_size),
-            "out.wy": T.xavier_param(rng, embed_dim, vocab_size),
-            "out.b": T.zeros((vocab_size,), requires_grad=True),
-            "prior": _prior_param(prior),
-        }
-        _add_lstm(self.params, "lstm", embed_dim, hidden_dim, rng)
+    @staticmethod
+    def plan(vocab_size, *, embed_dim, hidden_dim):
+        yield "emb", (vocab_size, embed_dim), "uniform"
+        yield "lab_emb", (N_LABELS, embed_dim), "uniform"
+        yield "out.wh", (hidden_dim, vocab_size), "xavier"
+        yield "out.wy", (embed_dim, vocab_size), "xavier"
+        yield "out.b", (vocab_size,), "zeros"
+        yield "prior", (N_LABELS,), "prior"
+        yield from _lstm_plan("lstm", embed_dim, hidden_dim)
 
     def batch_loss(self, items, rng=None):
         """-log p(x|y) summed over a batch of (ids, label) clauses; each
@@ -173,9 +168,6 @@ class ClassLMModel(_BayesRuleClassifier):
         nll = T.cross_entropy(base + T.matmul(v_y, p["out.wy"]), targets)
         return nll, {"reconstruction": float(nll.data)}
 
-    def loss(self, ids, label, rng=None):
-        return self.batch_loss([(ids, label)], rng)
-
     def _loglik(self, base, label_tilts, targets, lengths):
         """log p(x|y), (S, I), of each segment of base under each of its
         label tilts (S, I, V)."""
@@ -186,25 +178,19 @@ class ClassLMModel(_BayesRuleClassifier):
 class LatentClassLMModel(_BayesRuleClassifier):
     """ClassLMModel plus a marginalized discrete latent c."""
 
-    consumes = "clause"
-
-    def __init__(self, vocab_size, prior, rng, *, embed_dim, hidden_dim, n_latent):
-        self.vocab_size = vocab_size
-        self.hidden_dim = hidden_dim
-        self.n_latent = n_latent
-        self.params = {
-            "emb": T.uniform_param(rng, (vocab_size, embed_dim)),
-            "lab_emb": T.uniform_param(rng, (N_LABELS, embed_dim)),
-            "lat_emb": T.uniform_param(rng, (n_latent, embed_dim)),
-            "lat_w": T.uniform_param(rng, (n_latent, embed_dim)),
-            "lat_b": T.zeros((n_latent,), requires_grad=True),
-            "out.wh": T.xavier_param(rng, hidden_dim, vocab_size),
-            "out.wy": T.xavier_param(rng, embed_dim, vocab_size),
-            "out.wc": T.xavier_param(rng, embed_dim, vocab_size),
-            "out.b": T.zeros((vocab_size,), requires_grad=True),
-            "prior": _prior_param(prior),
-        }
-        _add_lstm(self.params, "lstm", embed_dim, hidden_dim, rng)
+    @staticmethod
+    def plan(vocab_size, *, embed_dim, hidden_dim, n_latent):
+        yield "emb", (vocab_size, embed_dim), "uniform"
+        yield "lab_emb", (N_LABELS, embed_dim), "uniform"
+        yield "lat_emb", (n_latent, embed_dim), "uniform"
+        yield "lat_w", (n_latent, embed_dim), "uniform"
+        yield "lat_b", (n_latent,), "zeros"
+        yield "out.wh", (hidden_dim, vocab_size), "xavier"
+        yield "out.wy", (embed_dim, vocab_size), "xavier"
+        yield "out.wc", (embed_dim, vocab_size), "xavier"
+        yield "out.b", (vocab_size,), "zeros"
+        yield "prior", (N_LABELS,), "prior"
+        yield from _lstm_plan("lstm", embed_dim, hidden_dim)
 
     def latent_log_prior(self):
         """log p(c), scores being the rowwise w_c . v_c + b_c."""
@@ -233,28 +219,21 @@ class LatentClassLMModel(_BayesRuleClassifier):
         nll = -(T.sum_(lse) + float(np.log(p["prior"].data[labels]).sum()))
         return nll, {"reconstruction": float(nll.data)}
 
-    def loss(self, ids, label, rng=None):
-        return self.batch_loss([(ids, label)], rng)
 
-
-class CtxModel:
+class CtxModel(_Baseline):
     """Paragraph-level tagger: word BiLSTM, clause max-pool, clause BiLSTM."""
 
     consumes = "paragraph"
 
-    def __init__(self, vocab_size, prior, rng, *, embed_dim, hidden_dim):
-        self.vocab_size = vocab_size
-        self.hidden_dim = hidden_dim
-        self.params = {
-            "emb": T.uniform_param(rng, (vocab_size, embed_dim)),
-            "out.w": T.xavier_param(rng, 2 * hidden_dim, N_LABELS),
-            "out.b": T.zeros((N_LABELS,), requires_grad=True),
-            "prior": _prior_param(prior),
-        }
-        _add_lstm(self.params, "wfwd", embed_dim, hidden_dim, rng)
-        _add_lstm(self.params, "wbwd", embed_dim, hidden_dim, rng)
-        _add_lstm(self.params, "cfwd", 2 * hidden_dim, hidden_dim, rng)
-        _add_lstm(self.params, "cbwd", 2 * hidden_dim, hidden_dim, rng)
+    @staticmethod
+    def plan(vocab_size, *, embed_dim, hidden_dim):
+        yield "emb", (vocab_size, embed_dim), "uniform"
+        yield from T.affine_plan("out.w", "out.b", 2 * hidden_dim, N_LABELS)
+        yield "prior", (N_LABELS,), "prior"
+        yield from _lstm_plan("wfwd", embed_dim, hidden_dim)
+        yield from _lstm_plan("wbwd", embed_dim, hidden_dim)
+        yield from _lstm_plan("cfwd", 2 * hidden_dim, hidden_dim)
+        yield from _lstm_plan("cbwd", 2 * hidden_dim, hidden_dim)
 
     def _logits(self, paragraphs):
         """Label logits, (clauses, 7), of a batch of paragraphs, each a list

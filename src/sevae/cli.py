@@ -26,12 +26,12 @@ from dataclasses import replace
 
 from . import __version__, gradcheck, harness, vae
 from .data import (
-    SEType, Split, atomic_write, check_max_len, cross_genre_split, genre_counts, json_digest,
-    label_counts, load_corpus, make_synthetic_corpus, split_manifest, subsample_per_label,
-    write_jsonl, write_tsv,
+    SEType, Split, Vocab, atomic_write, check_max_len, cross_genre_split, genre_counts,
+    json_digest, label_counts, load_corpus, make_synthetic_corpus, split_manifest,
+    subsample_per_label, write_jsonl, write_tsv,
 )
 from .errors import CheckpointError, DataError, GraphError, NumericsError
-from .models import MODEL_NAMES, ModelSpec, default_spec
+from .models import MODEL_NAMES, ModelSpec, check_size, default_spec
 
 
 class UsageError(Exception):
@@ -273,10 +273,21 @@ def _split_pairs(entries, what):
 
 
 def _int_list(values, what):
+    """The integers of a list flag, seeds or ks; numpy takes no negative seed."""
     try:
-        return [int(v) for v in values]
+        ints = [int(v) for v in values]
     except ValueError:
         raise DataError(f"{what} expects integers, got {values!r}") from None
+    if min(ints, default=0) < 0:
+        raise DataError(f"{what} must be >= 0, got {min(ints)}")
+    return ints
+
+
+def _check_spec(spec, clauses, train):
+    """A training command's up-front checks of a spec: clauses within max_len,
+    and the size at the largest vocabulary the clauses train can give."""
+    check_max_len(clauses, spec.options.get("max_len"))
+    check_size(spec, len({tok for cl in train for tok in cl.tokens}) + len(Vocab.SPECIALS))
 
 
 def _train_config(model_name, cfg):
@@ -330,6 +341,7 @@ def _cmd_stats(cfg):
 def _cmd_synth(cfg):
     # the corpora are small: build all three, so a bad value fails before
     # any output
+    _int_list([cfg["seed"]], "--seed")
     corpora = []
     for name, key, seed in (("train", "n_per_label", cfg["seed"]),
                             ("val", "val_per_label", cfg["seed"] + 1),
@@ -348,10 +360,10 @@ def _cmd_synth(cfg):
 
 
 def _cmd_train(cfg):
+    train_cfg = _train_config(cfg["model"], cfg)  # checks --seed before --k draws with it
     split = _load_split(cfg)
     spec = default_spec(cfg["model"], **_split_pairs(cfg["opt"], "--opt"))
-    check_max_len(split.train + split.validation + split.test, spec.options.get("max_len"))
-    train_cfg = _train_config(cfg["model"], cfg)
+    _check_spec(spec, split.train + split.validation + split.test, split.train)
     inputs = [p for p in (cfg["train"], cfg["val"], cfg["test"]) if p]
     manifest_cfg = dict(cfg, spec=spec.to_json(), train_config=train_cfg.to_json())
     _write_manifest(cfg["out"], manifest_cfg, inputs, seed=train_cfg.seed)
@@ -438,9 +450,8 @@ def _check_jobs(cfg):
 def _cmd_sweep(cfg):
     _check_jobs(cfg)
     model_names = cfg["models"]
-    for name in model_names:
-        if name not in MODEL_NAMES:
-            raise DataError(f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}")
+    opts = _split_pairs(cfg["opt"], "--opt")
+    specs = [default_spec(name, **opts) for name in model_names]
     ks = _int_list(cfg["ks"], "--ks")
     seeds = _int_list(cfg["seeds"], "--seeds")
     split = _load_split(cfg)
@@ -449,14 +460,12 @@ def _cmd_sweep(cfg):
         if not 1 <= k <= smallest:
             raise DataError(f"--ks: k={k} is outside 1..{smallest}; the rarest label has "
                             f"{smallest} clauses in {cfg['train']}")
-    opts = _split_pairs(cfg["opt"], "--opt")
     paths = {"train": cfg["train"], "val": cfg["val"], "test": cfg["test"]}
     jobs = []
-    for name in model_names:
-        spec = default_spec(name, **opts)
-        check_max_len(split.train + split.validation + split.test, spec.options.get("max_len"))
+    for spec in specs:
+        _check_spec(spec, split.train + split.validation + split.test, split.train)
         spec_json = spec.to_json()
-        base = _train_config(name, cfg)
+        base = _train_config(spec.name, cfg)
         for k in ks:
             for seed in seeds:
                 jobs.append((spec_json, k, seed, paths, replace(base, seed=seed).to_json()))
@@ -491,7 +500,8 @@ def _cmd_crossgenre(cfg):
             raise DataError(f"--genres: {target!r} not in {cfg['data']}; "
                             f"present genres: {', '.join(present)}")
     spec = default_spec(cfg["model"], **_split_pairs(cfg["opt"], "--opt"))
-    check_max_len(corpus, spec.options.get("max_len"))
+    # every held-out genre's training clauses come from corpus
+    _check_spec(spec, corpus, corpus)
     train_cfg = _train_config(cfg["model"], cfg)
     _write_manifest(cfg["out"], dict(cfg, targets=targets, spec=spec.to_json()),
                     [cfg["data"]], seed=train_cfg.seed)

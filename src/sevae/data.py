@@ -5,7 +5,7 @@ The interchange format is JSONL, one object per line with fields
 normalizes labels, checks coordinate uniqueness, and fails with the line
 number on any malformed record. All sampling operations are pure functions
 of (inputs, seed), and every split can be serialized to a manifest of
-clause coordinates for exact reconstruction.
+clause coordinates, whose digest checkpoints record.
 
 A synthetic corpus generator produces a 7-label fixture with templated
 lexical patterns so the whole test suite runs without any licensed data.
@@ -130,9 +130,6 @@ class Vocab:
     def encode(self, tokens):
         get = self.token_to_id.get
         return [get(t, self.UNK) for t in tokens]
-
-    def decode(self, ids):
-        return [self.id_to_token[i] for i in ids]
 
     def to_json(self):
         return {"min_count": self.min_count, "tokens": self.id_to_token[len(self.SPECIALS):]}
@@ -441,27 +438,6 @@ def split_manifest(split):
         "validation": coord_list(split.validation),
         "test": coord_list(split.test),
     }
-
-
-def restore_split(corpus, manifest):
-    """Rebuild a split from its manifest against the same corpus."""
-    by_coords = {cl.coords: cl for cl in corpus}
-
-    def resolve(rows, part):
-        out = []
-        for doc_id, par_id, clause_idx in rows:
-            key = (str(doc_id), int(par_id), int(clause_idx))
-            if key not in by_coords:
-                raise DataError(f"manifest {part} references missing clause {key}")
-            out.append(by_coords[key])
-        return out
-
-    return Split(
-        resolve(manifest["train"], "train"),
-        resolve(manifest["validation"], "validation"),
-        resolve(manifest["test"], "test"),
-        manifest["provenance"],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ error. Dropout exists on the training path only and is driven by an
 explicit generator, so eval passes are bit-deterministic and train passes
 replay exactly per seed.
 
-The encoder owns no parameter dict: init_params, encode and
-encode_pooled, like init_block and transformer_block, take the owning
-model's flat dict and the prefix its tensors sit under ("enc." in a
-VAEModel). The model builds its EncoderConfig from its options.
+The encoder owns no parameter dict: encoder_plan and block_plan yield
+entries of the owning model's plan (models.build_model), and encode,
+encode_pooled and transformer_block read the model's flat dict under the
+prefix its tensors sit under ("enc." in a VAEModel). The model builds its
+EncoderConfig from its options.
 """
 
 from dataclasses import dataclass
@@ -47,28 +48,24 @@ class EncoderConfig:
     dropout: float
 
 
-def init_block(p, prefix, d, rng):
-    """Add one transformer block's parameters, width d, under prefix."""
+def block_plan(prefix, d):
+    """One transformer block's parameters, width d, under prefix, as the
+    (name, shape, init) entries of a model plan (models.build_model)."""
     for name in ("wq", "wk", "wv", "wo"):
-        p[prefix + name] = T.xavier_param(rng, d, d)
-        p[prefix + name[-1] + "b"] = T.zeros((d,), requires_grad=True)
-    p[prefix + "ln1g"] = T.Tensor(np.ones(d), requires_grad=True)
-    p[prefix + "ln1b"] = T.zeros((d,), requires_grad=True)
-    p[prefix + "ln2g"] = T.Tensor(np.ones(d), requires_grad=True)
-    p[prefix + "ln2b"] = T.zeros((d,), requires_grad=True)
-    p[prefix + "w1"] = T.xavier_param(rng, d, 4 * d)
-    p[prefix + "b1"] = T.zeros((4 * d,), requires_grad=True)
-    p[prefix + "w2"] = T.xavier_param(rng, 4 * d, d)
-    p[prefix + "b2"] = T.zeros((d,), requires_grad=True)
+        yield from T.affine_plan(prefix + name, prefix + name[-1] + "b", d, d)
+    for norm in ("ln1", "ln2"):
+        yield prefix + norm + "g", (d,), "ones"
+        yield prefix + norm + "b", (d,), "zeros"
+    yield from T.affine_plan(prefix + "w1", prefix + "b1", d, 4 * d)
+    yield from T.affine_plan(prefix + "w2", prefix + "b2", 4 * d, d)
 
 
-def init_params(p, prefix, cfg, vocab_size, rng):
-    """Add one encoder's parameters under prefix."""
-    d = cfg.embed_dim
-    p[prefix + "emb"] = T.uniform_param(rng, (vocab_size, d))
-    p[prefix + "pos"] = T.uniform_param(rng, (cfg.max_len + 1, d))
-    for layer in range(cfg.layers):
-        init_block(p, f"{prefix}l{layer}.", d, rng)
+def encoder_plan(prefix, vocab_size, embed_dim, layers, max_len):
+    """One encoder's parameters under prefix, as plan entries."""
+    yield prefix + "emb", (vocab_size, embed_dim), "uniform"
+    yield prefix + "pos", (max_len + 1, embed_dim), "uniform"
+    for layer in range(layers):
+        yield from block_plan(f"{prefix}l{layer}.", embed_dim)
 
 
 def transformer_block(x, p, prefix, heads, mask, memory=None, dropout=0.0, train_rng=None):

@@ -52,9 +52,9 @@ from .data import (
     N_LABELS, Vocab, atomic_write, build_vocab, default_min_count, label_prior, paragraphs_of,
     tagging_runs,
 )
-from .errors import CheckpointError, DataError
+from .errors import CheckpointError, DataError, NumericsError
 from .models import ModelSpec, build_model, spec_hash
-from .tensor import Tape, zero_grads
+from .tensor import Tape, _all_finite, zero_grads
 from .vae import VAEModel
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,8 @@ class TrainConfig:
             raise DataError("logical_batch must be >= 1")
         if self.beta_warmup_steps < 0:
             raise DataError("beta_warmup_steps must be >= 0")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.weight_decay < math.inf:
             raise DataError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 <= self.grad_clip < math.inf:
@@ -142,13 +144,16 @@ def adam_step(params, grads, state, cfg):
     Decoupled weight decay: the decay term bypasses the moment estimates.
     The step runs in place: clipping scales the arrays of grads, and each
     parameter's update uses two scratch arrays of its size, freed before
-    the next parameter's.
+    the next parameter's. Every gradient is checked first, so a bad one
+    (unknown name, wrong shape, NaN or inf) changes no parameter or moment.
     """
     for name, g in grads.items():
         if name not in state["m"]:
             raise DataError(f"gradient for unknown parameter {name!r}")
         if g.shape != params[name].data.shape:
             raise DataError(f"gradient shape {g.shape} does not match parameter {name!r}")
+        if not _all_finite(g):
+            raise NumericsError(f"non-finite gradient for parameter {name!r} at Adam step {state['t'] + 1}")
     grads = clip_global_norm(grads, cfg.grad_clip)
     state["t"] += 1
     t = state["t"]
@@ -506,10 +511,11 @@ def load_checkpoint(path):
     """Rebuild (model, vocab, meta) from a checkpoint file.
 
     The file is streamed, never read whole. Once the header has passed
-    its checks, the model of the stamped spec is built once, and each
-    stored array is read straight into the freshly drawn float64 buffer of
-    the parameter whose name and shape it matches. The model's parameters
-    are therefore the only model-sized allocation. A damaged file
+    its checks, the model of the stamped spec is built once with no seed:
+    nothing is drawn, and each stored array is read straight into the
+    uninitialised float64 buffer of the parameter whose name and shape it
+    matches. The model's parameters are therefore the only model-sized
+    allocation. A damaged file
     (truncated, or any byte changed) either still parses to a model of the
     stamped spec or raises CheckpointError, never another error.
     """
@@ -541,10 +547,9 @@ def _read_checkpoint(r):
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
     if spec_hash(spec).encode("ascii") != stored_hash:
         raise CheckpointError("spec hash mismatch between header and stamp")
-    # a baseline's label prior is a stored non-trainable array that
-    # overwrites this placeholder below; the vae models have none
+    # no seed: every parameter, a baseline's prior too, is filled below
     try:
-        model = build_model(spec, len(vocab), np.full(N_LABELS, 1.0 / N_LABELS), seed=0)
+        model = build_model(spec, len(vocab))
     except DataError as exc:
         raise CheckpointError(f"checkpoint spec cannot be built: {exc}") from None
     unread = set(model.params)

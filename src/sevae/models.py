@@ -4,6 +4,11 @@ This module is the one home of each model's class and option defaults
 (one table, _MODELS), of the options' checks (default_spec) and of model
 construction (build_model); the classes default none of their options.
 
+Each class declares its parameters once: the generator plan(vocab_size,
+**options) yields (name, shape, init) in draw order, a pure function of
+(spec, vocabulary size). build_model, its one realiser, sums the plan's
+floats before any allocation (check_size), then allocates each array once.
+
 Seven model names cover the experiment grid:
 
 - disc: discriminative LSTM classifier
@@ -18,13 +23,14 @@ different architecture fails loudly instead of mis-corresponding arrays.
 """
 
 import math
+import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import baselines, vae
-from .data import json_digest
+from . import tensor as T
+from .data import N_LABELS, json_digest
 from .errors import DataError
 
 _BASELINE_DEFAULTS = {"embed_dim": 100, "hidden_dim": 100}
@@ -45,16 +51,17 @@ _VAE_DEFAULTS = {
     "tie_embeddings": False,
 }
 
-# name -> (class, option defaults); each class takes its spec's options as
-# keywords, and the vae family also takes its decoder kind
+# name -> (class, option defaults, fixed keywords); a class's plan and
+# constructor take its spec's options and the fixed keywords (the vae
+# family's decoder kind, which is not an option) as keywords
 _MODELS = {
-    "disc": (baselines.DiscModel, _BASELINE_DEFAULTS),
-    "gen": (baselines.ClassLMModel, _BASELINE_DEFAULTS),
-    "lat": (baselines.LatentClassLMModel, dict(_BASELINE_DEFAULTS, n_latent=30)),
-    "ctx": (baselines.CtxModel, {"embed_dim": 100, "hidden_dim": 300}),
-    "vae-bow": (partial(vae.VAEModel, decoder="bow"), _VAE_DEFAULTS),
-    "vae-lstm": (partial(vae.VAEModel, decoder="lstm"), _VAE_DEFAULTS),
-    "vae-xfmr": (partial(vae.VAEModel, decoder="xfmr-latent"), _VAE_DEFAULTS),
+    "disc": (baselines.DiscModel, _BASELINE_DEFAULTS, {}),
+    "gen": (baselines.ClassLMModel, _BASELINE_DEFAULTS, {}),
+    "lat": (baselines.LatentClassLMModel, dict(_BASELINE_DEFAULTS, n_latent=30), {}),
+    "ctx": (baselines.CtxModel, {"embed_dim": 100, "hidden_dim": 300}, {}),
+    "vae-bow": (vae.VAEModel, _VAE_DEFAULTS, {"decoder": "bow"}),
+    "vae-lstm": (vae.VAEModel, _VAE_DEFAULTS, {"decoder": "lstm"}),
+    "vae-xfmr": (vae.VAEModel, _VAE_DEFAULTS, {"decoder": "xfmr-latent"}),
 }
 
 MODEL_NAMES = tuple(_MODELS)
@@ -139,19 +146,50 @@ def spec_hash(spec):
     return json_digest(spec.to_json())
 
 
-# how numpy refuses an array past its largest size, where it raises
-# ValueError rather than MemoryError
-_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+def _too_large(spec, why):
+    return DataError(f"model {spec.name!r} with options {spec.options} is too large to build: {why}")
 
 
-def build_model(spec, vocab_size, prior, seed):
-    """Freshly initialized model for a spec from default_spec; identical
-    (spec, seed) twice yields identical parameters. A spec whose arrays
-    numpy refuses to allocate is a DataError; any other error propagates."""
+def check_size(spec, vocab_size):
+    """DataError once the running float count of the spec's plan passes
+    this machine's physical memory; a huge layer count stops early."""
+    cls, _defaults, fixed = _MODELS[spec.name]
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
+    total = 0
+    for _name, shape, _init in cls.plan(vocab_size, **spec.options, **fixed):
+        total += math.prod(shape)
+        if total > limit:
+            raise _too_large(spec, f"its parameters pass the {8 * limit} bytes of physical memory")
+
+
+def _array(shape, init, rng, prior):
+    """A plan entry's values: uninitialised without a generator, else uniform
+    in +-0.1, Glorot-uniform over (fan_in, fan_out), constant, or the prior."""
+    if rng is None:
+        return np.empty(shape)
+    if init in ("uniform", "xavier"):
+        bound = 0.1 if init == "uniform" else np.sqrt(6.0 / (shape[0] + shape[1]))
+        return rng.uniform(-bound, bound, size=shape)
+    if init == "prior":
+        prior = np.asarray(prior, dtype=np.float64)
+        if prior.shape != shape:
+            raise DataError(f"label prior must have {N_LABELS} entries, got shape {prior.shape}")
+        return prior
+    return np.zeros(shape) if init == "zeros" else np.ones(shape)
+
+
+def build_model(spec, vocab_size, prior=None, seed=None):
+    """The model of a spec from default_spec, its plan realised once: drawn
+    from np.random.default_rng(seed), the same for the same (spec, seed),
+    with prior as a baseline's label prior; or, with no seed, uninitialised
+    for load_checkpoint to fill. A spec past check_size, or one numpy
+    cannot allocate, is a DataError."""
+    cls, _defaults, fixed = _MODELS[spec.name]
+    check_size(spec, vocab_size)
+    rng = None if seed is None else np.random.default_rng(seed)
     try:
-        return _MODELS[spec.name][0](vocab_size, prior, np.random.default_rng(seed), **spec.options)
-    except (MemoryError, ValueError) as exc:
-        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
-            raise
-        raise DataError(f"model {spec.name!r} with options {spec.options} is too large to build: "
-                        f"{exc}") from None
+        params = {name: T.Tensor(_array(shape, init, rng, prior), requires_grad=init != "prior")
+                  for name, shape, init in cls.plan(vocab_size, **spec.options, **fixed)}
+    except MemoryError as exc:
+        raise _too_large(spec, exc) from None
+    return cls(vocab_size, params, **spec.options, **fixed)

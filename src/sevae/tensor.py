@@ -804,20 +804,13 @@ def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
 
 
 # ---------------------------------------------------------------------------
-# parameter constructors
+# parameters
 
 
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def uniform_param(rng, shape, scale=0.1):
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
-
-
-def xavier_param(rng, fan_in, fan_out):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
+def affine_plan(w, b, fan_in, fan_out):
+    """The model-plan entries (models.build_model) of an affine map."""
+    yield w, (fan_in, fan_out), "xavier"
+    yield b, (fan_out,), "zeros"
 
 
 def zero_grads(params):

@@ -32,9 +32,10 @@ proper over variable-length strings. The lstm decoder runs a batch's
 rows back to back through one ragged lstm_seq; the xfmr-latent decoder
 pads them to one stack and scores only the real positions.
 
-VAEModel takes its options as the keywords of models.default_spec, which
-holds their defaults and checks, and the decoder kind from
-models.build_model, its one constructor call.
+VAEModel declares its parameters in plan(vocab_size, **options), the
+encoder's first (encoders.encoder_plan); models.build_model realises it and
+passes the params dict and the same keywords, default_spec's options plus
+the decoder kind, to the constructor.
 """
 
 from dataclasses import dataclass
@@ -75,11 +76,39 @@ class VAEModel:
 
     consumes = "clause"
 
-    def __init__(self, vocab_size, prior, rng, *, decoder, enc_embed_dim, enc_layers, enc_heads,
-                 max_len, dropout, latent_dim, beta, label_loss_weight, dec_embed_dim,
-                 dec_hidden_dim, dec_layers, dec_heads, tie_embeddings):
-        # prior is taken only so that every model builds from one call; the
-        # classifier head reads z alone
+    @staticmethod
+    def plan(vocab_size, *, decoder, enc_embed_dim, enc_layers, max_len, latent_dim,
+             dec_embed_dim, dec_hidden_dim, dec_layers, tie_embeddings, **_):
+        V, P = vocab_size, latent_dim
+        yield from encoders.encoder_plan("enc.", V, enc_embed_dim, enc_layers, max_len)
+        yield from T.affine_plan("post.mu_w", "post.mu_b", enc_embed_dim, P)
+        yield from T.affine_plan("post.lv_w", "post.lv_b", enc_embed_dim, P)
+        yield from T.affine_plan("cls.w", "cls.b", P, N_LABELS)
+        if decoder == "bow":
+            yield from T.affine_plan("dec.w", "dec.b", P, V)
+            return
+        if not tie_embeddings:
+            yield "dec.emb", (V, dec_embed_dim), "uniform"
+        if decoder == "lstm":
+            h = dec_hidden_dim
+            yield from T.affine_plan("dec.h0_w", "dec.h0_b", P, h)
+            yield from T.affine_plan("dec.c0_w", "dec.c0_b", P, h)
+            yield "dec.wx", (dec_embed_dim + P, 4 * h), "xavier"
+            yield "dec.whT", (4 * h, h), "xavier"
+            yield "dec.lb", (4 * h,), "zeros"
+            yield from T.affine_plan("dec.out_w", "dec.out_b", h, V)
+            return
+        d = dec_hidden_dim
+        yield "dec.pos", (max_len + 2, d), "uniform"
+        yield "dec.wm", (P, dec_layers * d), "xavier"
+        yield "dec.wd", (P, d), "xavier"
+        for layer in range(dec_layers):
+            yield from encoders.block_plan(f"dec.l{layer}.", d)
+        yield from T.affine_plan("dec.out_w", "dec.out_b", d, V)
+
+    def __init__(self, vocab_size, params, *, decoder, enc_embed_dim, enc_layers, enc_heads,
+                 max_len, dropout, latent_dim, beta, label_loss_weight, dec_layers, dec_heads,
+                 tie_embeddings, **_plan_only):
         self.enc_cfg = encoders.EncoderConfig(enc_embed_dim, enc_layers, enc_heads, max_len, dropout)
         self.decoder = decoder
         self.vocab_size = vocab_size
@@ -89,41 +118,7 @@ class VAEModel:
         self.dec_layers = dec_layers
         self.dec_heads = dec_heads
         self.tie_embeddings = tie_embeddings
-        p = self.params = {}
-        encoders.init_params(p, "enc.", self.enc_cfg, vocab_size, rng)
-        p["post.mu_w"] = T.xavier_param(rng, enc_embed_dim, latent_dim)
-        p["post.mu_b"] = T.zeros((latent_dim,), requires_grad=True)
-        p["post.lv_w"] = T.xavier_param(rng, enc_embed_dim, latent_dim)
-        p["post.lv_b"] = T.zeros((latent_dim,), requires_grad=True)
-        p["cls.w"] = T.xavier_param(rng, latent_dim, N_LABELS)
-        p["cls.b"] = T.zeros((N_LABELS,), requires_grad=True)
-        V, P = vocab_size, latent_dim
-        if decoder == "bow":
-            p["dec.w"] = T.xavier_param(rng, P, V)
-            p["dec.b"] = T.zeros((V,), requires_grad=True)
-            return
-        if not tie_embeddings:
-            p["dec.emb"] = T.uniform_param(rng, (V, dec_embed_dim))
-        if decoder == "lstm":
-            h = dec_hidden_dim
-            p["dec.h0_w"] = T.xavier_param(rng, P, h)
-            p["dec.h0_b"] = T.zeros((h,), requires_grad=True)
-            p["dec.c0_w"] = T.xavier_param(rng, P, h)
-            p["dec.c0_b"] = T.zeros((h,), requires_grad=True)
-            p["dec.wx"] = T.xavier_param(rng, dec_embed_dim + P, 4 * h)
-            p["dec.whT"] = T.xavier_param(rng, 4 * h, h)
-            p["dec.lb"] = T.zeros((4 * h,), requires_grad=True)
-            p["dec.out_w"] = T.xavier_param(rng, h, V)
-            p["dec.out_b"] = T.zeros((V,), requires_grad=True)
-            return
-        d = dec_hidden_dim
-        p["dec.pos"] = T.uniform_param(rng, (max_len + 2, d))
-        p["dec.wm"] = T.xavier_param(rng, P, dec_layers * d)
-        p["dec.wd"] = T.xavier_param(rng, P, d)
-        for layer in range(dec_layers):
-            encoders.init_block(p, f"dec.l{layer}.", d, rng)
-        p["dec.out_w"] = T.xavier_param(rng, d, V)
-        p["dec.out_b"] = T.zeros((V,), requires_grad=True)
+        self.params = params
 
     # ------------------------------------------------------------------
     # posterior and heads

@@ -16,7 +16,6 @@ import pytest
 
 from sevae import tensor as T
 from sevae import vae
-from sevae.baselines import ClassLMModel, DiscModel, LatentClassLMModel
 from sevae.data import (
     SEType, Split, Vocab, cross_genre_split, label_counts, load_corpus,
     make_synthetic_corpus, subsample_per_label,
@@ -110,7 +109,7 @@ def _naive_marginal(m, ids, label):
     lat_scores = (p["lat_w"].data * p["lat_emb"].data).sum(axis=1) + p["lat_b"].data
     log_pc = _np_log_softmax(lat_scores)
     weights = []
-    for c in range(m.n_latent):
+    for c in range(p["lat_emb"].shape[0]):
         lsm = _np_log_softmax(base + p["lat_emb"].data[c] @ p["out.wc"].data)
         loglik = math.fsum(lsm[i, t] for i, t in enumerate(targets))
         weights.append(math.exp(loglik + log_pc[c]))
@@ -124,8 +123,8 @@ def test_criterion_3_marginalization_equivalence():
         n_latent = int(rng.integers(1, 9))
         prior = rng.uniform(0.5, 1.5, 7)
         prior /= prior.sum()
-        m = LatentClassLMModel(10, prior, np.random.default_rng(trial),
-                               embed_dim=4, hidden_dim=5, n_latent=n_latent)
+        m = build_model(default_spec("lat", embed_dim=4, hidden_dim=5, n_latent=n_latent),
+                        10, prior, trial)
         ids = [int(x) for x in rng.integers(5, 10, size=int(rng.integers(1, 7)))]
         label = int(rng.integers(7))
         got = -float(m.loss(ids, label)[0].data)
@@ -168,13 +167,13 @@ def test_criterion_4_degenerate_identities():
         got = float(m.decode(z, [5, 9, 7]).data)
         assert got == pytest.approx(4 * uniform_step, rel=1e-12), name
 
-    glm = ClassLMModel(V, prior, np.random.default_rng(2), embed_dim=5, hidden_dim=6)
+    glm = build_model(default_spec("gen", embed_dim=5, hidden_dim=6), V, prior, 2)
     _zero(glm, ["out.wh", "out.wy", "out.b"])
     scores = glm.joint_scores([[5, 9]])[0]
     for y in range(7):
         assert scores[y] - math.log(prior[y]) == pytest.approx(3 * uniform_step, rel=1e-12)
 
-    disc = DiscModel(V, prior, np.random.default_rng(3), embed_dim=5, hidden_dim=6)
+    disc = build_model(default_spec("disc", embed_dim=5, hidden_dim=6), V, prior, 3)
     _zero(disc, ["out.w", "out.b"])
     np.testing.assert_array_equal(disc.predict_probs([5, 6, 7]), np.full(7, 1 / 7))
     loss, _ = disc.loss([5, 6, 7], SEType.GENERIC)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sevae import baselines as B
 from sevae import kernels
 from sevae import tensor as T
 from sevae.data import SEType
 from sevae.gradcheck import check_gradients
+from sevae.models import build_model, default_spec
 
 VOCAB = 14
 UNIFORM = np.full(7, 1 / 7)
@@ -18,20 +18,22 @@ def tilted_prior():
     return p / p.sum()
 
 
+# each helper draws its model's parameters from the generator it is given
 def disc(rng, **kw):
-    return B.DiscModel(VOCAB, UNIFORM, rng, embed_dim=kw.get("e", 6), hidden_dim=kw.get("h", 5))
+    return build_model(default_spec("disc", embed_dim=kw.get("e", 6), hidden_dim=kw.get("h", 5)),
+                       VOCAB, UNIFORM, rng)
 
 
 def gen(rng, prior=UNIFORM):
-    return B.ClassLMModel(VOCAB, prior, rng, embed_dim=6, hidden_dim=5)
+    return build_model(default_spec("gen", embed_dim=6, hidden_dim=5), VOCAB, prior, rng)
 
 
 def lat(rng, prior=UNIFORM, c=3):
-    return B.LatentClassLMModel(VOCAB, prior, rng, embed_dim=6, hidden_dim=5, n_latent=c)
+    return build_model(default_spec("lat", embed_dim=6, hidden_dim=5, n_latent=c), VOCAB, prior, rng)
 
 
 def ctx(rng):
-    return B.CtxModel(VOCAB, UNIFORM, rng, embed_dim=5, hidden_dim=6)
+    return build_model(default_spec("ctx", embed_dim=5, hidden_dim=6), VOCAB, UNIFORM, rng)
 
 
 def np_log_softmax(logits):
@@ -141,7 +143,7 @@ def naive_marginal(m, ids, label):
     lat_scores = (p["lat_w"].data * p["lat_emb"].data).sum(axis=1) + p["lat_b"].data
     log_pc = np_log_softmax(lat_scores)
     weights = []
-    for c in range(m.n_latent):
+    for c in range(m.params["lat_emb"].shape[0]):
         logits = base + p["lat_emb"].data[c] @ p["out.wc"].data
         lsm = np_log_softmax(logits)
         loglik = math.fsum(lsm[i, t] for i, t in enumerate(targets))

@@ -672,6 +672,26 @@ def test_crossgenre_outputs(tmp_path):
     assert len(meta["rows"]) == 1
 
 
+@pytest.mark.parametrize("command,flag", [
+    (["train", "--model", "disc", "--train", "TRAIN", "--seed", "-1"], "--seed"),
+    (["crossgenre", "--model", "disc", "--data", "TRAIN", "--seed", "-1"], "--seed"),
+    (["sweep", "--models", "disc", "--ks", "1", "--train", "TRAIN", "--test", "TRAIN",
+      "--seeds", "-3"], "--seeds"),
+    (["gradcheck", "--seeds", "-1"], "--seeds"),
+    (["synth", "--seed", "-1"], "--seed"),
+])
+def test_negative_seed_is_data_error_before_any_output(capsys, monkeypatch, tmp_path, synth_dir,
+                                                       command, flag):
+    monkeypatch.setattr(cli.gradcheck, "gradient_suite", lambda **kw: pytest.fail("ran the suite"))
+    out = tmp_path / "out"
+    argv = [str(synth_dir / "train.jsonl") if arg == "TRAIN" else arg for arg in command]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0, got -" in err and "Traceback" not in err
+    assert flag.lstrip("-") in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck exit codes (suite itself is exercised elsewhere; stub it here)
 
@@ -718,14 +738,15 @@ def _restamped(ckpt, out, **options):
 
 
 def test_train_of_a_spec_too_large_to_build_is_data_error(capsys, tmp_path, synth_dir):
-    # the model's size is known only once it is built, after the manifest
+    # the model's size is a function of its spec and vocabulary size, so it
+    # is checked before the manifest
     out = tmp_path / "run"
     rc = cli.main(["train", "--model", "disc", "--train", str(synth_dir / "train.jsonl"),
                    "--out", str(out), "--opt", f"hidden_dim={10 ** 12}"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "model 'disc'" in err and "too large to build" in err and "Traceback" not in err
-    assert not (out / "model.ckpt").exists()
+    assert not out.exists()
 
 
 def test_eval_of_a_spec_too_large_to_build_is_checkpoint_error(capsys, tmp_path, synth_dir,

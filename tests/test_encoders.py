@@ -5,7 +5,7 @@ from sevae import encoders as E
 from sevae import tensor as T
 from sevae.errors import DataError
 from sevae.gradcheck import check_gradients
-from sevae.models import default_spec
+from sevae.models import build_model, default_spec
 
 
 def ids_for(rng, n, vocab=20):
@@ -13,10 +13,13 @@ def ids_for(rng, n, vocab=20):
 
 
 def init(cfg, vocab_size, rng):
-    """A fresh encoder's parameters, under the prefix a VAEModel uses."""
-    p = {}
-    E.init_params(p, "enc.", cfg, vocab_size, rng)
-    return p
+    """A fresh encoder's parameters, under the prefix a VAEModel uses: those
+    of a vae-bow model with cfg's encoder, drawn from rng, which the model's
+    heads and decoder then draw from too."""
+    spec = default_spec("vae-bow", enc_embed_dim=cfg.embed_dim, enc_layers=cfg.layers,
+                        enc_heads=cfg.heads, max_len=cfg.max_len, dropout=cfg.dropout)
+    params = build_model(spec, vocab_size, seed=rng).params
+    return {name: p for name, p in params.items() if name.startswith("enc.")}
 
 
 def test_config_validation():

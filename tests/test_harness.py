@@ -20,7 +20,7 @@ from sevae.data import (
     RUN_TOKENS, Clause, SEType, Split, Vocab, atomic_write, build_vocab, label_prior, paragraphs_of,
     tagging_runs, write_jsonl, write_tsv,
 )
-from sevae.errors import CheckpointError, DataError
+from sevae.errors import CheckpointError, DataError, NumericsError
 from sevae.harness import (
     ADAM_BETAS, ADAM_EPS, CHECKPOINT_MAGIC, TrainConfig, adam_step, aggregate_sweep, clip_global_norm,
     compute_metrics, default_train_config, evaluate, export_latents, init_adam_state,
@@ -218,6 +218,27 @@ def test_adam_step_needs_at_most_two_parameter_sized_scratch_arrays():
     assert peak <= 2 * 8 * 1000 * 1000 + 64 * 1024
     # clipping was active: the gradients were scaled in place
     assert math.fsum(float(np.sum(g * g)) for g in grads.values()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("grad_clip", [5.0, 0.0])
+def test_adam_rejects_a_non_finite_gradient_before_any_change(grad_clip):
+    # clipping would scale inf by 0 (NaN), and an unclipped step would write
+    # inf into the moments: either way the check comes before both
+    params = build_model(tiny_spec("disc"), 12, np.full(7, 1 / 7), seed=0).params
+    state = init_adam_state(params)
+    cfg = TrainConfig(grad_clip=grad_clip)
+    trainable = [k for k, p in params.items() if p.requires_grad]
+    adam_step(params, {k: np.ones_like(params[k].data) for k in trainable}, state, cfg)
+    before = {k: (params[k].data.copy(), state["m"][k].copy(), state["v"][k].copy())
+              for k in trainable}
+    grads = {k: np.ones_like(params[k].data) for k in trainable}
+    grads["emb"][3, 1] = np.inf
+    with pytest.raises(NumericsError, match="parameter 'emb' at Adam step 2"):
+        adam_step(params, grads, state, cfg)
+    assert state["t"] == 1
+    for k, arrays in before.items():
+        for got, want in zip((params[k].data, state["m"][k], state["v"][k]), arrays):
+            assert np.array_equal(got, want), k
 
 
 def test_clip_global_norm():
@@ -720,6 +741,22 @@ def test_every_model_round_trips_bit_exact(name, eight_clause_fixture, tmp_path)
     for key, p in model.params.items():
         assert loaded.params[key].data.tobytes() == p.data.tobytes(), key
         assert loaded.params[key].requires_grad == p.requires_grad, key
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_checkpoint_load_draws_nothing(name, eight_clause_fixture, tmp_path, monkeypatch):
+    vocab = build_vocab(eight_clause_fixture, 1)
+    spec = tiny_spec(name)
+    model = build_model(spec, len(vocab), label_prior(eight_clause_fixture), seed=3)
+    save_checkpoint(TrainResult(model, vocab, spec, TrainConfig(), [], -1.0, {}), tmp_path / "m.ckpt")
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("loading a checkpoint made a random generator")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert list(loaded.params) == list(model.params)
+    for key, p in model.params.items():
+        assert loaded.params[key].data.tobytes() == p.data.tobytes(), key
 
 
 def test_failed_chunk_keeps_previous_file(tmp_path):

@@ -5,13 +5,14 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevae import models
+from sevae import baselines, models
 from sevae.errors import DataError
 from sevae.models import MODEL_NAMES, build_model, default_spec, spec_hash
 
@@ -91,17 +92,36 @@ def test_spec_stamp_format_is_pinned(name):
 @pytest.mark.parametrize("name,option", [("disc", "hidden_dim"), ("vae-bow", "latent_dim")])
 @pytest.mark.parametrize("size", [10 ** 12, 10 ** 30])
 def test_spec_too_large_to_allocate_is_data_error(name, option, size):
-    # numpy refuses 10**12 at once (MemoryError) and 10**30 before that
-    # (ValueError, past its largest array); neither allocates anything
+    # the plan's float count passes physical memory before any allocation
     with pytest.raises(DataError, match=f"model {name!r} .*'{option}': {size}.* too large to build"):
         build_model(default_spec(name, **{option: size}), 10, np.full(7, 1 / 7), seed=0)
 
 
 def test_other_value_error_from_a_model_propagates(monkeypatch):
-    # only numpy's refusal of an array size is a DataError; a bug inside a
+    # only a model too large to allocate is a DataError; a bug inside a
     # constructor keeps its own error and traceback
-    def broken(*args, **kwargs):
-        raise ValueError("cannot reshape array of size 6 into shape (4,)")
-    monkeypatch.setitem(models._MODELS, "disc", (broken, models._MODELS["disc"][1]))
+    class Broken(baselines.DiscModel):
+        def __init__(self, *args, **kwargs):
+            raise ValueError("cannot reshape array of size 6 into shape (4,)")
+    monkeypatch.setitem(models._MODELS, "disc", (Broken, *models._MODELS["disc"][1:]))
     with pytest.raises(ValueError, match="cannot reshape"):
         build_model(default_spec("disc"), 10, np.full(7, 1 / 7), seed=0)
+
+
+@pytest.mark.parametrize("name,option,size", [
+    ("vae-bow", "enc_layers", 10 ** 6),
+    ("vae-xfmr", "dec_layers", 10 ** 6),
+    ("ctx", "hidden_dim", 10 ** 12),
+])
+def test_huge_spec_fails_before_allocating(name, option, size):
+    # each layer of a huge layer count is small, so only the plan's running
+    # total, not numpy, can refuse it before memory runs out
+    spec = default_spec(name, **{option: size})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="too large to build"):
+            build_model(spec, 40, np.full(7, 1 / 7), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
