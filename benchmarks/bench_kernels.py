@@ -82,26 +82,26 @@ def bench_ragged(n_seq, H, reps, rng, E=100):
     lengths = rng.integers(5, 13, size=n_seq)
     starts = np.cumsum(lengths) - lengths
     x = tensor.Tensor(rng.standard_normal((int(lengths.sum()), E)), requires_grad=True)
-    params = [x] + [tensor.Tensor(a, requires_grad=True) for a in (
+    w = [tensor.Tensor(a, requires_grad=True) for a in (
         rng.standard_normal((E, 4 * H)) * 0.1, rng.standard_normal((4 * H, H)) * 0.1, np.zeros(4 * H))]
+    params = dict(zip(("x", "wx", "whT", "b"), [x] + w))
     weights = rng.standard_normal((x.shape[0], H))
 
     def batched():
         zeros = tensor.Tensor(np.zeros((n_seq, H)))
-        return [tensor.lstm_seq(x, *params[1:], zeros, zeros, lengths)]
+        return [tensor.lstm_seq(x, *w, zeros, zeros, lengths)]
 
     def sequential():
         zeros = tensor.Tensor(np.zeros((1, H)))
-        return [tensor.lstm_seq(tensor.narrow(x, 0, s, n), *params[1:], zeros, zeros, [n])
+        return [tensor.lstm_seq(tensor.narrow(x, 0, s, n), *w, zeros, zeros, [n])
                 for s, n in zip(starts, lengths)]
 
     def run(parts):
-        tensor.zero_grads(params)
         with tensor.Tape() as tape:
             hs = parts()
             loss = tensor.sum_(tensor.mul(tensor.concat(hs, axis=0), weights))
-            tape.backward(loss)
-        return np.concatenate([h.data for h in hs]), [p.grad.copy() for p in params]
+            grads = tape.backward(loss, params)
+        return np.concatenate([h.data for h in hs]), list(grads.values())
 
     (hs_b, grads_b), (hs_s, grads_s) = run(batched), run(sequential)
     agree = max(float(np.max(np.abs(a - b))) for a, b in zip([hs_b] + grads_b, [hs_s] + grads_s))
@@ -136,11 +136,10 @@ def bench_encoder(batch, reps, rng, n_clauses=32, min_tokens=3, max_tokens=40, v
     pad_share = 1.0 - sum(len(c) for c in ids) / padded
 
     def run():
-        tensor.zero_grads(params)
         for stack in stacks:
             with tensor.Tape() as tape:
                 h = encoders.encode(stack, model.enc_cfg, params, "enc.")
-                tape.backward(tensor.sum_(tensor.mul(h, h)))
+                tape.backward(tensor.sum_(tensor.mul(h, h)), params)
 
     run()
     return _time(run, reps), pad_share

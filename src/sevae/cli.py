@@ -50,6 +50,8 @@ class _Parser(argparse.ArgumentParser):
 # can fill any flag the command line left out.
 
 _TC = harness.TrainConfig  # the training flags' defaults are its fields'
+# one flag per TrainConfig field (--batch sets logical_batch); _train_config
+# reads exactly these
 _TRAIN_FLAGS = {
     "lr": (float, None, False, {"help": "learning rate (default 1e-3, 5e-4 for vae-*)"}),
     "max_epochs": (int, _TC.max_epochs, False, {}),
@@ -60,8 +62,8 @@ _TRAIN_FLAGS = {
     "weight_decay": (float, _TC.weight_decay, False, {}),
     "beta_warmup_steps": (int, _TC.beta_warmup_steps, False,
                           {"help": "vae beta rises linearly from 0 over N updates"}),
-    "opt": ("list", [], False, {"help": "model option override key=value, repeatable"}),
 }
+_OPT_FLAG = ("list", [], False, {"help": "model option override key=value, repeatable"})
 
 _SCHEMAS = {
     "convert": {
@@ -90,6 +92,7 @@ _SCHEMAS = {
         "out": (str, None, True, {}),
         "k": (int, None, False, {"help": "subsample k clauses per label before training"}),
         **_TRAIN_FLAGS,
+        "opt": _OPT_FLAG,
     },
     "eval": {
         "ckpt": (str, None, True, {}),
@@ -107,6 +110,7 @@ _SCHEMAS = {
         "jobs": (int, 1, False, {}),
         # each run's seed comes from --seeds
         **{k: v for k, v in _TRAIN_FLAGS.items() if k != "seed"},
+        "opt": _OPT_FLAG,
     },
     "crossgenre": {
         "model": (str, None, True, {"choices": MODEL_NAMES}),
@@ -115,6 +119,7 @@ _SCHEMAS = {
         "out": (str, None, True, {}),
         "jobs": (int, 1, False, {}),
         **_TRAIN_FLAGS,
+        "opt": _OPT_FLAG,
     },
     "gradcheck": {
         "seeds": ("list", ["0", "1", "2"], False, {}),
@@ -221,6 +226,10 @@ def _effective(args, command):
             # (--genres, --map, --opt) may stay empty
             if not value and (required or default):
                 raise UsageError(f"{command}: {flag} needs at least one entry")
+            # a repeat would run or report the same thing twice
+            repeated = [x for i, x in enumerate(value) if x in value[:i]]
+            if repeated:
+                raise UsageError(f"{command}: {flag} repeats {repeated[0]!r}")
         if value is None and required:
             raise UsageError(f"{command}: {flag} is required")
         choices = extra.get("choices")
@@ -268,7 +277,10 @@ def _split_pairs(entries, what):
         if "=" not in entry:
             raise DataError(f"{what} expects key=value, got {entry!r}")
         key, _, value = entry.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in pairs:
+            raise DataError(f"{what} sets {key!r} twice")
+        pairs[key] = value.strip()
     return pairs
 
 
@@ -280,6 +292,9 @@ def _int_list(values, what):
         raise DataError(f"{what} expects integers, got {values!r}") from None
     if min(ints, default=0) < 0:
         raise DataError(f"{what} must be >= 0, got {min(ints)}")
+    repeated = [n for i, n in enumerate(ints) if n in ints[:i]]
+    if repeated:
+        raise DataError(f"{what} repeats {repeated[0]}")
     return ints
 
 
@@ -291,10 +306,9 @@ def _check_spec(spec, clauses, train):
 
 
 def _train_config(model_name, cfg):
-    keys = ("lr", "max_epochs", "patience", "seed", "grad_clip", "weight_decay",
-            "beta_warmup_steps")
-    overrides = {k: cfg[k] for k in keys if cfg.get(k) is not None}
-    overrides["logical_batch"] = cfg["batch"]
+    """The TrainConfig of a command's _TRAIN_FLAGS (sweep has no --seed)."""
+    overrides = {"logical_batch" if k == "batch" else k: cfg[k]
+                 for k in _TRAIN_FLAGS if cfg.get(k) is not None}
     return harness.default_train_config(model_name, **overrides)
 
 

@@ -1,10 +1,12 @@
 """Finite-difference verification of tape gradients, and the suite that
 runs it on every training objective.
 
-check_gradients compares the analytic gradient of a scalar objective
-against a central-difference estimate with a fixed step, coordinate by
-coordinate. The objective builder must be deterministic: it is evaluated
-twice up front and any bitwise difference aborts the check, because a
+check_gradients compares the analytic gradient of a scalar objective, the
+dict Tape.backward returns, against a central-difference estimate with a
+fixed step, coordinate by coordinate, over every requires_grad parameter;
+a frozen one, such as the baselines' label prior, has no gradient to
+check. The objective builder must be deterministic: it is evaluated twice
+up front and any bitwise difference aborts the check, because a
 stochastic objective (unseeded dropout, fresh noise draws) makes the
 comparison meaningless.
 
@@ -28,7 +30,7 @@ import numpy as np
 from .data import N_LABELS
 from .errors import NumericsError
 from .models import build_model, default_spec
-from .tensor import Tape, zero_grads
+from .tensor import Tape
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -45,7 +47,8 @@ def check_gradients(build_loss, params, step=DEFAULT_STEP, max_entries=None, rng
     build_loss: zero-argument callable running a full forward pass and
         returning a scalar loss Tensor. Called once per probed coordinate
         (twice), plus once under a tape for the analytic pass.
-    params: dict name -> Tensor with requires_grad=True.
+    params: dict name -> Tensor; its requires_grad entries are probed and
+        the frozen ones skipped.
     max_entries: probe at most this many coordinates per parameter, chosen
         with rng; None probes every coordinate.
 
@@ -57,18 +60,12 @@ def check_gradients(build_loss, params, step=DEFAULT_STEP, max_entries=None, rng
     if base != again:
         raise NumericsError("objective is non-deterministic under gradcheck")
 
-    zero_grads(params)
     with Tape() as tape:
-        loss = build_loss()
-        tape.backward(loss)
+        analytic = tape.backward(build_loss(), params)
 
     worst = {}
-    for name, p in params.items():
-        if p.grad is None:
-            analytic = np.zeros_like(p.data)
-        else:
-            analytic = p.grad
-        flat = p.data.reshape(-1)
+    for name, grad in analytic.items():
+        flat = params[name].data.reshape(-1)
         n = flat.shape[0]
         if max_entries is not None and n > max_entries:
             if rng is None:
@@ -77,7 +74,7 @@ def check_gradients(build_loss, params, step=DEFAULT_STEP, max_entries=None, rng
         else:
             coords = range(n)
         worst_err = 0.0
-        aflat = analytic.reshape(-1)
+        aflat = grad.reshape(-1)
         for i in coords:
             keep = flat[i]
             flat[i] = keep + step
@@ -116,7 +113,7 @@ def _rand_ids(rng, low=5, high=_VOCAB, min_len=3, max_len=5):
 
 
 def _build_objective(name, seed):
-    """Returns (loss builder, trainable params) with frozen randomness."""
+    """Returns (loss builder, model params) with frozen randomness."""
     if name not in OBJECTIVES:
         raise ValueError(f"unknown objective {name!r}")
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -135,8 +132,7 @@ def _build_objective(name, seed):
     eps_seed = int(rng.integers(2 ** 32))
     # a fresh generator per call freezes the batch's noise (the vae's eps)
     build = lambda: model.batch_loss(items, np.random.default_rng(eps_seed))[0]
-    trainable = {k: p for k, p in model.params.items() if p.requires_grad}
-    return build, trainable
+    return build, model.params
 
 
 def gradient_suite(seeds=(0, 1, 2), max_entries=None, objectives=OBJECTIVES):

@@ -1,11 +1,13 @@
 """Training, evaluation, latent export, checkpointing, sweep aggregates.
 
-Training accumulates gradients over a logical batch, then takes one Adam
-step with bias correction and global-norm clipping before the update;
-early stopping watches validation macro-F1 (the best-validation parameter
-snapshot is what training returns). Every model runs each logical batch
-the same way: one tape, one model.batch_loss summed over the batch, one
-backward. The baselines store the clauses (paragraphs for ctx) back to
+Training runs each logical batch the same way for every model: one tape,
+one model.batch_loss summed over the batch, one backward, whose returned
+gradient dict is scaled to the batch mean and handed to one Adam step
+(bias correction, global-norm clipping before the update). The dict is
+dropped before the next batch's forward, so at most one gradient set is
+alive; tensors carry no gradient. Early stopping watches validation
+macro-F1 (the best-validation parameter snapshot is what training
+returns). The baselines store the clauses (paragraphs for ctx) back to
 back, so each LSTM direction is one ragged-batch kernel call; the vae
 models run the clauses as one padded (B, n) stack with a key mask. Each
 item's loss is the one the per-item path (loss, paragraph_loss,
@@ -54,7 +56,7 @@ from .data import (
 )
 from .errors import CheckpointError, DataError, NumericsError
 from .models import ModelSpec, build_model, spec_hash
-from .tensor import Tape, _all_finite, zero_grads
+from .tensor import Tape, _all_finite
 from .vae import VAEModel
 
 # ---------------------------------------------------------------------------
@@ -315,17 +317,6 @@ def _encode_items(model, clauses, vocab):
     return [(np.asarray(vocab.encode(cl.tokens)), int(cl.label)) for cl in clauses]
 
 
-def _mean_grads(params, n_items):
-    """The batch-mean gradient of every trainable parameter, scaled in
-    place in its .grad; a parameter the batch did not reach gets zeros."""
-    inv = 1.0 / n_items
-    for p in params.values():
-        if p.grad is not None:
-            p.grad *= inv
-    return {k: p.grad if p.grad is not None else np.zeros_like(p.data)
-            for k, p in params.items() if p.requires_grad}
-
-
 def _snapshot(params):
     return {k: p.data.copy() for k, p in params.items()}
 
@@ -368,13 +359,14 @@ def train(spec, split, cfg, log_hook=None):
                 warmup["beta"] = model.beta * min(1.0, (step + 1) / cfg.beta_warmup_steps)
             with Tape() as tape:
                 loss, parts = model.batch_loss([items[idx] for idx in chunk], rng, **warmup)
-                tape.backward(loss)
+                # the batch mean, scaled in place
+                grads = {k: np.multiply(g, 1.0 / len(chunk), out=g)
+                         for k, g in tape.backward(loss, model.params).items()}
             for key, value in parts.items():
                 part_sums[key] = part_sums.get(key, 0.0) + value
-            adam_step(model.params, _mean_grads(model.params, len(chunk)), state, cfg)
-            # free the gradients before the next batch's forward, and keep
-            # them off the returned model
-            zero_grads(model.params)
+            adam_step(model.params, grads, state, cfg)
+            # free the gradients before the next batch's forward
+            del grads
             step += 1
         record = {"epoch": epoch}
         for key in sorted(part_sums):

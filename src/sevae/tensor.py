@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 A dynamic tape: ops executed inside a ``with Tape() as tp`` block append one
-node each, in execution order, and ``tp.backward(loss)`` replays them once in
-reverse, accumulating gradients additively. Outside a tape, the same ops run
-plain forward math with no recording, which is the evaluation path.
+node each, in execution order, and ``tp.backward(loss, params)`` replays them
+once in reverse and returns the gradient of every trainable parameter as a
+dict its caller owns; tensors carry no gradient. Outside a tape, the same
+ops run plain forward math with no recording, which is the evaluation path.
 
 Every op validates its output for NaN/Inf and fails fast naming the op;
 models therefore never silently train on poisoned values. All data is
@@ -48,13 +49,12 @@ def _active_tape():
 
 
 class Tensor:
-    """A float64 array plus an optional gradient of the same shape."""
+    """A float64 array, marked requires_grad if gradients flow to it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape", "_node_id")
+    __slots__ = ("data", "requires_grad", "_tape", "_node_id")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._tape = None
         self._node_id = -1
@@ -62,9 +62,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad" if self.requires_grad else ""
@@ -105,7 +102,8 @@ class Tape:
     the leaf tensor itself, or None for a constant. A node holds no op
     output, so an activation stays alive only while a backward_fn (or the
     caller) needs it. backward consumes the nodes, so it runs once per
-    tape. Tapes do not nest; evaluation code simply runs outside any tape.
+    tape, and returns the gradients instead of storing them anywhere.
+    Tapes do not nest; evaluation code simply runs outside any tape.
     """
 
     def __init__(self):
@@ -121,12 +119,9 @@ class Tape:
         _STATE.tape = None
         return False
 
-    def backward(self, loss):
-        """Populate .grad on every requires_grad leaf reachable from loss.
-
-        Leaf gradients accumulate additively across backward calls (gradient
-        accumulation over a logical batch); use zero_grad to reset.
-        """
+    def backward(self, loss, params):
+        """{name: gradient of loss} for every requires_grad entry of the
+        mapping params; an entry the loss does not reach gets zeros."""
         if not isinstance(loss, Tensor):
             raise GraphError("backward expects a Tensor loss")
         if loss.data.ndim != 0:
@@ -136,6 +131,7 @@ class Tape:
         if loss._node_id >= len(self.nodes):
             raise GraphError("backward already ran on this tape")
         grads = {loss._node_id: np.ones((), dtype=np.float64)}
+        leaves = {}  # leaf tensor -> its gradient so far
         for node_id in range(len(self.nodes) - 1, -1, -1):
             out_grad = grads.pop(node_id, None)
             # a node is dropped once replayed: the arrays only it holds are
@@ -150,14 +146,16 @@ class Tape:
                 if isinstance(target, int):
                     prev = grads.get(target)
                     grads[target] = grad if prev is None else prev + grad
-                elif target.grad is None:
+                elif target in leaves:
+                    np.add(leaves[target], grad, out=leaves[target])
+                else:
                     # a backward_fn may hand one array to several inputs
                     # (add passes g through), so the first contribution
                     # is copied before later ones are added in place
-                    target.grad = np.array(grad, dtype=np.float64)
-                else:
-                    np.add(target.grad, grad, out=target.grad)
+                    leaves[target] = np.array(grad, dtype=np.float64)
         self.nodes = []
+        return {k: leaves[p] if p in leaves else np.zeros_like(p.data)
+                for k, p in params.items() if p.requires_grad}
 
 
 def as_tensor(x):
@@ -811,10 +809,3 @@ def affine_plan(w, b, fan_in, fan_out):
     """The model-plan entries (models.build_model) of an affine map."""
     yield w, (fan_in, fan_out), "xavier"
     yield b, (fan_out,), "zeros"
-
-
-def zero_grads(params):
-    """Reset gradients on a mapping or iterable of tensors."""
-    values = params.values() if hasattr(params, "values") else params
-    for p in values:
-        p.zero_grad()

@@ -260,6 +260,20 @@ def test_all_baselines_pass_gradcheck(rng):
     assert max(errs.values()) < 1e-4
 
 
+@pytest.mark.parametrize("name", ["disc", "gen", "lat", "ctx"])
+def test_gradcheck_probes_every_coordinate_of_the_whole_params(name):
+    # the whole mapping, frozen prior included: only the requires_grad
+    # entries are probed, each at every coordinate
+    m = {"disc": disc, "gen": gen, "lat": lat, "ctx": ctx}[name](np.random.default_rng(5))
+    if name == "ctx":
+        build = lambda: m.paragraph_loss([[5, 6], [7]], [SEType.STATE, SEType.QUESTION])[0]
+    else:
+        build = lambda: m.loss([5, 9, 7], SEType.GENERIC)[0]
+    errs = check_gradients(build, m.params)
+    assert set(errs) == {k for k, p in m.params.items() if p.requires_grad}
+    assert max(errs.values()) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # batched training objective
 
@@ -279,26 +293,25 @@ def test_batch_loss_equals_the_per_item_sum(name):
     rng = np.random.default_rng(13)
     m = {"disc": disc, "gen": gen, "lat": lat, "ctx": ctx}[name](np.random.default_rng(4))
     items = batch_items(name, rng)
-    trainable = {k: p for k, p in m.params.items() if p.requires_grad}
     per_item = m.paragraph_loss if name == "ctx" else m.loss
 
-    T.zero_grads(trainable)
-    ref_parts = {}
+    ref_parts, ref_grads = {}, {}
     for item in items:
         with T.Tape() as tape:
             loss, parts = per_item(*item)
-            tape.backward(loss)
+            item_grads = tape.backward(loss, m.params)
         for key, value in parts.items():
             ref_parts[key] = ref_parts.get(key, 0.0) + value
-    ref_grads = {k: p.grad.copy() for k, p in trainable.items()}
+        for k, g in item_grads.items():
+            ref_grads[k] = ref_grads[k] + g if k in ref_grads else g
 
-    T.zero_grads(trainable)
     with T.Tape() as tape:
         loss, parts = m.batch_loss(items)
-        tape.backward(loss)
+        grads = tape.backward(loss, m.params)
     assert parts.keys() == ref_parts.keys()
     for key, want in ref_parts.items():
         assert parts[key] == pytest.approx(want, rel=1e-10), key
-    for k, p in trainable.items():
-        scale = max(1.0, float(np.abs(ref_grads[k]).max()))
-        np.testing.assert_allclose(p.grad, ref_grads[k], rtol=1e-10, atol=1e-10 * scale, err_msg=k)
+    assert grads.keys() == ref_grads.keys()
+    for k, want in ref_grads.items():
+        scale = max(1.0, float(np.abs(want).max()))
+        np.testing.assert_allclose(grads[k], want, rtol=1e-10, atol=1e-10 * scale, err_msg=k)

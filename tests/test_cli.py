@@ -352,12 +352,15 @@ def test_opt_false_bool_stays_false(tmp_path, synth_dir):
 @pytest.mark.parametrize("opt", ["latent_dim=1.5", "tie_embeddings=yes", "beta=high"])
 def test_unparsable_opt_is_data_error(capsys, tmp_path, synth_dir, opt):
     out = tmp_path / "run"
+    key = opt.split("=")[0]
+    # a key may be set only once, so opt replaces its VAE_OPTS entry
+    opts = [a for o in VAE_OPTS[1::2] if not o.startswith(key + "=") for a in ("--opt", o)]
     rc = cli.main([
         "train", "--model", "vae-bow", "--train", str(synth_dir / "train.jsonl"),
-        "--out", str(out), *VAE_OPTS, "--opt", opt,
+        "--out", str(out), *opts, "--opt", opt,
     ])
     assert rc == 2
-    assert f"option {opt.split('=')[0]!r}" in capsys.readouterr().err
+    assert f"option {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -689,6 +692,38 @@ def test_negative_seed_is_data_error_before_any_output(capsys, monkeypatch, tmp_
     err = capsys.readouterr().err
     assert "must be >= 0, got -" in err and "Traceback" not in err
     assert flag.lstrip("-") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,code,needle", [
+    (["convert", "--in", "TRAIN", "--map", "text=body", "--map", "text=body"], 1, "--map repeats"),
+    (["convert", "--in", "TRAIN", "--map", "text=body", "--map", "text=words"], 2,
+     "--map sets 'text' twice"),
+    (["stats", "--in", "TRAIN", "--in", "TRAIN"], 1, "--in repeats"),
+    (["train", "--model", "disc", "--train", "TRAIN", "--opt", "embed_dim=4",
+      "--opt", "embed_dim=8"], 2, "--opt sets 'embed_dim' twice"),
+    (["sweep", "--models", "disc,disc", "--ks", "1", "--train", "TRAIN", "--test", "TRAIN",
+      "--seeds", "1"], 1, "--models repeats 'disc'"),
+    (["sweep", "--models", "disc", "--ks", "1", "--train", "TRAIN", "--test", "TRAIN",
+      "--seeds", "1,1"], 1, "--seeds repeats '1'"),
+    (["sweep", "--models", "disc", "--ks", "1", "--train", "TRAIN", "--test", "TRAIN",
+      "--seeds", "1,01"], 2, "--seeds repeats 1"),
+    (["crossgenre", "--model", "disc", "--data", "TRAIN", "--genres", "blog,blog"], 1,
+     "--genres repeats 'blog'"),
+    (["gradcheck", "--seeds", "0,00"], 2, "--seeds repeats 0"),
+], ids=["convert-map", "convert-map-key", "stats-in", "train-opt-key", "sweep-models",
+        "sweep-seeds", "sweep-seeds-int", "crossgenre-genres", "gradcheck-seeds-int"])
+def test_repeated_list_entry_is_an_error_before_any_output(capsys, monkeypatch, tmp_path, synth_dir,
+                                                            command, code, needle):
+    monkeypatch.setattr(cli.gradcheck, "gradient_suite", lambda **kw: pytest.fail("ran the suite"))
+    out = tmp_path / "out"
+    argv = [str(synth_dir / "train.jsonl") if arg == "TRAIN" else arg for arg in command]
+    if command[0] != "stats":  # stats writes only to stdout
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert needle in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -55,7 +55,6 @@ def test_parameters_restored_after_check(rng):
 
     check_gradients(build, p)
     np.testing.assert_array_equal(p["w"].data, data)
-    assert p["w"].grad is None or np.all(np.isfinite(p["w"].grad))
 
 
 def test_max_entries_limits_probes(rng):

@@ -9,13 +9,14 @@ import math
 import os
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevae import cli
+from sevae import cli, harness
 from sevae.data import (
     RUN_TOKENS, Clause, SEType, Split, Vocab, atomic_write, build_vocab, label_prior, paragraphs_of,
     tagging_runs, write_jsonl, write_tsv,
@@ -27,7 +28,7 @@ from sevae.harness import (
     TrainResult, load_checkpoint, predict_codes, save_checkpoint, tag_probs, train,
 )
 from sevae.models import MODEL_NAMES, build_model, default_spec, spec_hash
-from sevae.tensor import Tape, Tensor, zero_grads
+from sevae.tensor import Tape, Tensor
 
 
 def tiny_spec(name, **overrides):
@@ -534,12 +535,33 @@ def test_train_without_validation_runs_all_epochs(eight_clause_fixture):
 
 
 @pytest.mark.parametrize("name", ["disc", "ctx", "vae-bow"])
-def test_trained_model_holds_no_gradients(name, eight_clause_fixture):
+def test_gradients_die_before_the_next_forward(name, eight_clause_fixture, monkeypatch):
+    # at most one gradient set is alive: each array an Adam step received is
+    # freed by the time the next batch's forward starts
+    received, checks = [], []
+    real_step, real_build = harness.adam_step, harness.build_model
+
+    def step(params, grads, state, cfg):
+        received[:] = [weakref.ref(g) for g in grads.values()]
+        return real_step(params, grads, state, cfg)
+
+    def build(*args):
+        model = real_build(*args)
+        real_loss = model.batch_loss
+
+        def batch_loss(*a, **kw):
+            if received:
+                checks.append([r() is None for r in received])
+            return real_loss(*a, **kw)
+
+        model.batch_loss = batch_loss
+        return model
+
+    monkeypatch.setattr(harness, "adam_step", step)
+    monkeypatch.setattr(harness, "build_model", build)
     cfg = TrainConfig(max_epochs=2, patience=5, logical_batch=4, seed=0)
-    for split in (overfit_split(eight_clause_fixture),
-                  Split(list(eight_clause_fixture), [], [], "s")):
-        result = train(tiny_spec(name), split, cfg)
-        assert all(p.grad is None for p in result.model.params.values())
+    train(tiny_spec(name), overfit_split(eight_clause_fixture), cfg)
+    assert checks and all(all(dead) for dead in checks)
 
 
 def test_returned_model_attains_best_validation_f1(eight_clause_fixture):
@@ -586,31 +608,30 @@ def test_masked_batch_equals_the_per_clause_sum(name):
     lengths = [4, 1, spec.options["max_len"], 6, 2, 5, 3]
     items = [(rng.integers(5, 12, size=n), int(rng.integers(7))) for n in lengths]
     model = build_model(spec, 12, np.full(7, 1 / 7), seed=4)
-    trainable = {k: p for k, p in model.params.items() if p.requires_grad}
 
     ref_rng = np.random.default_rng(5)
-    ref_parts = {}
-    zero_grads(trainable)
+    ref_parts, ref_grads = {}, {}
     for ids, label in items:
         eps = ref_rng.standard_normal(model.latent_dim)  # the per-clause draw
         with Tape() as tape:
             loss, parts = model.elbo_loss(ids, label, eps)
-            tape.backward(loss)
+            item_grads = tape.backward(loss, model.params)
         for key, value in parts.items():
             ref_parts[key] = ref_parts.get(key, 0.0) + value
-    ref_grads = {k: p.grad.copy() for k, p in trainable.items()}
+        for k, g in item_grads.items():
+            ref_grads[k] = ref_grads[k] + g if k in ref_grads else g
 
     batch_rng = np.random.default_rng(5)
-    zero_grads(trainable)
     with Tape() as tape:
         loss, parts = model.batch_loss(items, batch_rng)
-        tape.backward(loss)
+        grads = tape.backward(loss, model.params)
     assert parts.keys() == ref_parts.keys()
     for key, want in ref_parts.items():
         assert parts[key] == pytest.approx(want, rel=1e-10), key
-    for k, p in trainable.items():
-        scale = max(1.0, float(np.abs(ref_grads[k]).max()))
-        np.testing.assert_allclose(p.grad, ref_grads[k], rtol=1e-10, atol=1e-10 * scale, err_msg=k)
+    assert grads.keys() == ref_grads.keys()
+    for k, want in ref_grads.items():
+        scale = max(1.0, float(np.abs(want).max()))
+        np.testing.assert_allclose(grads[k], want, rtol=1e-10, atol=1e-10 * scale, err_msg=k)
     # both paths drew the same number of normals from the step stream
     assert batch_rng.random() == ref_rng.random()
 
