@@ -18,10 +18,10 @@ each, every tape one stack padded to its longest clause, the way
 training runs a logical batch; it reports the share of pad positions.
 The tagging section builds each of the seven models at its default size
 (vocabulary 383, untrained) and tags S clauses of n tokens (for ctx, S
-one-clause paragraphs) once as S batch-of-one calls (predict_probs,
-predict_paragraph_probs) and once as one batch_probs call, the pass a
-tagging run makes; it reports the largest relative difference of their
-probabilities, which the tagging contract bounds by 1e-12. The Adam
+one-clause paragraphs) once as S one-unit batch_probs calls and once as
+one batch_probs call over all S, the pass a tagging run makes; it reports
+the largest relative difference of their probabilities, which the
+tagging contract bounds by 1e-12. The Adam
 section times one harness.adam_step over ctx's parameters at its default
 size (vocabulary 383) with clipping active, and reports the step's
 tracemalloc peak, which stays within two arrays of the largest parameter.
@@ -149,15 +149,10 @@ def bench_tagging(model, n_clauses, n_tokens, reps, rng):
     """Median seconds of n_clauses batch-of-one calls and of one batched
     call, and the largest relative difference of their probabilities."""
     clauses = [rng.integers(5, model.vocab_size, size=n_tokens).tolist() for _ in range(n_clauses)]
-    if model.consumes == "paragraph":
-        units = [[ids] for ids in clauses]
-        one = model.predict_paragraph_probs
-    else:
-        units = clauses
-        one = model.predict_probs
+    units = [[ids] for ids in clauses] if model.consumes == "paragraph" else clauses
 
     def singles():
-        return np.concatenate([np.reshape(one(unit), (-1, 7)) for unit in units])
+        return np.concatenate([model.batch_probs([unit]) for unit in units])
 
     batched, single = model.batch_probs(units), singles()
     agree = float(np.max(np.abs(batched - single) / single))

@@ -2,13 +2,13 @@
 commits produce the same outputs.
 
 In an empty working directory it runs, in process and in this order:
-`sevae synth` (20 clauses per label); `train` of each of the seven models
-on the synth files with --max-epochs 2; `eval` of each checkpoint on the test
-file; `export-latents` of each vae checkpoint on the test file; a `sweep`
-of disc and gen at k 2,3 and seeds 1,2; a leave-one-genre-out
-`crossgenre` of disc; and `gradcheck --seeds 0`. Every command takes
-paths relative to that directory, so the configs it records do not
-depend on where the directory is.
+`sevae synth` (20 clauses per label); `convert` of the synth test file;
+`train` of each of the seven models on the synth files with --max-epochs
+2; `eval` of each checkpoint on the test file; `export-latents` of each
+vae checkpoint on the test file; a `sweep` of disc and gen at k 2,3 and
+seeds 1,2; a leave-one-genre-out `crossgenre` of disc; and `gradcheck
+--seeds 0`. Every command takes paths relative to that directory, so the
+configs it records do not depend on where the directory is.
 
 It prints one line per output file, in path order: the file's sha256,
 then its path. manifest.json holds the command line and a timestamp, so
@@ -45,6 +45,7 @@ def run_commands(cli, n_per_label, max_epochs, models):
     """Run every command in the current directory, which must be empty."""
     epochs = ("--max-epochs", str(max_epochs))
     _sevae(cli, "synth", "--out", "synth", "--n-per-label", str(n_per_label), "--seed", "0")
+    _sevae(cli, "convert", "--in", "synth/test.jsonl", "--out", "convert")
     data = ("--train", "synth/train.jsonl", "--val", "synth/val.jsonl")
     for name in models:
         _sevae(cli, "train", "--model", name, *data, "--test", "synth/test.jsonl",

@@ -98,8 +98,8 @@ class DiscModel(_Baseline):
         nll = T.cross_entropy(self._logits(id_lists), labels)
         return nll, {"classification": float(nll.data)}
 
-    def loss(self, ids, label, rng=None):
-        return self.batch_loss([(ids, label)], rng)
+    def loss(self, ids, label):
+        return self.batch_loss([(ids, label)])
 
     def batch_probs(self, id_lists):
         """Label probabilities, (S, 7), of S clauses in one pass."""
@@ -138,8 +138,8 @@ class _BayesRuleClassifier(_Baseline):
         """Label probabilities, (S, 7), of S clauses in one pass."""
         return T.softmax(self.joint_scores(id_lists), axis=-1).data
 
-    def loss(self, ids, label, rng=None):
-        return self.batch_loss([(ids, label)], rng)
+    def loss(self, ids, label):
+        return self.batch_loss([(ids, label)])
 
     def predict_probs(self, ids):
         return self.batch_probs([ids])[0]
@@ -264,8 +264,8 @@ class CtxModel(_Baseline):
         nll = T.cross_entropy(self._logits([id_lists for id_lists, _ in items]), labels)
         return nll, {"classification": float(nll.data)}
 
-    def paragraph_loss(self, id_lists, labels, rng=None):
-        return self.batch_loss([(id_lists, labels)], rng)
+    def paragraph_loss(self, id_lists, labels):
+        return self.batch_loss([(id_lists, labels)])
 
     def batch_probs(self, paragraphs):
         """Label probabilities, (clauses, 7), of a batch of paragraphs in one

@@ -8,11 +8,13 @@ a failed gradient check).
 Every flag can instead come from a flat key=value config file given with
 --config (keys are the flag names with dashes as underscores; repeatable
 flags take comma-separated entries). An explicit flag always overrides the
-file. Each writing subcommand takes --out and touches nothing outside that
-directory; a manifest.json recording the command line, the effective
-config and its digest, input file digests, seed (sweep: the list of
---seeds), version, and timestamp is written there before any other output;
-every input check a command can make up front comes before it.
+file; a file that sets one flag twice, in either spelling, is a data error.
+Each writing subcommand takes --out and touches nothing outside that
+directory (an --out that cannot be made a directory is a data error); a
+manifest.json recording the command line, the effective config and its
+digest, input file digests, seed (sweep: the list of --seeds), version,
+and timestamp is written there before any other output; every input check
+a command can make up front comes before it.
 """
 
 import argparse
@@ -164,7 +166,9 @@ def build_parser():
 
 
 def _parse_config_file(path):
-    values = {}
+    """The (line number, key, value) entries of a config file, keys with
+    dashes as underscores."""
+    entries = []
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -179,8 +183,8 @@ def _parse_config_file(path):
         if "=" not in line:
             raise DataError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        entries.append((line_no, key.strip().replace("-", "_"), value.strip()))
+    return entries
 
 
 def _coerce(raw, typ, dest):
@@ -206,17 +210,22 @@ def _effective(args, command):
     """Merge precedence: explicit flag > config file > builtin default."""
     schema = _SCHEMAS[command]
     key_map = _config_key_map(schema)
-    file_values = {}
-    for key, raw in (_parse_config_file(args.config) if args.config else {}).items():
+    file_values = {}  # dest -> (line number, key, raw value)
+    for line_no, key, raw in _parse_config_file(args.config) if args.config else []:
         if key not in key_map:
             raise DataError(f"unknown config key {key!r} for {command}")
-        file_values[key_map[key]] = raw
+        dest = key_map[key]  # both spellings of a flag (in, infiles) share it
+        if dest in file_values:
+            first_no, first_key, _ = file_values[dest]
+            raise DataError(f"{args.config}:{line_no}: {key!r} sets {dest} again; "
+                            f"line {first_no} set it already as {first_key!r}")
+        file_values[dest] = (line_no, key, raw)
     cfg = {}
     for dest, (typ, default, required, extra) in schema.items():
         flag = extra.get("flag", "--" + dest.replace("_", "-"))
         value = getattr(args, dest)
         if value is None and dest in file_values:
-            value = _coerce(file_values[dest], typ, dest)
+            value = _coerce(file_values[dest][2], typ, dest)
         if value is None:
             value = default
         if typ == "list" and value is not None:
@@ -252,7 +261,10 @@ def _sha256_file(path):
 
 
 def _write_manifest(out_dir, cfg, inputs, seed):
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create --out {out_dir}: {exc.strerror}") from None
     manifest = {
         "command": list(sys.argv) if sys.argv else ["sevae"],
         "config": cfg,
@@ -316,8 +328,8 @@ def _load_split(cfg):
     train = load_corpus(cfg["train"])
     if not train:
         raise DataError(f"empty training split: {cfg['train']} holds no clauses")
-    validation = load_corpus(cfg["val"]) if cfg.get("val") else []
-    test = load_corpus(cfg["test"]) if cfg.get("test") else []
+    validation = _load_clauses(cfg["val"], "validate on") if cfg.get("val") else []
+    test = _load_clauses(cfg["test"], "evaluate on") if cfg.get("test") else []
     split = Split(train, validation, test, "file-given")
     if cfg.get("k") is not None:
         split = subsample_per_label(train, cfg["k"], cfg["seed"], validation, test)
@@ -329,10 +341,15 @@ def _load_split(cfg):
 
 
 def _cmd_convert(cfg):
+    name = cfg["name"]
+    # a plain file name, so the corpus lands in --out beside, not over, the manifest
+    if name in ("", ".", "..", "manifest.json") or os.path.basename(name) != name:
+        raise UsageError(f"convert: --name must be a plain file name other than "
+                         f"manifest.json, got {name!r}")
     schema = _split_pairs(cfg["map"], "--map")
     clauses = load_corpus(cfg["infile"], schema)
     _write_manifest(cfg["out"], cfg, [cfg["infile"]], seed=None)
-    out_path = os.path.join(cfg["out"], cfg["name"])
+    out_path = os.path.join(cfg["out"], name)
     write_jsonl(clauses, out_path)
     print(f"wrote {len(clauses)} clauses to {out_path}")
     return 0
@@ -407,8 +424,8 @@ def _cmd_train(cfg):
 
 
 def _load_clauses(path, purpose):
-    """The clauses of a corpus to tag; one that holds none is a DataError
-    before any output."""
+    """The clauses of a corpus file to validate, evaluate or tag on; one
+    that holds none is a DataError before any output."""
     clauses = load_corpus(path)
     if not clauses:
         raise DataError(f"cannot {purpose} zero clauses: {path} holds none")
@@ -532,6 +549,8 @@ def _cmd_crossgenre(cfg):
 
 def _cmd_gradcheck(cfg):
     seeds = tuple(_int_list(cfg["seeds"], "--seeds"))
+    if cfg["out"]:
+        _write_manifest(cfg["out"], cfg, [], seed=None)
     results = gradcheck.gradient_suite(seeds=seeds)
     width = max(len(n) for n in results)
     all_passed = True
@@ -540,7 +559,6 @@ def _cmd_gradcheck(cfg):
         all_passed &= r["passed"]
         print(f"{name:{width}s}  max_rel_err {r['max_rel_err']:.3e}  {status}  ({r['seconds']:.1f}s)")
     if cfg["out"]:
-        _write_manifest(cfg["out"], cfg, [], seed=None)
         _write_json(os.path.join(cfg["out"], "gradcheck.json"),
                     {"manifest": "manifest.json", "results": results}, indent=2)
     if not all_passed:

@@ -302,8 +302,8 @@ def write_jsonl(clauses, path):
 
 
 def atomic_write(path, payload):
-    """Write payload (str as UTF-8, bytes, or an iterable of bytes-like
-    chunks written in turn) to path in one step.
+    """Write payload (str as UTF-8, or an iterable of bytes-like chunks
+    written in turn) to path in one step.
 
     The bytes go to a fresh temp file in path's directory, which os.replace
     then renames over path: readers see the previous file or the new one,
@@ -311,9 +311,7 @@ def atomic_write(path, payload):
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    if isinstance(payload, str):
-        payload = payload.encode("utf-8")
-    chunks = [payload] if isinstance(payload, bytes) else payload
+    chunks = [payload.encode("utf-8")] if isinstance(payload, str) else payload
     try:
         with open(tmp, "xb") as fh:
             for chunk in chunks:

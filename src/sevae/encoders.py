@@ -129,6 +129,7 @@ def encode(id_lists, cfg, p, prefix, train_rng=None):
     return T.reshape(cls, (n_seq, cfg.embed_dim))
 
 
-def encode_pooled(ids, cfg, p, prefix, train_rng=None):
-    """Representation vector, (embed_dim,), of one clause: the B=1 encode."""
-    return T.reshape(encode([ids], cfg, p, prefix, train_rng), (cfg.embed_dim,))
+def encode_pooled(ids, cfg, p, prefix):
+    """Representation vector, (embed_dim,), of one clause: the B=1 encode,
+    without dropout."""
+    return T.reshape(encode([ids], cfg, p, prefix), (cfg.embed_dim,))

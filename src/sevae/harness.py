@@ -21,10 +21,10 @@ family, back to back for the baselines) would pass data.RUN_TOKENS (512)
 tokens and a longer unit runs alone. tag_probs makes each pass
 model.batch_probs, export_latents model.posterior_means (one encoder
 pass over the same runs). Each pass runs the code training runs. A run
-rounds differently from its units tagged one at a time (the batch of one:
-predict_probs, predict_paragraph_probs), so its probabilities agree with
-theirs within 1e-12 relative, and its codes are theirs unless two labels
-tie within that tolerance.
+rounds differently from its units tagged one at a time (a one-unit
+batch_probs call), so its probabilities agree with theirs within 1e-12
+relative, and its codes are theirs unless two labels tie within that
+tolerance.
 
 Everything a run reports is a pure function of (model spec, data
 manifest, seed). The protocol grids (the k-per-label sweep and

@@ -135,9 +135,9 @@ class VAEModel:
         )
         return LatentGaussian(mu, logvar)
 
-    def posterior(self, ids, train_rng=None):
+    def posterior(self, ids):
         """Posterior of one clause; mu and logvar have shape (latent_dim,)."""
-        h = encoders.encode_pooled(ids, self.enc_cfg, self.params, "enc.", train_rng)
+        h = encoders.encode_pooled(ids, self.enc_cfg, self.params, "enc.")
         return self._posterior_heads(h)
 
     def label_logits(self, z):
@@ -223,10 +223,10 @@ class VAEModel:
         eps = rng.standard_normal((len(items), self.latent_dim))
         return self._elbo(id_lists, labels, eps, beta, rng)
 
-    def elbo_loss(self, ids, label, eps, beta=None, train_rng=None):
+    def elbo_loss(self, ids, label, eps, beta=None):
         """Negated annealed ELBO for one clause with the given eps, shape
-        (latent_dim,). The batch of one."""
-        return self._elbo([ids], [int(label)], np.asarray(eps, dtype=np.float64)[None], beta, train_rng)
+        (latent_dim,), and no dropout. The batch of one."""
+        return self._elbo([ids], [int(label)], np.asarray(eps, dtype=np.float64)[None], beta, None)
 
     def _elbo(self, id_lists, labels, eps, beta, train_rng):
         beta = self.beta if beta is None else beta
@@ -254,7 +254,4 @@ class VAEModel:
     def classify_map(self, ids):
         """Class probabilities of one clause: the batch of one."""
         return self.batch_probs([ids])[0]
-
-    def predict_probs(self, ids):
-        return self.classify_map(ids)
 

@@ -6,6 +6,7 @@ implemented independently inside this file. The licensed-corpus fidelity
 check skips (never fails) when the corpus is not installed.
 """
 
+import json
 import math
 import os
 import time
@@ -20,7 +21,7 @@ from sevae.data import (
     SEType, Split, Vocab, cross_genre_split, label_counts, load_corpus,
     make_synthetic_corpus, subsample_per_label,
 )
-from sevae.gradcheck import DEFAULT_STEP, DEFAULT_TOL, gradient_suite
+from sevae.gradcheck import DEFAULT_STEP, DEFAULT_TOL, OBJECTIVES, gradient_suite
 from sevae.harness import (
     TrainConfig, aggregate_sweep, compute_metrics, evaluate, load_checkpoint,
     save_checkpoint, train,
@@ -43,9 +44,13 @@ def test_criterion_1_gradient_suite():
     started = time.perf_counter()
     results = gradient_suite(seeds=(0, 1, 2))
     elapsed = time.perf_counter() - started
-    assert len(results) == 7
+    assert list(results) == list(OBJECTIVES) and len(results) == 7
     for name, entry in results.items():
+        assert set(entry) == {"max_rel_err", "passed", "seconds"}
+        assert entry["seconds"] >= 0.0
         assert entry["passed"], f"{name}: max_rel_err {entry['max_rel_err']:.3e}"
+    # the gradcheck CLI writes the results as JSON
+    assert json.loads(json.dumps(results)) == results
     assert elapsed < 300.0, f"suite took {elapsed:.0f}s"
     worst = max(entry["max_rel_err"] for entry in results.values())
     _verdict(1, f"7 objectives x 3 seeds, worst rel err {worst:.2e}, {elapsed:.0f}s")

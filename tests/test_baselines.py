@@ -234,32 +234,6 @@ def test_ctx_paragraph_loss_parts(rng):
 # shared gradient contract
 
 
-def test_all_baselines_pass_gradcheck(rng):
-    probes = np.random.default_rng(7)
-    ids = [5, 9, 7]
-
-    m = disc(rng)
-    errs = check_gradients(lambda: m.loss(ids, SEType.EVENT)[0], m.params,
-                           max_entries=4, rng=probes)
-    assert max(errs.values()) < 1e-4
-
-    g = gen(rng)
-    errs = check_gradients(lambda: g.loss(ids, SEType.REPORT)[0], g.params,
-                           max_entries=4, rng=probes)
-    assert max(errs.values()) < 1e-4
-
-    l = lat(rng, c=3)
-    errs = check_gradients(lambda: l.loss(ids, SEType.GENERIC)[0], l.params,
-                           max_entries=4, rng=probes)
-    assert max(errs.values()) < 1e-4
-
-    c = ctx(rng)
-    errs = check_gradients(
-        lambda: c.paragraph_loss([[5, 6], [7]], [SEType.STATE, SEType.QUESTION])[0],
-        c.params, max_entries=3, rng=probes)
-    assert max(errs.values()) < 1e-4
-
-
 @pytest.mark.parametrize("name", ["disc", "gen", "lat", "ctx"])
 def test_gradcheck_probes_every_coordinate_of_the_whole_params(name):
     # the whole mapping, frozen prior included: only the requires_grad

@@ -296,6 +296,30 @@ def test_config_file_precedence(tmp_path, synth_dir):
     assert manifest["seed"] == 3
 
 
+@pytest.mark.parametrize("command,lines,needle", [
+    (["train", "--model", "disc", "--train", "TRAIN", *DISC_OPTS], ["lr = 0.1", "lr = 0.2"],
+     "'lr' sets lr again; line 2 set it already as 'lr'"),
+    (["train", "--model", "disc", "--train", "TRAIN", *DISC_OPTS],
+     ["max-epochs = 1", "max_epochs = 2"], "'max_epochs' sets max_epochs again; line 2"),
+    (["stats"], ["in = TRAIN", "infiles = TRAIN"],
+     "'infiles' sets infiles again; line 2 set it already as 'in'"),
+], ids=["lr", "max-epochs", "in"])
+def test_config_file_setting_a_flag_twice_is_data_error(capsys, tmp_path, synth_dir, command,
+                                                        lines, needle):
+    train = str(synth_dir / "train.jsonl")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# line 1\n" + "".join(line.replace("TRAIN", train) + "\n" for line in lines))
+    out = tmp_path / "out"
+    argv = [train if arg == "TRAIN" else arg for arg in command]
+    if command[0] != "stats":  # stats writes only to stdout
+        argv += ["--out", str(out)]
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"{cfg}:3: {needle}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unknown_config_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("verbosity = 3\n")
@@ -331,6 +355,21 @@ def test_convert_with_field_map(capsys, tmp_path):
     assert [cl.tokens for cl in clauses] == [["the", "cat", "sat", "."],
                                              ["the", "dog", "ran", "."]]
     assert clauses[0].label.name == "STATE"
+
+
+@pytest.mark.parametrize("name", ["../escaped.jsonl", "sub/c.jsonl", "ABSOLUTE", "", ".", "..",
+                                  "manifest.json"])
+def test_convert_name_must_be_a_plain_file_name(capsys, tmp_path, synth_dir, name):
+    # any other name would write outside --out, fail on a directory, or
+    # overwrite the manifest
+    name = str(tmp_path / "abs.jsonl") if name == "ABSOLUTE" else name
+    rc = cli.main(["convert", "--in", str(synth_dir / "train.jsonl"),
+                   "--out", str(tmp_path / "out"), "--name", name])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "--name must be a plain file name" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +446,8 @@ def test_negative_beta_warmup_is_data_error(capsys, tmp_path, synth_dir):
     ("disc", ["--grad-clip", "inf"], "grad_clip"),
     ("vae-bow", ["--opt", "label_loss_weight=inf"], "label_loss_weight"),
     ("disc", ["--train", "EMPTY"], "empty training split"),
+    ("disc", ["--val", "EMPTY"], "cannot validate on zero clauses"),
+    ("disc", ["--test", "EMPTY"], "cannot evaluate on zero clauses"),
 ])
 def test_out_of_range_training_value_is_data_error_before_any_output(capsys, tmp_path, synth_dir,
                                                                      model, flags, field):
@@ -446,6 +487,20 @@ def test_sweep_outputs(tmp_path, synth_dir):
     for row, cells in zip(meta["rows"], got):
         assert row[:3] == [cells[0], int(cells[1]), int(cells[2])]
         assert row[3] == float(cells[3]) and row[4] == float(cells[4])
+
+
+def test_sweep_of_an_empty_test_file_is_data_error_before_any_output(capsys, tmp_path, synth_dir):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--models", "disc", "--ks", "2", "--seeds", "1",
+                   "--train", str(synth_dir / "train.jsonl"), "--test", str(empty),
+                   "--out", str(out), "--max-epochs", "1", *DISC_OPTS])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "cannot evaluate on zero clauses" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_model(capsys, tmp_path):
@@ -727,12 +782,41 @@ def test_repeated_list_entry_is_an_error_before_any_output(capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["FILE", "FILE/sub"])
+@pytest.mark.parametrize("command", [
+    ["convert", "--in", "TRAIN"],
+    ["synth"],
+    ["train", "--model", "disc", "--train", "TRAIN", *DISC_OPTS],
+    ["eval", "--ckpt", "DISC_CKPT", "--data", "TRAIN"],
+    ["sweep", "--models", "disc", "--ks", "1", "--seeds", "1", "--train", "TRAIN",
+     "--test", "TRAIN", *DISC_OPTS],
+    ["crossgenre", "--model", "disc", "--data", "TRAIN", *DISC_OPTS],
+    ["gradcheck", "--seeds", "0"],
+    ["export-latents", "--ckpt", "VAE_CKPT", "--data", "TRAIN"],
+], ids=lambda command: command[0])
+def test_unusable_out_is_data_error_before_any_output(capsys, monkeypatch, tmp_path, synth_dir,
+                                                      disc_run, vae_run, command, out):
+    # --out names an existing file, or a directory under one
+    monkeypatch.setattr(cli.gradcheck, "gradient_suite", lambda **kw: pytest.fail("ran the suite"))
+    blocker = tmp_path / "FILE"
+    blocker.write_text("a file\n")
+    paths = {"TRAIN": synth_dir / "train.jsonl", "DISC_CKPT": disc_run / "model.ckpt",
+             "VAE_CKPT": vae_run / "model.ckpt"}
+    argv = [str(paths[arg]) if arg in paths else arg for arg in command]
+    assert cli.main([*argv, "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot create --out {tmp_path / out}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert blocker.read_text() == "a file\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
 # ---------------------------------------------------------------------------
 # gradcheck exit codes (suite itself is exercised elsewhere; stub it here)
 
 
 def _fake_suite(passed):
-    def suite(seeds=(0, 1, 2), **kwargs):
+    def suite(seeds=(0, 1, 2)):
         return {"disc": {"max_rel_err": 1e-6 if passed else 0.5,
                          "passed": passed, "seconds": 0.01}}
     return suite

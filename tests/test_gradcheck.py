@@ -17,7 +17,7 @@ def test_quadratic_passes_tight_tolerance():
     def build():
         return T.sum_(T.mul(p["w"], p["w"]))
 
-    errs = check_gradients(build, p, step=1e-5)
+    errs = check_gradients(build, p)
     assert errs["w"] < 1e-6
 
 
@@ -55,13 +55,3 @@ def test_parameters_restored_after_check(rng):
 
     check_gradients(build, p)
     np.testing.assert_array_equal(p["w"].data, data)
-
-
-def test_max_entries_limits_probes(rng):
-    p = {"w": T.Tensor(rng.standard_normal(200), requires_grad=True)}
-
-    def build():
-        return T.sum_(T.mul(p["w"], p["w"]))
-
-    errs = check_gradients(build, p, max_entries=10, rng=np.random.default_rng(1))
-    assert errs["w"] < 1e-6

@@ -358,16 +358,16 @@ ALL_MODELS = ("disc", "gen", "lat", "ctx", "vae-bow", "vae-lstm", "vae-xfmr")
 
 
 def batch_of_one_probs(model, clauses, vocab):
-    """Each clause's probabilities from the batch-of-one calls: one
-    predict_probs per clause, or one predict_paragraph_probs per paragraph."""
+    """Each clause's probabilities from one-unit batch_probs calls: one per
+    clause, or one per paragraph."""
     if model.consumes == "paragraph":
         rows = {}
         for par in paragraphs_of(clauses):
-            probs = model.predict_paragraph_probs([vocab.encode(cl.tokens) for cl in par])
+            probs = model.batch_probs([[vocab.encode(cl.tokens) for cl in par]])
             for cl, row in zip(par, probs):
                 rows[cl.coords] = row
         return np.array([rows[cl.coords] for cl in clauses])
-    return np.array([model.predict_probs(vocab.encode(cl.tokens)) for cl in clauses])
+    return np.array([model.batch_probs([vocab.encode(cl.tokens)])[0] for cl in clauses])
 
 
 def assert_batched_matches_batch_of_one(model, clauses, vocab):

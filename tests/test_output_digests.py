@@ -32,7 +32,7 @@ def test_output_digests_cover_every_output_and_repeat(tmp_path, monkeypatch):
     assert runs[0] == runs[1]
     paths = [line.rsplit("  ", 1)[1] for line in runs[0]]
     assert paths == sorted(paths)
-    expected = {"synth/train.jsonl", "synth/val.jsonl", "synth/test.jsonl",
+    expected = {"synth/train.jsonl", "synth/val.jsonl", "synth/test.jsonl", "convert/converted.jsonl",
                 "eval-disc/eval.json", "latents-vae-bow/latents.tsv", "sweep/sweep.tsv",
                 "sweep/sweep_aggregates.tsv", "crossgenre/crossgenre.tsv"}
     for model in ("disc", "vae-bow"):

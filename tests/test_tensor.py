@@ -17,7 +17,7 @@ def leaf(data):
 
 
 def grad_of(build, params):
-    errs = check_gradients(build, params, step=1e-5)
+    errs = check_gradients(build, params)
     return max(errs.values())
 
 
