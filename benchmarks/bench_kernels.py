@@ -5,7 +5,10 @@ forward+backward at several stack sizes.
 
 Each comparison runs both variants in one process on the same inputs, so
 the numbers are directly comparable. The kernel section times the
-forward and backward LSTM kernels over one sequence of T steps. The
+forward and backward LSTM kernels over one sequence of T steps, then
+the forward kernel's time per step at B=1 for H=100 and H=300 next to
+its floor: a bare chain of the step's (1, H) @ (H, 4H) products, each
+reading the one before, with nothing else. The
 ragged section runs B sequences of 5-12 steps (the clause lengths of a
 training batch) through tensor.lstm_seq forward and backward, once as one
 batch and once as B single-sequence calls, and reports the largest
@@ -73,6 +76,27 @@ def bench_case(T, H, reps, rng):
     t_fwd = _time(lambda: kernels.lstm_forward(xw, whT, h0, c0, steps), reps)
     t_bwd = _time(lambda: kernels.lstm_backward(dhs, gates, cs, whT, c0, steps), reps)
     return t_fwd, t_bwd
+
+
+def bench_step(H, reps, rng, T=60):
+    """Median seconds per step of the forward LSTM kernel over one sequence
+    of T steps (B=1), width H, and of a bare chain of its T recurrent
+    products, each step's h read from the product before."""
+    xw = rng.standard_normal((T, 4 * H))
+    whT = rng.standard_normal((4 * H, H)) * 0.1
+    h0 = rng.standard_normal((1, H))
+    steps = np.ones(T, dtype=np.int64)
+    wh = whT.T
+    out = np.empty((T, 4 * H))
+
+    def chain():
+        h = h0
+        for t in range(T):
+            np.dot(h, wh, out=out[t:t + 1])
+            h = out[t:t + 1, :H]
+
+    t_step = _time(lambda: kernels.lstm_forward(xw, whT, h0, h0, steps), reps) / T
+    return t_step, _time(chain, reps) / T
 
 
 def bench_ragged(n_seq, H, reps, rng, E=100):
@@ -215,6 +239,10 @@ def main():
     for T, H in ((20, 100), (60, 100), (60, 300), (200, 300)):
         t_fwd, t_bwd = bench_case(T, H, args.reps, rng)
         print(f"{f'T={T} H={H}':>14s} {t_fwd * 1e3:9.3f}ms {t_bwd * 1e3:9.3f}ms")
+    print(f"{'B=1 step':>14s} {'forward':>10s} {'dot floor':>10s}")
+    for H in (100, 300):
+        t_step, t_floor = bench_step(H, args.reps, rng)
+        print(f"{f'H={H}':>14s} {t_step * 1e6:9.1f}us {t_floor * 1e6:9.1f}us")
 
     print()
     print(f"{'lstm_seq fwd+bwd, 5-12 steps':>30s} {'batched':>10s} {'sequential':>11s} "

@@ -45,6 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _StoreOnce(argparse.Action):
+    """Store a scalar flag; giving it twice is a usage error, as a repeated
+    list entry is, rather than a silent override."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} given twice")
+        setattr(namespace, self.dest, values)
+
+
 # ---------------------------------------------------------------------------
 # flag schemas: dest -> (type, default, required, extra argparse kwargs)
 # type is one of str/int/float or "list" (repeatable flag; comma-separated
@@ -160,8 +170,8 @@ def build_parser():
             if typ == "list":
                 sub.add_argument(flag, dest=dest, action="append", default=None, **extra)
             else:
-                sub.add_argument(flag, dest=dest, type=typ, default=None, **extra)
-        sub.add_argument("--config", default=None, help="key=value config file")
+                sub.add_argument(flag, dest=dest, type=typ, default=None, action=_StoreOnce, **extra)
+        sub.add_argument("--config", default=None, action=_StoreOnce, help="key=value config file")
     return parser
 
 
@@ -260,7 +270,15 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, cfg, inputs, seed):
+def _write_manifest(out_dir, cfg, inputs, seed, outputs):
+    """Write out_dir/manifest.json, the first output of a command that then
+    writes the files named in outputs there, and return their paths in
+    that order; a name taken by a directory is a DataError before anything
+    is written."""
+    paths = [os.path.join(out_dir, name) for name in ("manifest.json", *outputs)]
+    for path in paths:
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: it is a directory")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -274,8 +292,8 @@ def _write_manifest(out_dir, cfg, inputs, seed):
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=2, sort_keys=True)
-    return manifest
+    _write_json(paths[0], manifest, indent=2, sort_keys=True)
+    return paths[1:]
 
 
 def _write_json(path, obj, **dump_options):
@@ -348,8 +366,7 @@ def _cmd_convert(cfg):
                          f"manifest.json, got {name!r}")
     schema = _split_pairs(cfg["map"], "--map")
     clauses = load_corpus(cfg["infile"], schema)
-    _write_manifest(cfg["out"], cfg, [cfg["infile"]], seed=None)
-    out_path = os.path.join(cfg["out"], name)
+    (out_path,) = _write_manifest(cfg["out"], cfg, [cfg["infile"]], seed=None, outputs=[name])
     write_jsonl(clauses, out_path)
     print(f"wrote {len(clauses)} clauses to {out_path}")
     return 0
@@ -382,9 +399,9 @@ def _cmd_synth(cfg):
         except DataError as exc:
             raise DataError(f"{name} set: {exc}") from None
         corpora.append((name, clauses))
-    _write_manifest(cfg["out"], cfg, [], seed=cfg["seed"])
-    for name, clauses in corpora:
-        path = os.path.join(cfg["out"], f"{name}.jsonl")
+    paths = _write_manifest(cfg["out"], cfg, [], seed=cfg["seed"],
+                            outputs=[f"{name}.jsonl" for name, _ in corpora])
+    for (_name, clauses), path in zip(corpora, paths):
         write_jsonl(clauses, path)
         print(f"wrote {len(clauses)} clauses to {path}")
     return 0
@@ -397,18 +414,18 @@ def _cmd_train(cfg):
     _check_spec(spec, split.train + split.validation + split.test, split.train)
     inputs = [p for p in (cfg["train"], cfg["val"], cfg["test"]) if p]
     manifest_cfg = dict(cfg, spec=spec.to_json(), train_config=train_cfg.to_json())
-    _write_manifest(cfg["out"], manifest_cfg, inputs, seed=train_cfg.seed)
-    _write_json(os.path.join(cfg["out"], "split.json"), split_manifest(split))
+    outputs = ["split.json", "train_log.jsonl", "model.ckpt"] + (["eval_test.json"] if split.test else [])
+    split_path, log_path, ckpt_path, *test_path = _write_manifest(
+        cfg["out"], manifest_cfg, inputs, seed=train_cfg.seed, outputs=outputs)
+    _write_json(split_path, split_manifest(split))
     # the log is streamed, one flushed line per epoch, so a long run shows
     # its progress and keeps its finished epochs if it dies; an atomic
     # write would show nothing until training ends
-    log_path = os.path.join(cfg["out"], "train_log.jsonl")
     with open(log_path, "w", encoding="utf-8") as fh:
         result = harness.train(
             spec, split, train_cfg,
             log_hook=lambda rec: (fh.write(json.dumps(rec) + "\n"), fh.flush()),
         )
-    ckpt_path = os.path.join(cfg["out"], "model.ckpt")
     harness.save_checkpoint(result, ckpt_path, meta={
         "split_provenance": split.provenance,
         "split_digest": json_digest(split_manifest(split)),
@@ -418,7 +435,7 @@ def _cmd_train(cfg):
     if split.test:
         meta = dict(result.meta, manifest="manifest.json")
         report = harness.evaluate(result.model, split.test, result.vocab, meta)
-        _write_json(os.path.join(cfg["out"], "eval_test.json"), report.to_json(), indent=2)
+        _write_json(test_path[0], report.to_json(), indent=2)
         print(f"test accuracy {report.accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
     return 0
 
@@ -437,9 +454,10 @@ def _cmd_eval(cfg):
     clauses = _load_clauses(cfg["data"], "evaluate on")
     if isinstance(model, vae.VAEModel):
         check_max_len(clauses, model.enc_cfg.max_len)
-    _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
+    (out_path,) = _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"),
+                                  outputs=["eval.json"])
     report = harness.evaluate(model, clauses, vocab, dict(meta, manifest="manifest.json"))
-    _write_json(os.path.join(cfg["out"], "eval.json"), report.to_json(), indent=2)
+    _write_json(out_path, report.to_json(), indent=2)
     print(f"accuracy {report.accuracy:.4f} macro_f1 {report.macro_f1:.4f}")
     return 0
 
@@ -501,19 +519,20 @@ def _cmd_sweep(cfg):
             for seed in seeds:
                 jobs.append((spec_json, k, seed, paths, replace(base, seed=seed).to_json()))
     inputs = [p for p in paths.values() if p]
-    _write_manifest(cfg["out"], dict(cfg, models=model_names, ks=ks, seeds=seeds),
-                    inputs, seed=seeds)
+    rows_path, aggregates_path, meta_path = _write_manifest(
+        cfg["out"], dict(cfg, models=model_names, ks=ks, seeds=seeds), inputs, seed=seeds,
+        outputs=["sweep.tsv", "sweep_aggregates.tsv", "sweep_meta.json"])
     rows = _run_jobs(_sweep_cell, jobs, cfg["jobs"])
     aggregates = harness.aggregate_sweep(rows)
-    write_tsv(os.path.join(cfg["out"], "sweep.tsv"), ["model", "k", "seed", "accuracy", "macro_f1"],
+    write_tsv(rows_path, ["model", "k", "seed", "accuracy", "macro_f1"],
               [(name, k, seed, repr(acc), repr(f1)) for name, k, seed, acc, f1 in rows])
-    write_tsv(os.path.join(cfg["out"], "sweep_aggregates.tsv"),
+    write_tsv(aggregates_path,
               ["model", "k", "mean_accuracy", "std_accuracy", "mean_macro_f1", "std_macro_f1"],
               [(name, k, *map(repr, stats)) for name, k, *stats in aggregates])
     sidecar = {"manifest": "manifest.json",
                "rows": [list(r) for r in rows],
                "aggregates": [list(a) for a in aggregates]}
-    _write_json(os.path.join(cfg["out"], "sweep_meta.json"), sidecar, indent=2)
+    _write_json(meta_path, sidecar, indent=2)
     for name, k, mean_acc, _sa, mean_f1, _sf in aggregates:
         print(f"{name} k={k} mean_accuracy={mean_acc:.4f} mean_macro_f1={mean_f1:.4f}")
     return 0
@@ -534,13 +553,14 @@ def _cmd_crossgenre(cfg):
     # every held-out genre's training clauses come from corpus
     _check_spec(spec, corpus, corpus)
     train_cfg = _train_config(cfg["model"], cfg)
-    _write_manifest(cfg["out"], dict(cfg, targets=targets, spec=spec.to_json()),
-                    [cfg["data"]], seed=train_cfg.seed)
+    rows_path, meta_path = _write_manifest(
+        cfg["out"], dict(cfg, targets=targets, spec=spec.to_json()), [cfg["data"]],
+        seed=train_cfg.seed, outputs=["crossgenre.tsv", "crossgenre_meta.json"])
     jobs = [(spec.to_json(), t, cfg["data"], train_cfg.to_json()) for t in targets]
     rows = _run_jobs(_crossgenre_cell, jobs, cfg["jobs"])
-    write_tsv(os.path.join(cfg["out"], "crossgenre.tsv"), ["model", "genre", "accuracy", "macro_f1"],
+    write_tsv(rows_path, ["model", "genre", "accuracy", "macro_f1"],
               [(name, genre, repr(acc), repr(f1)) for name, genre, acc, f1 in rows])
-    _write_json(os.path.join(cfg["out"], "crossgenre_meta.json"),
+    _write_json(meta_path,
                 {"manifest": "manifest.json", "rows": [list(r) for r in rows]}, indent=2)
     for name, genre, acc, f1 in rows:
         print(f"{name} genre={genre} accuracy={acc:.4f} macro_f1={f1:.4f}")
@@ -550,7 +570,7 @@ def _cmd_crossgenre(cfg):
 def _cmd_gradcheck(cfg):
     seeds = tuple(_int_list(cfg["seeds"], "--seeds"))
     if cfg["out"]:
-        _write_manifest(cfg["out"], cfg, [], seed=None)
+        (out_path,) = _write_manifest(cfg["out"], cfg, [], seed=None, outputs=["gradcheck.json"])
     results = gradcheck.gradient_suite(seeds=seeds)
     width = max(len(n) for n in results)
     all_passed = True
@@ -559,8 +579,7 @@ def _cmd_gradcheck(cfg):
         all_passed &= r["passed"]
         print(f"{name:{width}s}  max_rel_err {r['max_rel_err']:.3e}  {status}  ({r['seconds']:.1f}s)")
     if cfg["out"]:
-        _write_json(os.path.join(cfg["out"], "gradcheck.json"),
-                    {"manifest": "manifest.json", "results": results}, indent=2)
+        _write_json(out_path, {"manifest": "manifest.json", "results": results}, indent=2)
     if not all_passed:
         raise NumericsError("gradient check failed; see table above")
     return 0
@@ -572,9 +591,9 @@ def _cmd_export_latents(cfg):
         raise DataError("checkpointed model has no latent space to export")
     clauses = _load_clauses(cfg["data"], "export latents of")
     check_max_len(clauses, model.enc_cfg.max_len)
-    _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"))
+    (out_path,) = _write_manifest(cfg["out"], cfg, [cfg["ckpt"], cfg["data"]], seed=meta.get("seed"),
+                                  outputs=["latents.tsv"])
     rows = harness.export_latents(model, clauses, vocab)
-    out_path = os.path.join(cfg["out"], "latents.tsv")
     header = ["doc_id", "par_id", "clause_idx", "label", "genre"]
     write_tsv(out_path, header + [f"mu_{i}" for i in range(model.latent_dim)],
               [(*cells, *(repr(float(v)) for v in mu)) for *cells, mu in rows])

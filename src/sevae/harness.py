@@ -20,7 +20,8 @@ its size as the model stores it (padded to its longest clause for the vae
 family, back to back for the baselines) would pass data.RUN_TOKENS (512)
 tokens and a longer unit runs alone. tag_probs makes each pass
 model.batch_probs, export_latents model.posterior_means (one encoder
-pass over the same runs). Each pass runs the code training runs. A run
+pass over the same runs). Each pass runs the code training runs, with
+its finiteness checked once per run instead of once per op. A run
 rounds differently from its units tagged one at a time (a one-unit
 batch_probs call), so its probabilities agree with theirs within 1e-12
 relative, and its codes are theirs unless two labels tie within that
@@ -56,7 +57,7 @@ from .data import (
 )
 from .errors import CheckpointError, DataError, NumericsError
 from .models import ModelSpec, build_model, spec_hash
-from .tensor import Tape, _all_finite
+from .tensor import Tape, _all_finite, deferred_checks
 from .vae import VAEModel
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,12 @@ def _tag_runs(model, clauses, vocab, run_pass):
     each one run_pass of at most RUN_TOKENS tokens as the model stores it
     (data.tagging_runs): the vae family pads a run to its longest clause,
     the baselines store it back to back. A longer unit runs alone.
+
+    Each pass runs under tensor.deferred_checks(): no op scans its output,
+    and the run's rows are scanned once instead. When that or an op's
+    input scan fails, the run is replayed with every op's check, which
+    raises the NumericsError a pass outside the context raises, naming the
+    same op. The rows are the same bits either way.
     """
     if model.consumes == "paragraph":
         paragraphs = paragraphs_of(clauses)
@@ -254,11 +261,25 @@ def _tag_runs(model, clauses, vocab, run_pass):
         units = [vocab.encode(cl.tokens) for cl in clauses]
         sizes = [len(ids) for ids in units]
     runs = tagging_runs(sizes, padded=isinstance(model, VAEModel))
-    rows = np.concatenate([run_pass(units[lo:hi]) for lo, hi in runs])
+    rows = np.concatenate([_checked_once(run_pass, units[lo:hi]) for lo, hi in runs])
     if model.consumes == "paragraph":
         row = {cl.coords: r for r, cl in enumerate(cl for par in paragraphs for cl in par)}
         rows = rows[[row[cl.coords] for cl in clauses]]
     return rows
+
+
+def _checked_once(run_pass, units):
+    """run_pass(units) with its finiteness checked once (see _tag_runs).
+    A replay that raises nothing (a deferred scan can read a parameter
+    that no per-op check reads) returns its rows."""
+    try:
+        with deferred_checks():
+            rows = run_pass(units)
+        if _all_finite(rows):
+            return rows
+    except NumericsError:
+        pass
+    return run_pass(units)
 
 
 def tag_probs(model, clauses, vocab):
@@ -507,9 +528,11 @@ def load_checkpoint(path):
     nothing is drawn, and each stored array is read straight into the
     uninitialised float64 buffer of the parameter whose name and shape it
     matches. The model's parameters are therefore the only model-sized
-    allocation. A damaged file
-    (truncated, or any byte changed) either still parses to a model of the
-    stamped spec or raises CheckpointError, never another error.
+    allocation. An array holding NaN or inf is a CheckpointError naming
+    it, so such a file fails here rather than at its first tagging op. A
+    damaged file (truncated, or any byte changed) either still parses to a
+    model of the stamped spec or raises CheckpointError, never another
+    error.
     """
     try:
         with open(path, "rb") as fh:
@@ -565,6 +588,8 @@ def _read_checkpoint(r):
         r.fill(p.data)  # float64 and C-contiguous, as every parameter is built
         if sys.byteorder == "big":  # the file stores little-endian values
             p.data.byteswap(inplace=True)
+        if not _all_finite(p.data):
+            raise CheckpointError(f"non-finite values in stored array {name!r}")
     if r.left:
         raise CheckpointError("trailing bytes after checkpoint payload")
     if unread:

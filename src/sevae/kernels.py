@@ -12,6 +12,11 @@ whose steps are matvecs.
 
 Gate layout along the 4H axis is [input, forget, cell, output]. The weight
 matrix is stored pre-transposed as ``whT`` with shape (4H, H).
+
+The forward kernel's steps allocate nothing, which matters at B=1, where
+tagging runs one clause or paragraph and a step is little more than its
+recurrent product (benchmarks/bench_kernels.py prints both); the backward
+kernel's steps still build their terms as fresh arrays.
 """
 
 import numpy as np
@@ -34,6 +39,14 @@ def lstm_forward(xw, whT, h0, c0, batch_sizes):
     Returns (hs, cs, gates): hidden states (N, H), cell states (N, H), and
     the activated gate values (N, 4H) saved for the backward pass, all in
     the row order of xw. Each step is one (n, H) @ (H, 4H) product.
+
+    A step allocates nothing: it writes its pre-activations, gates and
+    states straight into its own rows of gates, cs and hs, and reads the
+    previous step's states from theirs. The sigmoid runs over the whole 4H
+    block, the cell block's tanh having been taken from the
+    pre-activations first; every element still goes through the same
+    operations as 1 / (1 + exp(-g)), tanh(g), f * c + i * u and
+    o * tanh(c), so the bits are those of each expression taken whole.
     """
     N = xw.shape[0]
     H = h0.shape[1]
@@ -41,23 +54,32 @@ def lstm_forward(xw, whT, h0, c0, batch_sizes):
     hs = np.empty((N, H))
     cs = np.empty((N, H))
     gates = np.empty((N, 4 * H))
+    u = np.empty((h0.shape[0], H))  # the cell candidates, then i * u
     wh = whT.T
-    h = h0.copy()
-    c = c0.copy()
+    h, c = h0, c0
     start = 0
-    for n in batch_sizes:
-        stop = start + n
-        g = xw[start:stop] + np.dot(h[:n], wh)
-        gt = gates[start:stop]
-        # the input and forget gates are one block of 2H sigmoids
-        gt[:, :H2] = 1.0 / (1.0 + np.exp(-g[:, :H2]))
-        gt[:, H2:H3] = np.tanh(g[:, H2:H3])
-        gt[:, H3:] = 1.0 / (1.0 + np.exp(-g[:, H3:]))
-        c = gt[:, H:H2] * c[:n] + gt[:, :H] * gt[:, H2:H3]
-        h = gt[:, H3:] * np.tanh(c)
-        hs[start:stop] = h
-        cs[start:stop] = c
-        start = stop
+    # exp(-g) overflows to inf for g < -709, where 1 / (1 + inf) is the
+    # exact sigmoid 0; the cell block's sigmoid, which its tanh then
+    # overwrites, must not warn of it either
+    with np.errstate(over="ignore"):
+        for n in batch_sizes:
+            stop = start + n
+            gt, ct, ht, ut = gates[start:stop], cs[start:stop], hs[start:stop], u[:n]
+            np.dot(h[:n], wh, out=gt)
+            gt += xw[start:stop]
+            np.tanh(gt[:, H2:H3], out=ut)
+            np.negative(gt, out=gt)
+            np.exp(gt, out=gt)
+            gt += 1.0
+            np.divide(1.0, gt, out=gt)
+            gt[:, H2:H3] = ut
+            ut *= gt[:, :H]
+            np.multiply(gt[:, H:H2], c[:n], out=ct)
+            ct += ut
+            np.tanh(ct, out=ht)
+            ht *= gt[:, H3:]
+            h, c = ht, ct
+            start = stop
     return hs, cs, gates
 
 

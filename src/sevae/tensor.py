@@ -7,8 +7,17 @@ dict its caller owns; tensors carry no gradient. Outside a tape, the same
 ops run plain forward math with no recording, which is the evaluation path.
 
 Every op validates its output for NaN/Inf and fails fast naming the op;
-models therefore never silently train on poisoned values. All data is
-float64 throughout -- finite-difference verification needs the headroom.
+models therefore never silently train on poisoned values. Those per-op
+checks hold on a tape and in every other tape-free pass (gradcheck's
+probes among them). A tagging pass runs inside deferred_checks() instead,
+where no op scans its output: the pass's rows get one scan at the end,
+and the ops that can map a non-finite input to a finite output (relu,
+clamp, exp, narrow, embedding, segment_max and lstm_seq) scan their
+inputs, so a value the per-op checks would stop on still shows. When a
+scan fails, the caller replays the pass outside the context, whose per-op
+checks raise the NumericsError naming the op (harness._tag_runs). All
+data is float64 throughout -- finite-difference verification needs the
+headroom.
 
 The op set is deliberately small, and each op takes only the shapes the
 models pass it: matmul of two 2-D operands or of two stacks with identical
@@ -35,17 +44,22 @@ one stack and add a key mask to the attention scores.
 import math
 import threading
 from collections import namedtuple
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import kernels
 from .errors import GraphError, NumericsError
 
-_STATE = threading.local()
+
+class _State(threading.local):
+    """Per thread: the active Tape, and whether deferred_checks() is open."""
+
+    tape = None
+    deferred = False
 
 
-def _active_tape():
-    return getattr(_STATE, "tape", None)
+_STATE = _State()
 
 
 class Tensor:
@@ -110,8 +124,10 @@ class Tape:
         self.nodes = []
 
     def __enter__(self):
-        if _active_tape() is not None:
+        if _STATE.tape is not None:
             raise GraphError("tapes do not nest")
+        if _STATE.deferred:
+            raise GraphError("a tape cannot record inside deferred_checks()")
         _STATE.tape = self
         return self
 
@@ -179,6 +195,28 @@ def _check_finite(arr, op_name):
         raise NumericsError(f"non-finite values in output of op '{op_name}'")
 
 
+@contextmanager
+def deferred_checks():
+    """Run tape-free ops without their per-op output checks (see the
+    module docstring); the caller scans the pass's result once and replays
+    the pass outside this context when any scan fails. Refused under an
+    active tape, whose ops keep their checks."""
+    if _STATE.tape is not None:
+        raise GraphError("deferred_checks() cannot open while a tape records")
+    _STATE.deferred = True
+    try:
+        yield
+    finally:
+        _STATE.deferred = False
+
+
+def _check_deferred_inputs(op_name, *arrays):
+    """Inside deferred_checks(), the input scan of an op whose output can
+    be finite when an input is not."""
+    if _STATE.deferred and not all(_all_finite(a) for a in arrays):
+        raise NumericsError(f"non-finite input to op '{op_name}'")
+
+
 def _grad_target(t, tape):
     """Where the backward pass sends input t's gradient (see Tape)."""
     if not t.requires_grad:
@@ -190,10 +228,11 @@ def _from_op(op_name, out_data, inputs, backward_fn):
     """Wrap an op's output; on an active tape, record its node. A
     backward_fn captures the arrays it needs, never an input tensor, so
     that the tape keeps no more of the forward pass alive than that."""
-    _check_finite(out_data, op_name)
+    if not _STATE.deferred:
+        _check_finite(out_data, op_name)
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = _active_tape()
+    tape = _STATE.tape
     if tape is not None and out.requires_grad:
         out._tape = tape
         out._node_id = len(tape.nodes)
@@ -297,6 +336,7 @@ def affine(x, w, b):
 
 def relu(a):
     a = as_tensor(a)
+    _check_deferred_inputs("relu", a.data)
     mask = a.data > 0
 
     def backward(g):
@@ -307,6 +347,7 @@ def relu(a):
 
 def exp(a):
     a = as_tensor(a)
+    _check_deferred_inputs("exp", a.data)
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
 
@@ -319,6 +360,7 @@ def exp(a):
 def clamp(a, lo, hi):
     """Clip values to [lo, hi]; gradient flows only where unclipped."""
     a = as_tensor(a)
+    _check_deferred_inputs("clamp", a.data)
     inside = (a.data >= lo) & (a.data <= hi)
 
     def backward(g):
@@ -386,6 +428,7 @@ def narrow(a, axis, start, length):
         raise GraphError(
             f"narrow [{start}, {start + length}) out of range for axis {axis} of shape {a.data.shape}"
         )
+    _check_deferred_inputs("narrow", a.data)
     index = tuple(slice(None) if d != axis else slice(start, start + length) for d in range(a.data.ndim))
     shape = a.data.shape
 
@@ -465,6 +508,7 @@ def segment_max(a, lengths):
     the first maximum of a run."""
     a = as_tensor(a)
     layout = _segment_layout(lengths, a.data.shape[0], "segment_max")
+    _check_deferred_inputs("segment_max", a.data)
     rows = layout.starts[:, None] + _segment_block(a.data, layout, 0, -np.inf).argmax(axis=1)
     cols = np.arange(a.data.shape[1])
     shape = a.data.shape
@@ -491,6 +535,7 @@ def embedding(table, ids):
     shape = table.data.shape
     if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
         raise GraphError(f"embedding id out of range [0, {shape[0]})")
+    _check_deferred_inputs("embedding", table.data)
 
     def backward(g):
         full = np.zeros(shape)
@@ -661,14 +706,16 @@ def factored_loglik(base, rows, cols, targets, lengths):
     mc = cd.max(axis=1, keepdims=True)
     a, b, c = np.exp(bd - mb), np.exp(rd - mr), np.exp(cd - mc)
     # each step's row tilts times its base exponentials, (I, N, V), in one
-    # block: gathered, then multiplied in place (one segment's row tilts
-    # broadcast from (I, 1, V))
+    # C-contiguous block: gathered into it, then multiplied in place (one
+    # segment's row tilts broadcast from (I, 1, V)); mode="clip", which no
+    # valid index meets, keeps np.take from buffering its output
     b_steps = np.swapaxes(b, 0, 1)
+    ab = np.empty((n_rows, n_steps, n_vocab))
     if n_seg > 1:
-        ab = b_steps[:, seg]
+        np.take(b_steps, seg, axis=1, out=ab, mode="clip")
         ab *= a
     else:
-        ab = b_steps * a
+        np.multiply(b_steps, a, out=ab)
     ab = ab.reshape(n_rows * n_steps, n_vocab)
     s = (ab @ c.T).reshape(n_rows, n_steps, n_cols)
     direct = s.min() < _FACTORED_TINY
@@ -780,6 +827,9 @@ def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
         raise GraphError(
             f"lstm_seq needs ({state_shape[0]}, H={state_shape[1]}) initial states, "
             f"got {h0.data.shape} and {c0.data.shape}")
+    # saturated gates turn an infinite input finite; the weights are always
+    # parameters, which no op checks
+    _check_deferred_inputs("lstm_seq", x.data, h0.data, c0.data)
     xp = x.data[src]
     xw = np.matmul(xp, wx.data) + b.data
     h0s, c0s = h0.data[order], c0.data[order]

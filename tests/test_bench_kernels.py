@@ -27,6 +27,7 @@ def test_bench_kernels_runs_and_its_variants_agree():
     bench = _load_bench()
     rng = np.random.default_rng(0)
     assert all(t > 0 for t in bench.bench_case(20, 100, 1, rng))
+    assert all(t > 0 for t in bench.bench_step(100, 1, rng, T=5))
     *_, agree = bench.bench_ragged(8, 100, 1, rng)
     assert agree <= 1e-12
     *_, agree = bench.bench_factored(8, 383, 1, rng)

@@ -456,8 +456,9 @@ def test_out_of_range_training_value_is_data_error_before_any_output(capsys, tmp
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     flags = [str(empty) if flag == "EMPTY" else flag for flag in flags]
-    rc = cli.main(["train", "--model", model, "--train", str(synth_dir / "train.jsonl"),
-                   "--out", str(out), *base, *flags])
+    # a flag is given once: the case's own --train replaces the default one
+    train = [] if "--train" in flags else ["--train", str(synth_dir / "train.jsonl")]
+    rc = cli.main(["train", "--model", model, *train, "--out", str(out), *base, *flags])
     assert rc == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
@@ -519,7 +520,7 @@ def _sweep_args(synth_dir, out, *extra):
 @pytest.mark.parametrize("command,flags,flag", [
     ("sweep", ["--models", "", "--ks", "2"], "--models"),
     ("sweep", ["--models", "disc", "--ks", ""], "--ks"),
-    ("sweep", ["--models", "disc", "--ks", "2", "--seeds", ",", "--max-epochs", "1"], "--seeds"),
+    ("sweep", ["--models", "disc", "--ks", "2", "--seeds", ","], "--seeds"),
     ("sweep", ["--models", "disc", "--ks", "2", "--config", "CONFIG"], "--seeds"),
     ("gradcheck", ["--seeds", ""], "--seeds"),
     ("stats", ["--in", ""], "--in"),
@@ -809,6 +810,61 @@ def test_unusable_out_is_data_error_before_any_output(capsys, monkeypatch, tmp_p
     assert "Traceback" not in captured.err and captured.out == ""
     assert blocker.read_text() == "a file\n"
     assert list(tmp_path.iterdir()) == [blocker]
+
+
+_SWEEP = ["sweep", "--models", "disc", "--ks", "1", "--seeds", "1", "--train", "TRAIN", "--test", "TRAIN",
+          *DISC_OPTS]
+_CROSSGENRE = ["crossgenre", "--model", "disc", "--data", "TRAIN", *DISC_OPTS]
+
+
+@pytest.mark.parametrize("command,taken", [
+    (["convert", "--in", "TRAIN", "--name", "sub"], "sub"),
+    (["convert", "--in", "TRAIN"], "manifest.json"),
+    (["synth"], "val.jsonl"),
+    (["train", "--model", "disc", "--train", "TRAIN", *DISC_OPTS], "model.ckpt"),
+    (["train", "--model", "disc", "--train", "TRAIN", "--test", "TRAIN", *DISC_OPTS], "eval_test.json"),
+    (["eval", "--ckpt", "DISC_CKPT", "--data", "TRAIN"], "eval.json"),
+    (_SWEEP, "sweep_meta.json"),
+    (_CROSSGENRE, "crossgenre.tsv"),
+    (["gradcheck", "--seeds", "0"], "gradcheck.json"),
+    (["export-latents", "--ckpt", "VAE_CKPT", "--data", "TRAIN"], "latents.tsv"),
+], ids=lambda arg: arg if isinstance(arg, str) else arg[0])
+def test_output_name_taken_by_a_directory_is_data_error_before_any_output(
+        capsys, monkeypatch, tmp_path, synth_dir, disc_run, vae_run, command, taken):
+    monkeypatch.setattr(cli.gradcheck, "gradient_suite", lambda **kw: pytest.fail("ran the suite"))
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    paths = {"TRAIN": synth_dir / "train.jsonl", "DISC_CKPT": disc_run / "model.ckpt",
+             "VAE_CKPT": vae_run / "model.ckpt"}
+    argv = [str(paths[arg]) if arg in paths else arg for arg in command]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out / taken}: it is a directory" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert list(out.iterdir()) == [out / taken] and not any((out / taken).iterdir())
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["train", "--model", "disc", "--train", "TRAIN", "--lr", "0.1", "--lr", "0.2", *DISC_OPTS], "--lr"),
+    (["train", "--model", "disc", "--model", "gen", "--train", "TRAIN", *DISC_OPTS], "--model"),
+    (["synth", "--seed", "1", "--seed=2"], "--seed"),
+    (["convert", "--in", "TRAIN", "--in", "TRAIN"], "--in"),
+    (["stats", "--in", "TRAIN", "--config", "EMPTY", "--config", "EMPTY"], "--config"),
+], ids=["train-lr", "train-model", "synth-seed", "convert-in", "stats-config"])
+def test_scalar_flag_given_twice_is_usage_error_before_any_output(capsys, tmp_path, synth_dir,
+                                                                  command, flag):
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    paths = {"TRAIN": synth_dir / "train.jsonl", "EMPTY": empty}
+    out = tmp_path / "out"
+    argv = [str(paths[arg]) if arg in paths else arg for arg in command]
+    if command[0] != "stats":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} given twice" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import os
 import struct
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -491,6 +492,61 @@ def fuzz_taggers():
 def test_batched_tagging_equals_batch_of_one(fuzz_taggers, name, clauses):
     model, vocab = fuzz_taggers[name]
     assert_batched_matches_batch_of_one(model, clauses, vocab)
+
+
+def _tagged_or_error(tag, model, clauses, vocab):
+    """tag's rows as one array, or the message of the NumericsError it
+    raises."""
+    try:
+        rows = tag(model, clauses, vocab)
+    except NumericsError as exc:
+        return str(exc)
+    return np.array([row[-1] for row in rows]) if tag is export_latents else rows
+
+
+def _per_op_pass(run_pass, units):
+    return run_pass(units)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(ALL_MODELS), bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308]),
+       pick=st.integers(0, 2**32 - 1))
+def test_deferred_tagging_checks_raise_what_per_op_checks_raise(eight_clause_fixture, name, bad, pick):
+    # one parameter coordinate made non-finite, or large enough to overflow
+    # a product; each tagging entry point raises the NumericsError of the
+    # same runs under per-op checks, or neither raises and the rows are the
+    # same bits
+    vocab = build_vocab(eight_clause_fixture, 1)
+    model = build_model(tiny_spec(name), len(vocab), label_prior(eight_clause_fixture), seed=5)
+    names = sorted(model.params)
+    flat = model.params[names[pick % len(names)]].data.reshape(-1)
+    flat[pick // len(names) % flat.size] = bad
+    tags = (tag_probs, export_latents) if name.startswith("vae") else (tag_probs,)
+    for tag in tags:
+        with np.errstate(all="ignore"):
+            got = _tagged_or_error(tag, model, eight_clause_fixture, vocab)
+            with mock.patch.object(harness, "_checked_once", _per_op_pass):
+                want = _tagged_or_error(tag, model, eight_clause_fixture, vocab)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,param", [("disc", "emb"), ("ctx", "emb"), ("vae-bow", "enc.emb"),
+                                        ("vae-bow", "post.lv_b")])
+def test_deferred_tagging_names_the_op_a_finite_result_hides(eight_clause_fixture, name, param):
+    # inf where a later op maps it to finite values: lstm_seq's saturated
+    # gates, or the clamp of a log-variance that tagging never reads
+    vocab = build_vocab(eight_clause_fixture, 1)
+    model = build_model(tiny_spec(name), len(vocab), label_prior(eight_clause_fixture), seed=5)
+    row = vocab.encode(eight_clause_fixture[0].tokens)[0] if param.endswith("emb") else 0
+    model.params[param].data[row] = np.inf
+    op = "embedding" if param.endswith("emb") else "affine"
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericsError, match=f"output of op '{op}'"):
+            tag_probs(model, eight_clause_fixture, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +1036,19 @@ def test_damaged_length_reads_as_truncated(fuzz_ckpt, where, value):
           "array dim": blob.index(struct.pack("<H", 3) + b"emb" + bytes([1, 2])) + 7}[where]
     blob[at:at + 8] = struct.pack("<Q", value)
     with pytest.raises(CheckpointError, match="truncated"):
+        load_damaged(fuzz_ckpt, blob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_stored_array_is_a_checkpoint_error(fuzz_ckpt, bad):
+    # the last value of the stored embedding matrix
+    blob = bytearray(fuzz_ckpt[0])
+    marker = struct.pack("<H", 3) + b"emb" + bytes([1, 2])
+    at = blob.index(marker) + len(marker)
+    rows, cols = struct.unpack("<QQ", blob[at:at + 16])
+    end = at + 16 + 8 * rows * cols
+    blob[end - 8:end] = struct.pack("<d", bad)
+    with pytest.raises(CheckpointError, match="non-finite values in stored array 'emb'"):
         load_damaged(fuzz_ckpt, blob)
 
 

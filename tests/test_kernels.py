@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -189,3 +191,61 @@ def test_lstm_seq_matches_the_per_sequence_reference(lengths, reverse, seed):
         return Tn.sum_(Tn.mul(out, weights))
 
     assert max(check_gradients(build, p).values()) < 1e-6
+
+
+def previous_lstm_forward(xw, whT, h0, c0, batch_sizes):
+    """lstm_forward as it was before its steps wrote in place, one fresh
+    array per operation: the in-place kernel must give its bits."""
+    N = xw.shape[0]
+    H = h0.shape[1]
+    H2, H3 = 2 * H, 3 * H
+    hs = np.empty((N, H))
+    cs = np.empty((N, H))
+    gates = np.empty((N, 4 * H))
+    wh = whT.T
+    h = h0.copy()
+    c = c0.copy()
+    start = 0
+    for n in batch_sizes:
+        stop = start + n
+        g = xw[start:stop] + np.dot(h[:n], wh)
+        gt = gates[start:stop]
+        gt[:, :H2] = 1.0 / (1.0 + np.exp(-g[:, :H2]))
+        gt[:, H2:H3] = np.tanh(g[:, H2:H3])
+        gt[:, H3:] = 1.0 / (1.0 + np.exp(-g[:, H3:]))
+        c = gt[:, H:H2] * c[:n] + gt[:, :H] * gt[:, H2:H3]
+        h = gt[:, H3:] * np.tanh(c)
+        hs[start:stop] = h
+        cs[start:stop] = c
+        start = stop
+    return hs, cs, gates
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(**ragged, H=st.integers(1, 40), scale=st.sampled_from([0.1, 1.0, 30.0, 1e3]))
+@example(lengths=[1], reverse=False, seed=0, H=1, scale=1e3)
+@example(lengths=[5, 2, 5, 1], reverse=True, seed=3, H=17, scale=30.0)
+def test_in_place_forward_gives_the_previous_kernels_bits(lengths, reverse, seed, H, scale):
+    rng = np.random.default_rng(seed)
+    D, B = 3, len(lengths)
+    x = rng.standard_normal((sum(lengths), D))
+    wx = rng.standard_normal((D, 4 * H)) * scale
+    whT = rng.standard_normal((4 * H, H)) * scale
+    b = rng.standard_normal(4 * H)
+    h0, c0 = rng.standard_normal((B, H)), rng.standard_normal((B, H))
+    src, order, sizes, _prev = Tn._packed_layout(np.array(lengths), x.shape[0], reverse)
+    xw = x[src] @ wx + b
+    with np.errstate(over="ignore"):
+        want = previous_lstm_forward(xw, whT, h0[order], c0[order], sizes)
+    # at scale 1e3 the earlier kernel's exp overflows (to a sigmoid of 0);
+    # the new one, whose sigmoid also runs over the cell block, warns of
+    # nothing on finite inputs (numpy never reports underflow by default)
+    with np.errstate(all="raise", under="ignore"):
+        got = kernels.lstm_forward(xw, whT, h0[order], c0[order], sizes)
+    for name, g, w in zip(("hs", "cs", "gates"), got, want):
+        assert g.tobytes() == w.tobytes(), name
+    # and through lstm_seq, reversed or not
+    args = [Tn.Tensor(a) for a in (x, wx, whT, b, h0, c0)]
+    with mock.patch.object(kernels, "lstm_forward", previous_lstm_forward), np.errstate(over="ignore"):
+        want_seq = Tn.lstm_seq(*args, lengths, reverse).data
+    assert Tn.lstm_seq(*args, lengths, reverse).data.tobytes() == want_seq.tobytes()

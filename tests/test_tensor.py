@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sevae import tensor as T
 from sevae.errors import GraphError, NumericsError
 from sevae.gradcheck import check_gradients
+from sevae.tensor import _all_finite
 
 
 def leaf(data):
@@ -264,6 +265,53 @@ def test_finite_guard_catches_any_nonfinite_value(bad):
             T.mul(leaf(x), 1.0)
         with pytest.raises(NumericsError, match="input to op 'softmax'"):
             T.softmax(leaf(x))
+
+
+def test_deferred_checks_and_tapes_exclude_each_other():
+    with T.Tape():
+        with pytest.raises(GraphError, match="tape"):
+            with T.deferred_checks():
+                pass
+    with T.deferred_checks():
+        with pytest.raises(GraphError, match="tape"):
+            with T.Tape():
+                pass
+    # closed again: ops check their outputs
+    with pytest.raises(NumericsError, match="output of op 'mul'"):
+        T.mul(leaf([np.inf]), 1.0)
+
+
+def test_deferred_checks_skip_output_scans():
+    with T.deferred_checks(), np.errstate(invalid="ignore"):
+        assert np.isnan(T.mul(leaf([np.inf]), 0.0).data[0])
+        # the input checks the ops make in any pass stay
+        with pytest.raises(NumericsError, match="input to op 'softmax'"):
+            T.softmax(leaf([np.nan, 1.0]))
+
+
+# each op that can map a non-finite input to a finite output, on an
+# input holding -inf at [0, 0]
+HEALING_OPS = {
+    "relu": lambda a: T.relu(a),
+    "clamp": lambda a: T.clamp(a, -1.0, 1.0),
+    "exp": lambda a: T.exp(a),
+    "narrow": lambda a: T.narrow(a, 0, 1, 1),
+    "embedding": lambda a: T.embedding(a, [1]),
+    "segment_max": lambda a: T.segment_max(a, [2]),
+    "lstm_seq": lambda a: T.lstm_seq(a, np.ones((3, 8)), np.ones((8, 2)), np.zeros(8),
+                                     np.zeros((1, 2)), np.zeros((1, 2)), [2]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(HEALING_OPS))
+def test_deferred_checks_scan_the_inputs_a_finite_output_can_hide(op):
+    x = leaf(np.arange(6.0).reshape(2, 3))
+    x.data[0, 0] = -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _all_finite(HEALING_OPS[op](x).data)  # no per-op check fires
+        with T.deferred_checks():
+            with pytest.raises(NumericsError, match=f"input to op '{op}'"):
+                HEALING_OPS[op](x)
 
 
 def test_dropout_semantics(rng):
