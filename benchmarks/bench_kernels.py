@@ -153,7 +153,7 @@ def bench_encoder(batch, reps, rng, n_clauses=32, min_tokens=3, max_tokens=40, v
     one tape per stack; with the share of the stacks' positions that are
     padding."""
     model = build_model(default_spec("vae-bow"), vocab, np.full(7, 1 / 7), seed=0)
-    params = {k: p for k, p in model.params.items() if k.startswith("enc.")}
+    params = {k: p for k, p in model.params.items() if k.startswith(encoders.PREFIX)}
     ids = [rng.integers(5, vocab, size=n) for n in rng.integers(min_tokens, max_tokens + 1, size=n_clauses)]
     stacks = [ids[lo:lo + batch] for lo in range(0, n_clauses, batch)]
     padded = sum(len(stack) * max(len(c) for c in stack) for stack in stacks)
@@ -162,7 +162,7 @@ def bench_encoder(batch, reps, rng, n_clauses=32, min_tokens=3, max_tokens=40, v
     def run():
         for stack in stacks:
             with tensor.Tape() as tape:
-                h = encoders.encode(stack, model.enc_cfg, params, "enc.")
+                h = encoders.encode(stack, model.enc_cfg, params)
                 tape.backward(tensor.sum_(tensor.mul(h, h)), params)
 
     run()
@@ -219,7 +219,7 @@ def bench_load(reps):
     model = build_model(spec, len(vocab), np.full(7, 1 / 7), seed=0)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ctx.ckpt")
-        save_checkpoint(TrainResult(model, vocab, spec, TrainConfig(), [], -1.0, {}), path)
+        save_checkpoint(TrainResult(model, vocab, spec, TrainConfig(), [], {}), path)
         tracemalloc.start()
         load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]

@@ -18,9 +18,9 @@ replay exactly per seed.
 
 The encoder owns no parameter dict: encoder_plan and block_plan yield
 entries of the owning model's plan (models.build_model), and encode,
-encode_pooled and transformer_block read the model's flat dict under the
-prefix its tensors sit under ("enc." in a VAEModel). The model builds its
-EncoderConfig from its options.
+encode_pooled and transformer_block read the model's flat dict, where the
+encoder's tensors sit under PREFIX and a block's under the prefix it is
+given. The model builds its EncoderConfig from its options.
 """
 
 from dataclasses import dataclass
@@ -33,6 +33,9 @@ from .data import Vocab, concat_ids
 # additive attention-mask value of a hidden key: finite, so softmax's input
 # check passes, and exp(MASKED - max) is exactly 0 next to any visible key
 MASKED = -1e30
+
+# the name prefix of every encoder parameter in its model's dict
+PREFIX = "enc."
 
 
 @dataclass
@@ -60,12 +63,12 @@ def block_plan(prefix, d):
     yield from T.affine_plan(prefix + "w2", prefix + "b2", 4 * d, d)
 
 
-def encoder_plan(prefix, vocab_size, embed_dim, layers, max_len):
-    """One encoder's parameters under prefix, as plan entries."""
-    yield prefix + "emb", (vocab_size, embed_dim), "uniform"
-    yield prefix + "pos", (max_len + 1, embed_dim), "uniform"
+def encoder_plan(vocab_size, embed_dim, layers, max_len):
+    """The encoder's parameters under PREFIX, as plan entries."""
+    yield PREFIX + "emb", (vocab_size, embed_dim), "uniform"
+    yield PREFIX + "pos", (max_len + 1, embed_dim), "uniform"
     for layer in range(layers):
-        yield from block_plan(f"{prefix}l{layer}.", embed_dim)
+        yield from block_plan(f"{PREFIX}l{layer}.", embed_dim)
 
 
 def transformer_block(x, p, prefix, heads, mask, memory=None, dropout=0.0, train_rng=None):
@@ -109,27 +112,27 @@ def pad_stack(ids, lengths):
     return stack, real
 
 
-def encode(id_lists, cfg, p, prefix, train_rng=None):
+def encode(id_lists, cfg, p, train_rng=None):
     """CLS states, (B, embed_dim), of B clauses given as token-id lists,
-    read from the encoder parameters under prefix."""
-    stack, real = pad_stack(*concat_ids(id_lists, p[prefix + "emb"].shape[0], cfg.max_len))
+    read from the encoder parameters of p."""
+    stack, real = pad_stack(*concat_ids(id_lists, p[PREFIX + "emb"].shape[0], cfg.max_len))
     n_seq, n = stack.shape
     seq = np.concatenate((np.full((n_seq, 1), Vocab.CLS), stack), axis=1)
     keys = np.zeros((n_seq, 1, 1, n + 1))  # [CLS | tokens]
     keys[:, 0, 0, 1:][~real] = MASKED
-    x = T.embedding(p[prefix + "emb"], seq) + T.embedding(p[prefix + "pos"], np.arange(n + 1))
+    x = T.embedding(p[PREFIX + "emb"], seq) + T.embedding(p[PREFIX + "pos"], np.arange(n + 1))
     last = cfg.layers - 1
     for layer in range(last):
-        x = transformer_block(x, p, f"{prefix}l{layer}.", cfg.heads, mask=keys,
+        x = transformer_block(x, p, f"{PREFIX}l{layer}.", cfg.heads, mask=keys,
                               dropout=cfg.dropout, train_rng=train_rng)
     # the CLS query alone, its keys [tokens | CLS]
-    cls = transformer_block(T.narrow(x, 1, 0, 1), p, f"{prefix}l{last}.", cfg.heads,
+    cls = transformer_block(T.narrow(x, 1, 0, 1), p, f"{PREFIX}l{last}.", cfg.heads,
                             memory=T.narrow(x, 1, 1, n), mask=np.roll(keys, -1, axis=3),
                             dropout=cfg.dropout, train_rng=train_rng)
     return T.reshape(cls, (n_seq, cfg.embed_dim))
 
 
-def encode_pooled(ids, cfg, p, prefix):
+def encode_pooled(ids, cfg, p):
     """Representation vector, (embed_dim,), of one clause: the B=1 encode,
     without dropout."""
-    return T.reshape(encode([ids], cfg, p, prefix), (cfg.embed_dim,))
+    return T.reshape(encode([ids], cfg, p), (cfg.embed_dim,))

@@ -30,14 +30,14 @@ import numpy as np
 from .data import N_LABELS
 from .errors import NumericsError
 from .models import build_model, default_spec
-from .tensor import Tape
+from .tensor import Tape, checked
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
 
 
 def _loss_value(build_loss):
-    return float(build_loss().data)
+    return float(checked(build_loss).data)
 
 
 def check_gradients(build_loss, params):
@@ -45,7 +45,8 @@ def check_gradients(build_loss, params):
 
     build_loss: zero-argument callable running a full forward pass and
         returning a scalar loss Tensor. Called once per probed coordinate
-        (twice), plus once under a tape for the analytic pass.
+        (twice), plus once under a tape for the analytic pass; each call
+        has its finiteness checked once (tensor.checked).
     params: dict name -> Tensor; every coordinate of its requires_grad
         entries is probed, at step DEFAULT_STEP, and the frozen ones skipped.
 
@@ -58,7 +59,7 @@ def check_gradients(build_loss, params):
         raise NumericsError("objective is non-deterministic under gradcheck")
 
     with Tape() as tape:
-        analytic = tape.backward(build_loss(), params)
+        analytic = tape.backward(checked(build_loss), params)
 
     worst = {}
     for name, grad in analytic.items():

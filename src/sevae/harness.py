@@ -1,11 +1,12 @@
 """Training, evaluation, latent export, checkpointing, sweep aggregates.
 
 Training runs each logical batch the same way for every model: one tape,
-one model.batch_loss summed over the batch, one backward, whose returned
-gradient dict is scaled to the batch mean and handed to one Adam step
-(bias correction, global-norm clipping before the update). The dict is
-dropped before the next batch's forward, so at most one gradient set is
-alive; tensors carry no gradient. Early stopping watches validation
+one model.batch_loss summed over the batch (its finiteness checked once by
+tensor.checked, the batch's generator restored if it replays), one
+backward, whose returned gradient dict is scaled to the batch mean and
+handed to one Adam step (bias correction, global-norm clipping before the
+update). The dict is dropped before the next batch's forward, so at most
+one gradient set is alive; tensors carry no gradient. Early stopping watches validation
 macro-F1 (the best-validation parameter snapshot is what training
 returns). The baselines store the clauses (paragraphs for ctx) back to
 back, so each LSTM direction is one ragged-batch kernel call; the vae
@@ -21,7 +22,8 @@ family, back to back for the baselines) would pass data.RUN_TOKENS (512)
 tokens and a longer unit runs alone. tag_probs makes each pass
 model.batch_probs, export_latents model.posterior_means (one encoder
 pass over the same runs). Each pass runs the code training runs, with
-its finiteness checked once per run instead of once per op. A run
+its finiteness checked once per run instead of once per op
+(tensor.checked). A run
 rounds differently from its units tagged one at a time (a one-unit
 batch_probs call), so its probabilities agree with theirs within 1e-12
 relative, and its codes are theirs unless two labels tie within that
@@ -57,7 +59,7 @@ from .data import (
 )
 from .errors import CheckpointError, DataError, NumericsError
 from .models import ModelSpec, build_model, spec_hash
-from .tensor import Tape, _all_finite, deferred_checks
+from .tensor import Tape, _all_finite, checked
 from .vae import VAEModel
 
 # ---------------------------------------------------------------------------
@@ -247,11 +249,10 @@ def _tag_runs(model, clauses, vocab, run_pass):
     (data.tagging_runs): the vae family pads a run to its longest clause,
     the baselines store it back to back. A longer unit runs alone.
 
-    Each pass runs under tensor.deferred_checks(): no op scans its output,
-    and the run's rows are scanned once instead. When that or an op's
-    input scan fails, the run is replayed with every op's check, which
-    raises the NumericsError a pass outside the context raises, naming the
-    same op. The rows are the same bits either way.
+    Each pass runs through tensor.checked: no op scans its output and the
+    run's rows are scanned once; when that or an op's input scan fails,
+    the run is replayed with every op's check, which raises the
+    NumericsError a per-op pass raises, naming the same op.
     """
     if model.consumes == "paragraph":
         paragraphs = paragraphs_of(clauses)
@@ -261,25 +262,11 @@ def _tag_runs(model, clauses, vocab, run_pass):
         units = [vocab.encode(cl.tokens) for cl in clauses]
         sizes = [len(ids) for ids in units]
     runs = tagging_runs(sizes, padded=isinstance(model, VAEModel))
-    rows = np.concatenate([_checked_once(run_pass, units[lo:hi]) for lo, hi in runs])
+    rows = np.concatenate([checked(run_pass, units[lo:hi]) for lo, hi in runs])
     if model.consumes == "paragraph":
         row = {cl.coords: r for r, cl in enumerate(cl for par in paragraphs for cl in par)}
         rows = rows[[row[cl.coords] for cl in clauses]]
     return rows
-
-
-def _checked_once(run_pass, units):
-    """run_pass(units) with its finiteness checked once (see _tag_runs).
-    A replay that raises nothing (a deferred scan can read a parameter
-    that no per-op check reads) returns its rows."""
-    try:
-        with deferred_checks():
-            rows = run_pass(units)
-        if _all_finite(rows):
-            return rows
-    except NumericsError:
-        pass
-    return run_pass(units)
 
 
 def tag_probs(model, clauses, vocab):
@@ -325,7 +312,6 @@ class TrainResult:
     spec: ModelSpec
     config: TrainConfig
     log: list
-    best_val_macro_f1: float
     meta: dict  # spec_hash, model, split provenance, seed
 
 
@@ -378,8 +364,16 @@ def train(spec, split, cfg, log_hook=None):
             warmup = {}
             if is_vae and cfg.beta_warmup_steps > 0:
                 warmup["beta"] = model.beta * min(1.0, (step + 1) / cfg.beta_warmup_steps)
+            batch = [items[idx] for idx in chunk]
+            rng_state = rng.bit_generator.state
+
+            def forward():
+                # a replay draws the same noise
+                rng.bit_generator.state = rng_state
+                return model.batch_loss(batch, rng, **warmup)
+
             with Tape() as tape:
-                loss, parts = model.batch_loss([items[idx] for idx in chunk], rng, **warmup)
+                loss, parts = checked(forward)
                 # the batch mean, scaled in place
                 grads = {k: np.multiply(g, 1.0 / len(chunk), out=g)
                          for k, g in tape.backward(loss, model.params).items()}
@@ -412,7 +406,7 @@ def train(spec, split, cfg, log_hook=None):
         _restore(model.params, best_snap)
     meta = {"spec_hash": spec_hash(spec), "model": spec.name,
             "provenance": split.provenance, "seed": cfg.seed}
-    return TrainResult(model, vocab, spec, cfg, log, best_f1, meta)
+    return TrainResult(model, vocab, spec, cfg, log, meta)
 
 
 # ---------------------------------------------------------------------------

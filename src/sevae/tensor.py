@@ -7,17 +7,19 @@ dict its caller owns; tensors carry no gradient. Outside a tape, the same
 ops run plain forward math with no recording, which is the evaluation path.
 
 Every op validates its output for NaN/Inf and fails fast naming the op;
-models therefore never silently train on poisoned values. Those per-op
-checks hold on a tape and in every other tape-free pass (gradcheck's
-probes among them). A tagging pass runs inside deferred_checks() instead,
-where no op scans its output: the pass's rows get one scan at the end,
-and the ops that can map a non-finite input to a finite output (relu,
-clamp, exp, narrow, embedding, segment_max and lstm_seq) scan their
-inputs, so a value the per-op checks would stop on still shows. When a
-scan fails, the caller replays the pass outside the context, whose per-op
-checks raise the NumericsError naming the op (harness._tag_runs). All
-data is float64 throughout -- finite-difference verification needs the
-headroom.
+models therefore never silently train on poisoned values. Every pass the
+package runs (each training step's forward, each tagging run, each of
+gradcheck's probes and its analytic pass) goes through checked(fn,
+*args), which first runs fn with no op scanning its output, inside
+np.errstate(over="raise", divide="raise", invalid="raise"), and scans the
+result once. The ops that can map a non-finite input to a finite output
+(relu, clamp, exp, narrow, embedding, segment_max and lstm_seq) scan their
+inputs there, so a value the per-op checks would stop on still shows.
+When a scan fails or numpy raises a FloatingPointError, checked drops the
+nodes the attempt left on the active tape and runs fn again with every
+per-op check and numpy's own error handling; that run's result, or the
+NumericsError naming the op, is the pass's. All data is float64
+throughout -- finite-difference verification needs the headroom.
 
 The op set is deliberately small, and each op takes only the shapes the
 models pass it: matmul of two 2-D operands or of two stacks with identical
@@ -44,7 +46,6 @@ one stack and add a key mask to the attention scores.
 import math
 import threading
 from collections import namedtuple
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,10 +54,10 @@ from .errors import GraphError, NumericsError
 
 
 class _State(threading.local):
-    """Per thread: the active Tape, and whether deferred_checks() is open."""
+    """Per thread: the active Tape, and whether a checked() attempt runs."""
 
     tape = None
-    deferred = False
+    checking = False
 
 
 _STATE = _State()
@@ -126,8 +127,6 @@ class Tape:
     def __enter__(self):
         if _STATE.tape is not None:
             raise GraphError("tapes do not nest")
-        if _STATE.deferred:
-            raise GraphError("a tape cannot record inside deferred_checks()")
         _STATE.tape = self
         return self
 
@@ -195,25 +194,44 @@ def _check_finite(arr, op_name):
         raise NumericsError(f"non-finite values in output of op '{op_name}'")
 
 
-@contextmanager
-def deferred_checks():
-    """Run tape-free ops without their per-op output checks (see the
-    module docstring); the caller scans the pass's result once and replays
-    the pass outside this context when any scan fails. Refused under an
-    active tape, whose ops keep their checks."""
-    if _STATE.tape is not None:
-        raise GraphError("deferred_checks() cannot open while a tape records")
-    _STATE.deferred = True
+def _finite_result(out):
+    """Whether a pass's result holds only finite values: a Tensor, an
+    array or a float, or a tuple or dict of them (a loss and its parts)."""
+    if isinstance(out, tuple):
+        return all(_finite_result(x) for x in out)
+    if isinstance(out, dict):
+        return all(_finite_result(x) for x in out.values())
+    return _all_finite(np.asarray(out.data if isinstance(out, Tensor) else out, dtype=np.float64))
+
+
+def checked(fn, *args):
+    """fn(*args) with its finiteness checked once (see the module
+    docstring). fn must give the same result when run twice: a caller
+    whose pass draws noise restores its generator at the start of fn.
+    Checked passes do not nest."""
+    if _STATE.checking:
+        raise GraphError("checked passes do not nest")
+    tape = _STATE.tape
+    mark = len(tape.nodes) if tape is not None else 0
+    _STATE.checking = True
     try:
-        yield
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = fn(*args)
+        if _finite_result(out):
+            return out
+    except (NumericsError, FloatingPointError):
+        pass
     finally:
-        _STATE.deferred = False
+        _STATE.checking = False
+    if tape is not None:
+        del tape.nodes[mark:]
+    return fn(*args)
 
 
-def _check_deferred_inputs(op_name, *arrays):
-    """Inside deferred_checks(), the input scan of an op whose output can
-    be finite when an input is not."""
-    if _STATE.deferred and not all(_all_finite(a) for a in arrays):
+def _check_healing_inputs(op_name, *arrays):
+    """Inside a checked() attempt, the input scan of an op whose output
+    can be finite when an input is not."""
+    if _STATE.checking and not all(_all_finite(a) for a in arrays):
         raise NumericsError(f"non-finite input to op '{op_name}'")
 
 
@@ -228,7 +246,7 @@ def _from_op(op_name, out_data, inputs, backward_fn):
     """Wrap an op's output; on an active tape, record its node. A
     backward_fn captures the arrays it needs, never an input tensor, so
     that the tape keeps no more of the forward pass alive than that."""
-    if not _STATE.deferred:
+    if not _STATE.checking:
         _check_finite(out_data, op_name)
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -336,7 +354,7 @@ def affine(x, w, b):
 
 def relu(a):
     a = as_tensor(a)
-    _check_deferred_inputs("relu", a.data)
+    _check_healing_inputs("relu", a.data)
     mask = a.data > 0
 
     def backward(g):
@@ -347,7 +365,7 @@ def relu(a):
 
 def exp(a):
     a = as_tensor(a)
-    _check_deferred_inputs("exp", a.data)
+    _check_healing_inputs("exp", a.data)
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
 
@@ -360,7 +378,7 @@ def exp(a):
 def clamp(a, lo, hi):
     """Clip values to [lo, hi]; gradient flows only where unclipped."""
     a = as_tensor(a)
-    _check_deferred_inputs("clamp", a.data)
+    _check_healing_inputs("clamp", a.data)
     inside = (a.data >= lo) & (a.data <= hi)
 
     def backward(g):
@@ -428,7 +446,7 @@ def narrow(a, axis, start, length):
         raise GraphError(
             f"narrow [{start}, {start + length}) out of range for axis {axis} of shape {a.data.shape}"
         )
-    _check_deferred_inputs("narrow", a.data)
+    _check_healing_inputs("narrow", a.data)
     index = tuple(slice(None) if d != axis else slice(start, start + length) for d in range(a.data.ndim))
     shape = a.data.shape
 
@@ -508,7 +526,7 @@ def segment_max(a, lengths):
     the first maximum of a run."""
     a = as_tensor(a)
     layout = _segment_layout(lengths, a.data.shape[0], "segment_max")
-    _check_deferred_inputs("segment_max", a.data)
+    _check_healing_inputs("segment_max", a.data)
     rows = layout.starts[:, None] + _segment_block(a.data, layout, 0, -np.inf).argmax(axis=1)
     cols = np.arange(a.data.shape[1])
     shape = a.data.shape
@@ -535,7 +553,7 @@ def embedding(table, ids):
     shape = table.data.shape
     if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
         raise GraphError(f"embedding id out of range [0, {shape[0]})")
-    _check_deferred_inputs("embedding", table.data)
+    _check_healing_inputs("embedding", table.data)
 
     def backward(g):
         full = np.zeros(shape)
@@ -829,7 +847,7 @@ def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
             f"got {h0.data.shape} and {c0.data.shape}")
     # saturated gates turn an infinite input finite; the weights are always
     # parameters, which no op checks
-    _check_deferred_inputs("lstm_seq", x.data, h0.data, c0.data)
+    _check_healing_inputs("lstm_seq", x.data, h0.data, c0.data)
     xp = x.data[src]
     xw = np.matmul(xp, wx.data) + b.data
     h0s, c0s = h0.data[order], c0.data[order]

@@ -80,7 +80,7 @@ class VAEModel:
     def plan(vocab_size, *, decoder, enc_embed_dim, enc_layers, max_len, latent_dim,
              dec_embed_dim, dec_hidden_dim, dec_layers, tie_embeddings, **_):
         V, P = vocab_size, latent_dim
-        yield from encoders.encoder_plan("enc.", V, enc_embed_dim, enc_layers, max_len)
+        yield from encoders.encoder_plan(V, enc_embed_dim, enc_layers, max_len)
         yield from T.affine_plan("post.mu_w", "post.mu_b", enc_embed_dim, P)
         yield from T.affine_plan("post.lv_w", "post.lv_b", enc_embed_dim, P)
         yield from T.affine_plan("cls.w", "cls.b", P, N_LABELS)
@@ -137,7 +137,7 @@ class VAEModel:
 
     def posterior(self, ids):
         """Posterior of one clause; mu and logvar have shape (latent_dim,)."""
-        h = encoders.encode_pooled(ids, self.enc_cfg, self.params, "enc.")
+        h = encoders.encode_pooled(ids, self.enc_cfg, self.params)
         return self._posterior_heads(h)
 
     def label_logits(self, z):
@@ -170,7 +170,7 @@ class VAEModel:
         return T.sum_(logp * T.Tensor(counts))
 
     def _dec_embedding_table(self):
-        return self.params["enc.emb"] if self.tie_embeddings else self.params["dec.emb"]
+        return self.params[encoders.PREFIX + "emb"] if self.tie_embeddings else self.params["dec.emb"]
 
     # The two autoregressive decoders take the language-model input rows of
     # B clauses back to back (data.lm_rows) with their lengths, and return
@@ -230,7 +230,7 @@ class VAEModel:
 
     def _elbo(self, id_lists, labels, eps, beta, train_rng):
         beta = self.beta if beta is None else beta
-        h = encoders.encode(id_lists, self.enc_cfg, self.params, "enc.", train_rng)
+        h = encoders.encode(id_lists, self.enc_cfg, self.params, train_rng)
         q = self._posterior_heads(h)
         z = reparameterize(q, eps)
         log_px = self.decode_batch(z, id_lists)
@@ -244,7 +244,7 @@ class VAEModel:
 
     def posterior_means(self, id_lists):
         """Posterior means, (S, latent_dim), of S clauses: one encode pass."""
-        return self._posterior_heads(encoders.encode(id_lists, self.enc_cfg, self.params, "enc.")).mu.data
+        return self._posterior_heads(encoders.encode(id_lists, self.enc_cfg, self.params)).mu.data
 
     def batch_probs(self, id_lists):
         """Class probabilities, (S, 7), of S clauses read at their posterior

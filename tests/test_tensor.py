@@ -267,26 +267,32 @@ def test_finite_guard_catches_any_nonfinite_value(bad):
             T.softmax(leaf(x))
 
 
-def test_deferred_checks_and_tapes_exclude_each_other():
-    with T.Tape():
-        with pytest.raises(GraphError, match="tape"):
-            with T.deferred_checks():
-                pass
-    with T.deferred_checks():
-        with pytest.raises(GraphError, match="tape"):
-            with T.Tape():
-                pass
-    # closed again: ops check their outputs
+def test_checked_skips_output_scans():
+    # a finite pass runs once, and no op scans its output inside it
+    seen = []
+
+    def fn(x):
+        seen.append(T.mul(leaf([np.inf]), 1.0).data[0])
+        return T.mul(x, 2.0)
+
+    np.testing.assert_array_equal(T.checked(fn, leaf([1.0, 2.0])).data, [2.0, 4.0])
+    assert seen == [np.inf]
+    # a non-finite result is replayed with per-op checks, which name the op
+    seen.clear()
     with pytest.raises(NumericsError, match="output of op 'mul'"):
-        T.mul(leaf([np.inf]), 1.0)
+        T.checked(lambda x: T.mul(fn(x), np.inf), leaf([1.0, 2.0]))
+    assert len(seen) == 1  # the replay stopped at fn's first op
+    # the input checks the ops make in any pass stay
+    with pytest.raises(NumericsError, match="input to op 'softmax'"):
+        T.checked(T.softmax, leaf([np.nan, 1.0]))
 
 
-def test_deferred_checks_skip_output_scans():
-    with T.deferred_checks(), np.errstate(invalid="ignore"):
-        assert np.isnan(T.mul(leaf([np.inf]), 0.0).data[0])
-        # the input checks the ops make in any pass stay
-        with pytest.raises(NumericsError, match="input to op 'softmax'"):
-            T.softmax(leaf([np.nan, 1.0]))
+def test_checked_replays_a_floating_point_error_with_numpys_handling():
+    # the attempt raises on the overflow; the replay warns as a per-op pass
+    # does, then its output check names the op
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericsError, match="output of op 'mul'"):
+            T.checked(T.mul, leaf([1e308]), 10.0)
 
 
 # each op that can map a non-finite input to a finite output, on an
@@ -304,14 +310,49 @@ HEALING_OPS = {
 
 
 @pytest.mark.parametrize("op", sorted(HEALING_OPS))
-def test_deferred_checks_scan_the_inputs_a_finite_output_can_hide(op):
+def test_checked_scans_the_inputs_a_finite_output_can_hide(op):
     x = leaf(np.arange(6.0).reshape(2, 3))
     x.data[0, 0] = -np.inf
+    calls = []
+
+    def fn(a):
+        calls.append(a)
+        return HEALING_OPS[op](a)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _all_finite(HEALING_OPS[op](x).data)  # no per-op check fires
-        with T.deferred_checks():
-            with pytest.raises(NumericsError, match=f"input to op '{op}'"):
-                HEALING_OPS[op](x)
+        want = HEALING_OPS[op](x).data
+        assert _all_finite(want)  # no per-op check fires
+        got = T.checked(fn, x).data
+    # the input scan failed the attempt, and the replay is the per-op pass
+    assert len(calls) == 2
+    assert got.tobytes() == want.tobytes()
+
+
+def test_checked_drops_a_failed_attempts_nodes_from_the_tape():
+    w = leaf([0.5, -1.0, 2.0])
+    # a constant no per-op check reads, but exp's input scan does
+    gate = T.Tensor([-np.inf, 0.0, 1.0])
+
+    def fn():
+        return T.sum_(T.mul(T.mul(w, w), T.exp(gate)))
+
+    counts, grads = [], []
+    for through in (T.checked, lambda f: f()):
+        with T.Tape() as tape:
+            before = T.sum_(T.mul(w, 3.0))
+            loss = before + through(fn)
+            counts.append(len(tape.nodes))
+            grads.append(tape.backward(loss, {"w": w})["w"])
+    assert counts[0] == counts[1] == 6
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_checked_passes_do_not_nest():
+    with pytest.raises(GraphError, match="do not nest"):
+        T.checked(T.checked, T.mul, leaf([1.0]), 2.0)
+    # closed again: ops check their outputs
+    with pytest.raises(NumericsError, match="output of op 'mul'"):
+        T.mul(leaf([np.inf]), 1.0)
 
 
 def test_dropout_semantics(rng):
