@@ -1,19 +1,26 @@
 """Benchmark the LSTM sequence kernels, the ragged-batch LSTM op against
-one call per sequence, the factored next-token likelihood op (matmul
+one call per sequence, ctx's BiLSTM op against its two directions run one
+after the other, the factored next-token likelihood op (matmul
 normaliser vs direct reference) and the transformer encoder's
 forward+backward at several stack sizes.
 
 Each comparison runs both variants in one process on the same inputs, so
 the numbers are directly comparable. The kernel section times the
-forward and backward LSTM kernels over one sequence of T steps, then
-the forward kernel's time per step at B=1 for H=100 and H=300 next to
-its floor: a bare chain of the step's (1, H) @ (H, 4H) products, each
-reading the one before, with nothing else. The
-ragged section runs B sequences of 5-12 steps (the clause lengths of a
-training batch) through tensor.lstm_seq forward and backward, once as one
-batch and once as B single-sequence calls, and reports the largest
-absolute difference of their outputs and gradients, which stays below
-1e-12. The factored op is timed at lat's tagging shape, 7 labels x 30
+forward and backward LSTM kernels over one sequence of T steps (each
+timing includes a copy of xw or of the gates, which the kernels
+consume), then the forward kernel's time per step at B=1 for H=100 and
+H=300 next to its floor: a bare chain of the step's (1, H) @ (H, 4H)
+products, each reading the one before, with nothing else. The ragged
+section runs B sequences of 5-12 steps (the clause lengths of a training
+batch) through tensor.lstm_seq forward and backward, once as one batch
+and once as B single-sequence calls, and reports the largest absolute
+difference of their outputs and gradients, which stays below 1e-12. The
+BiLSTM section runs ctx's word BiLSTM at its default size (E=100, H=300)
+over one sequence of T=20 and T=160 rows, B=1, once serially (a forward
+and a reversed lstm_seq and a concat, at one BLAS thread) and once as
+tensor.bilstm_seq, whose two directions run at the same time; it reports
+the largest absolute difference of their outputs and gradients, which is
+0. The factored op is timed at lat's tagging shape, 7 labels x 30
 latent values; it agrees with the direct reference within 1e-12 relative.
 The encoder section runs 32 clauses of 3-40 tokens through the default
 vae encoder (width 128, 2 layers, 4 heads) as 32/B tapes of B clauses
@@ -71,10 +78,10 @@ def bench_case(T, H, reps, rng):
     h0 = rng.standard_normal((1, H))
     c0 = rng.standard_normal((1, H))
     steps = np.ones(T, dtype=np.int64)
-    hs, cs, gates = kernels.lstm_forward(xw, whT, h0, c0, steps)
+    hs, cs, gates = kernels.lstm_forward(xw.copy(), whT, h0, c0, steps)
     dhs = rng.standard_normal((T, H))
-    t_fwd = _time(lambda: kernels.lstm_forward(xw, whT, h0, c0, steps), reps)
-    t_bwd = _time(lambda: kernels.lstm_backward(dhs, gates, cs, whT, c0, steps), reps)
+    t_fwd = _time(lambda: kernels.lstm_forward(xw.copy(), whT, h0, c0, steps), reps)
+    t_bwd = _time(lambda: kernels.lstm_backward(dhs, gates.copy(), cs, whT, c0, steps), reps)
     return t_fwd, t_bwd
 
 
@@ -95,7 +102,7 @@ def bench_step(H, reps, rng, T=60):
             np.dot(h, wh, out=out[t:t + 1])
             h = out[t:t + 1, :H]
 
-    t_step = _time(lambda: kernels.lstm_forward(xw, whT, h0, h0, steps), reps) / T
+    t_step = _time(lambda: kernels.lstm_forward(xw.copy(), whT, h0, h0, steps), reps) / T
     return t_step, _time(chain, reps) / T
 
 
@@ -130,6 +137,40 @@ def bench_ragged(n_seq, H, reps, rng, E=100):
     (hs_b, grads_b), (hs_s, grads_s) = run(batched), run(sequential)
     agree = max(float(np.max(np.abs(a - b))) for a, b in zip([hs_b] + grads_b, [hs_s] + grads_s))
     return _time(lambda: run(batched), reps), _time(lambda: run(sequential), reps), agree
+
+
+def bench_bilstm(T, reps, rng, E=100, H=300):
+    """Median seconds of ctx's BiLSTM at B=1 over one sequence of T rows,
+    forward and forward+backward, run serially (two lstm_seq and a concat,
+    at one BLAS thread) and as one bilstm_seq; with the largest absolute
+    difference of their outputs and gradients."""
+    x = tensor.Tensor(rng.standard_normal((T, E)), requires_grad=True)
+    dirs = [[tensor.Tensor(a, requires_grad=True) for a in (
+        rng.standard_normal((E, 4 * H)) * 0.1, rng.standard_normal((4 * H, H)) * 0.1,
+        np.zeros(4 * H))] for _ in range(2)]
+    params = dict(enumerate([x] + dirs[0] + dirs[1]))
+    weights = rng.standard_normal((T, 2 * H))
+
+    def serial():
+        zeros = tensor.Tensor(np.zeros((1, H)))
+        with kernels.one_blas_thread():
+            return tensor.concat([tensor.lstm_seq(x, *dirs[0], zeros, zeros, [T]),
+                                  tensor.lstm_seq(x, *dirs[1], zeros, zeros, [T], True)], axis=1)
+
+    def concurrent():
+        return tensor.bilstm_seq(x, dirs[0], dirs[1], [T])
+
+    def run(op):
+        with tensor.Tape() as tape:
+            out = op()
+            loss = tensor.sum_(tensor.mul(out, weights))
+            with kernels.one_blas_thread():
+                grads = tape.backward(loss, params)
+        return [out.data] + list(grads.values())
+
+    agree = max(float(np.max(np.abs(a - b))) for a, b in zip(run(serial), run(concurrent)))
+    return (_time(serial, reps), _time(concurrent, reps),
+            _time(lambda: run(serial), reps), _time(lambda: run(concurrent), reps), agree)
 
 
 def bench_factored(n_steps, V, reps, rng, n_rows=7, n_cols=30):
@@ -252,6 +293,15 @@ def main():
             t_b, t_s, agree = bench_ragged(n_seq, H, args.reps, rng)
             print(f"{f'B={n_seq} H={H}':>30s} {t_b * 1e3:9.2f}ms {t_s * 1e3:10.2f}ms "
                   f"{t_s / t_b:7.2f}x {agree:12.2e}")
+
+    print()
+    print(f"{'ctx BiLSTM, B=1':>16s} {'forward':>8s} {'serial':>9s} {'concurrent':>10s} "
+          f"{'speedup':>8s} {'max abs diff':>12s}")
+    for T in (20, 160):
+        t_sf, t_cf, t_sb, t_cb, agree = bench_bilstm(T, args.reps, rng)
+        for label, t_s, t_c in (("forward", t_sf, t_cf), ("fwd+bwd", t_sb, t_cb)):
+            print(f"{f'T={T} E=100 H=300':>16s} {label:>8s} {t_s * 1e3:7.2f}ms {t_c * 1e3:8.2f}ms "
+                  f"{t_s / t_c:7.2f}x {agree:12.2e}")
 
     print()
     print(f"{'case':>14s} {'factored':>10s} {'direct':>10s} {'speedup':>8s} {'max rel diff':>12s}")

@@ -15,8 +15,9 @@
 
 Training calls batch_loss on a whole logical batch of (ids, label) items
 ((token-id lists, labels) paragraphs for ctx): the clauses are stored back
-to back, so each LSTM direction is one lstm_seq over the batch and the
-batch is one tape. loss and paragraph_loss are the batch of one.
+to back, so each LSTM is one lstm_seq over the batch (each of ctx's
+BiLSTMs one bilstm_seq, whose two directions' kernels run at the same
+time) and the batch is one tape. loss and paragraph_loss are the batch of one.
 
 Tagging calls batch_probs on a run of clauses (paragraphs for ctx) and
 runs the code batch_loss runs, with no tape active: disc and ctx the same
@@ -50,12 +51,16 @@ def _lstm_plan(name, in_dim, hidden):
     yield f"{name}.b", (4 * hidden,), "zeros"
 
 
-def _run_lstm(x, params, name, hidden, lengths, reverse=False):
-    """One direction of a named LSTM over sequences stored back to back as
-    the rows of x, lengths (B,) long, from zero initial states."""
+def _lstm_weights(params, name):
+    """(wx, whT, b) of a named LSTM."""
+    return params[f"{name}.wx"], params[f"{name}.whT"], params[f"{name}.b"]
+
+
+def _run_lstm(x, params, name, hidden, lengths):
+    """A named LSTM over sequences stored back to back as the rows of x,
+    lengths (B,) long, from zero initial states."""
     zeros = T.Tensor(np.zeros((len(lengths), hidden)))
-    return T.lstm_seq(x, params[f"{name}.wx"], params[f"{name}.whT"], params[f"{name}.b"],
-                      zeros, zeros, lengths, reverse)
+    return T.lstm_seq(x, *_lstm_weights(params, name), zeros, zeros, lengths)
 
 
 def _split_items(items):
@@ -241,20 +246,19 @@ class CtxModel(_Baseline):
 
         The word BiLSTM runs over each paragraph's tokens as one sequence,
         each clause's states are max-pooled, and the clause BiLSTM runs
-        over each paragraph's clause vectors; every LSTM direction is one
-        lstm_seq over the whole batch."""
+        over each paragraph's clause vectors; each BiLSTM is one
+        bilstm_seq over the whole batch."""
         if not paragraphs or not all(len(par) for par in paragraphs):
             raise DataError("empty paragraph")
         ids, clause_lengths = concat_ids([ids for par in paragraphs for ids in par], self.vocab_size)
         counts = np.array([len(par) for par in paragraphs])
         word_lengths = np.add.reduceat(clause_lengths, np.cumsum(counts) - counts)
-        p, h = self.params, self.hidden_dim
+        p = self.params
         x = T.embedding(p["emb"], ids)
-        states = T.concat([_run_lstm(x, p, "wfwd", h, word_lengths),
-                           _run_lstm(x, p, "wbwd", h, word_lengths, reverse=True)], axis=1)
+        states = T.bilstm_seq(x, _lstm_weights(p, "wfwd"), _lstm_weights(p, "wbwd"),
+                              word_lengths)
         cx = T.segment_max(states, clause_lengths)
-        cstates = T.concat([_run_lstm(cx, p, "cfwd", h, counts),
-                            _run_lstm(cx, p, "cbwd", h, counts, reverse=True)], axis=1)
+        cstates = T.bilstm_seq(cx, _lstm_weights(p, "cfwd"), _lstm_weights(p, "cbwd"), counts)
         return T.affine(cstates, p["out.w"], p["out.b"])
 
     def batch_loss(self, items, rng=None):

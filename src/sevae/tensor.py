@@ -13,8 +13,10 @@ gradcheck's probes and its analytic pass) goes through checked(fn,
 *args), which first runs fn with no op scanning its output, inside
 np.errstate(over="raise", divide="raise", invalid="raise"), and scans the
 result once. The ops that can map a non-finite input to a finite output
-(relu, clamp, exp, narrow, embedding, segment_max and lstm_seq) scan their
-inputs there, so a value the per-op checks would stop on still shows.
+(relu, clamp, exp, narrow, embedding, segment_max, and lstm_seq for its
+initial states) scan their inputs there, so a value the per-op checks
+would stop on still shows. For the same reason the LSTM ops check their
+input projection as if it were an op output, in every pass.
 When a scan fails or numpy raises a FloatingPointError, checked drops the
 nodes the attempt left on the active tape and runs fn again with every
 per-op check and numpy's own error handling; that run's result, or the
@@ -30,15 +32,17 @@ and maxima; embedding, a row gather by a 1-D or 2-D id array (which also
 repeats rows); softmax / log-softmax / logsumexp over one axis,
 cross-entropy, layer norm, dropout; a fused LSTM op over a batch of
 sequences stored back to back, whose forward/backward run through the
-numpy kernels; and factored_loglik, the next-token log-likelihood of each
-segment under every (row, column) tilt of shared base logits, whose
-softmax normaliser is a matmul over max-shifted exponentials.
+numpy kernels, and a bidirectional one that runs its two directions'
+kernels at the same time on two threads; and factored_loglik, the
+next-token log-likelihood of each segment under every (row, column) tilt
+of shared base logits, whose softmax normaliser is a matmul over
+max-shifted exponentials.
 Everything else in the package is composed from these.
 
 A batch of variable-length sequences is one (N, ...) array of their rows
-stored back to back plus their lengths; the segment ops, lstm_seq and
-factored_loglik take it in that form, so the recurrent models need no
-padding or masks, and a single sequence is the batch of one. Attention
+stored back to back plus their lengths; the segment ops, the LSTM ops
+and factored_loglik take it in that form, so the recurrent models need
+no padding or masks, and a single sequence is the batch of one. Attention
 cannot run back to back: the transformers (encoders.py) pad a batch to
 one stack and add a key mask to the attention scores.
 """
@@ -180,13 +184,25 @@ def as_tensor(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+# OpenBLAS runs a dot product on several threads above this many elements
+_SERIAL_DOT = 10_000
+
+
 def _all_finite(arr):
     # any NaN or inf makes the sum of squares non-finite, so the elementwise
     # scan only runs on a bad array or on finite values whose squares
     # overflow (beyond about 1e154). np.vdot is one BLAS call that, unlike
     # arr.sum() and np.dot, raises no floating-point warning on overflow,
-    # and it beats arr.sum() on contiguous arrays of every size
-    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+    # and it beats arr.sum() on contiguous arrays of every size. A long
+    # scan runs at one BLAS thread, so that no BLAS worker is left spinning
+    # on the core bilstm_seq's worker thread needs; timed, that costs less
+    # than a chunked scan
+    if arr.size > _SERIAL_DOT:
+        with kernels.one_blas_thread():
+            total = np.vdot(arr, arr)
+    else:
+        total = np.vdot(arr, arr)
+    return math.isfinite(total) or bool(np.isfinite(arr).all())
 
 
 def _check_finite(arr, op_name):
@@ -823,6 +839,53 @@ def _packed_layout(lengths, n_rows, reverse):
     return src, order, batch_sizes, prev
 
 
+class _Direction:
+    """One LSTM direction of lstm_seq or bilstm_seq, on plain arrays.
+
+    Made with the packed layout of the rows of x (_packed_layout) and
+    the input projection xw, one matmul over all rows. xw is checked as
+    if it were an op output, in checked() attempts too, because the
+    kernel's saturated gates would turn a non-finite value there into
+    finite states: one from x, from an overflow of the product, or from
+    wx or b, which no op checks. forward and backward run only the
+    kernels, on plain arrays, so bilstm_seq runs them on its worker
+    thread; the projection and grads, the input and weight products, stay
+    on the calling thread.
+    """
+
+    def __init__(self, op_name, x, wx, whT, b, lengths, reverse):
+        self.src, self.order, self.batch_sizes, self.prev = _packed_layout(
+            lengths, x.shape[0], reverse)
+        self.wx, self.whT = wx, whT
+        self.xp = x[self.src]
+        self.xw = np.matmul(self.xp, wx)
+        self.xw += b
+        _check_finite(self.xw, op_name)
+
+    def forward(self, h0s, c0s):
+        """Run the forward kernel from the (B, H) initial states, in the
+        order of self.order, consuming xw; returns self, now holding the
+        hidden states hs in packed order."""
+        self.h0s, self.c0s = h0s, c0s
+        self.hs, self.cs, self.gates = kernels.lstm_forward(
+            self.xw, self.whT, h0s, c0s, self.batch_sizes)
+        del self.xw
+        return self
+
+    def backward(self, g):
+        """(dgates, dh0s, dc0s) for the gradient g (N, H) on the hidden
+        states in stored row order."""
+        return kernels.lstm_backward(g[self.src], self.gates, self.cs, self.whT, self.c0s,
+                                     self.batch_sizes)
+
+    def grads(self, dgates):
+        """(dx, dwx, dwhT, db) from dgates, with dx in stored row order."""
+        dx = np.empty_like(self.xp)
+        dx[self.src] = np.matmul(dgates, self.wx.T)
+        hprev = np.concatenate((self.h0s, self.hs[self.prev]))
+        return dx, np.matmul(self.xp.T, dgates), np.matmul(dgates.T, hprev), dgates.sum(axis=0)
+
+
 def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
     """LSTM over B sequences stored back to back as the rows of x (N, E).
 
@@ -839,34 +902,70 @@ def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
     its packed layout is x itself, reversed or not.
     """
     x, wx, whT, b, h0, c0 = (as_tensor(t) for t in (x, wx, whT, b, h0, c0))
-    src, order, batch_sizes, prev = _packed_layout(lengths, x.data.shape[0], reverse)
-    state_shape = (order.shape[0], whT.data.shape[1])
+    # saturated gates turn an infinite state finite (x shows in xw)
+    _check_healing_inputs("lstm_seq", h0.data, c0.data)
+    d = _Direction("lstm_seq", x.data, wx.data, whT.data, b.data, lengths, reverse)
+    state_shape = (d.order.shape[0], whT.data.shape[1])
     if h0.data.shape != state_shape or c0.data.shape != state_shape:
         raise GraphError(
             f"lstm_seq needs ({state_shape[0]}, H={state_shape[1]}) initial states, "
             f"got {h0.data.shape} and {c0.data.shape}")
-    # saturated gates turn an infinite input finite; the weights are always
-    # parameters, which no op checks
-    _check_healing_inputs("lstm_seq", x.data, h0.data, c0.data)
-    xp = x.data[src]
-    xw = np.matmul(xp, wx.data) + b.data
-    h0s, c0s = h0.data[order], c0.data[order]
-    hs, cs, gates = kernels.lstm_forward(xw, whT.data, h0s, c0s, batch_sizes)
-    out = np.empty_like(hs)
-    out[src] = hs
+    d.forward(h0.data[d.order], c0.data[d.order])
+    out = np.empty_like(d.hs)
+    out[d.src] = d.hs
 
     def backward(g):
-        dgates, dh0s, dc0s = kernels.lstm_backward(g[src], gates, cs, whT.data, c0s, batch_sizes)
-        hprev = np.concatenate((h0s, hs[prev]))
-        dx = np.empty_like(xp)
-        dx[src] = np.matmul(dgates, wx.data.T)
+        dgates, dh0s, dc0s = d.backward(g)
         dh0, dc0 = np.empty_like(dh0s), np.empty_like(dc0s)
-        dh0[order], dc0[order] = dh0s, dc0s
-        dwx = np.matmul(xp.T, dgates)
-        dwhT = np.matmul(dgates.T, hprev)
-        return dx, dwx, dwhT, dgates.sum(axis=0), dh0, dc0
+        dh0[d.order], dc0[d.order] = dh0s, dc0s
+        return (*d.grads(dgates), dh0, dc0)
 
     return _from_op("lstm_seq", out, (x, wx, whT, b, h0, c0), backward)
+
+
+def bilstm_seq(x, fwd, bwd, lengths):
+    """Bidirectional LSTM over sequences stored back to back as the rows
+    of x (N, E), from zero initial states: the (N, 2H) concatenation of
+    lstm_seq over x and lstm_seq over x reversed, bit for bit when those
+    run at one BLAS thread. fwd and bwd are each direction's (wx, whT, b).
+
+    One tape node. Forward and backward each run the two directions'
+    kernels at the same time, the forward one on the kernels' worker
+    thread (kernels.concurrently) and the reverse one on the calling
+    thread, with BLAS held at one thread throughout, so the op's bits do
+    not depend on the BLAS thread count. The calling thread projects the
+    reverse direction's input while the worker runs the forward kernel,
+    and takes the reverse direction's products while the worker may still
+    run.
+    """
+    x = as_tensor(x)
+    fwd, bwd = tuple(as_tensor(t) for t in fwd), tuple(as_tensor(t) for t in bwd)
+    H = fwd[1].data.shape[1]
+    zeros = np.zeros((len(lengths), H))
+
+    def direction(weights, reverse):
+        wx, whT, b = (t.data for t in weights)
+        return _Direction("bilstm_seq", x.data, wx, whT, b, lengths, reverse)
+
+    with kernels.one_blas_thread():
+        f = direction(fwd, False)
+        _, r = kernels.concurrently(lambda: f.forward(zeros, zeros),
+                                    lambda: direction(bwd, True).forward(zeros, zeros))
+    out = np.empty((x.data.shape[0], 2 * H))
+    out[f.src, :H] = f.hs
+    out[r.src, H:] = r.hs
+
+    def backward(g):
+        with kernels.one_blas_thread():
+            dgates_f, (dx, *grads_r) = kernels.concurrently(
+                lambda: f.backward(g[:, :H])[0], lambda: r.grads(r.backward(g[:, H:])[0]))
+            dx_f, *grads_f = f.grads(dgates_f)
+        # the sum a tape makes of the reversed lstm_seq's dx and then the
+        # forward one's
+        dx += dx_f
+        return (dx, *grads_f, *grads_r)
+
+    return _from_op("bilstm_seq", out, (x, *fwd, *bwd), backward)
 
 
 # ---------------------------------------------------------------------------

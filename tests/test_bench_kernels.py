@@ -1,9 +1,10 @@
 """Smoke test of benchmarks/bench_kernels.py: every bench_* function runs
 once at a small case, and the agreements it reports stay within the
 bounds its docstring states (1e-12; relative for tagging and the
-factored op, absolute for the ragged LSTM), an Adam step over ctx's
-parameters peaks within two arrays of its largest parameter, and loading
-a ctx checkpoint peaks within its parameters plus its largest one."""
+factored op, absolute for the ragged LSTM; 0 for the BiLSTM), an Adam
+step over ctx's parameters peaks within two arrays of its largest
+parameter, and loading a ctx checkpoint peaks within its parameters plus
+its largest one."""
 
 import importlib.util
 import os
@@ -30,6 +31,8 @@ def test_bench_kernels_runs_and_its_variants_agree():
     assert all(t > 0 for t in bench.bench_step(100, 1, rng, T=5))
     *_, agree = bench.bench_ragged(8, 100, 1, rng)
     assert agree <= 1e-12
+    *times, agree = bench.bench_bilstm(5, 1, rng, E=8, H=16)
+    assert all(t > 0 for t in times) and agree == 0
     *_, agree = bench.bench_factored(8, 383, 1, rng)
     assert agree <= 1e-12
     seconds, pad_share = bench.bench_encoder(4, 1, rng, n_clauses=4)

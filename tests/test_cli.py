@@ -6,14 +6,16 @@ work; each writing command gets its own directory under tmp_path.
 
 import json
 import math
+import multiprocessing.pool
 import os
 import struct
 
+import numpy as np
 import pytest
 
-from sevae import __version__, cli, harness
+from sevae import __version__, cli, harness, kernels
 from sevae.data import Clause, load_corpus, make_synthetic_corpus, write_jsonl
-from sevae.models import ModelSpec, spec_hash
+from sevae.models import ModelSpec, build_model, default_spec, spec_hash
 
 DISC_OPTS = ["--opt", "embed_dim=8", "--opt", "hidden_dim=8"]
 VAE_OPTS = [
@@ -269,6 +271,22 @@ def test_train_leaves_cwd_untouched(tmp_path, monkeypatch, synth_dir):
     assert sorted(os.listdir(synth_dir)) == [
         "manifest.json", "test.jsonl", "train.jsonl", "val.jsonl",
     ]
+
+
+@pytest.mark.parametrize("model", ["disc", "ctx"])
+def test_an_overflowing_lstm_projection_is_a_numerics_error(capsys, tmp_path, synth_dir, model):
+    # after one Adam step at this rate the input weights are near 1e300, so
+    # the input projection overflows; the kernel's saturated gates would
+    # map it to finite states, so the replayed step checks the projection
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        rc = cli.main(["train", "--model", model, "--train", str(synth_dir / "train.jsonl"),
+                       "--out", str(out), "--lr", "1e300", "--max-epochs", "2", "--batch", "8",
+                       *DISC_OPTS])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "non-finite values in output of op '" in err and "lstm_seq'" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +883,32 @@ def test_scalar_flag_given_twice_is_usage_error_before_any_output(capsys, tmp_pa
     assert f"{flag} given twice" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+class _BoundedPool(multiprocessing.pool.Pool):
+    """multiprocessing.Pool whose map fails instead of hanging past
+    FORK_TIMEOUT_S; leaving the with block terminates its workers."""
+
+    def map(self, fn, jobs):
+        return self.map_async(fn, jobs).get(FORK_TIMEOUT_S)
+
+
+FORK_TIMEOUT_S = 120
+
+
+def test_a_ctx_sweep_runs_in_workers_forked_after_ctx_tagged_here(monkeypatch, tmp_path,
+                                                                   synth_dir):
+    # tagging with ctx here starts the kernels' worker thread; a forked pool
+    # worker has no thread behind that executor and must start its own
+    spec = default_spec("ctx", embed_dim=8, hidden_dim=8)
+    model = build_model(spec, 30, np.full(7, 1 / 7), seed=0)
+    model.batch_probs([[[5, 6, 7], [8, 9]]])
+    assert kernels._WORKER is not None
+    monkeypatch.setattr(cli.multiprocessing, "Pool", _BoundedPool)
+    rc = cli.main(_sweep_args(synth_dir, tmp_path / "s", "--models", "ctx", "--ks", "2",
+                              "--seeds", "1,2", "--jobs", "2"))
+    assert rc == 0
+    assert len(_tsv_rows(tmp_path / "s" / "sweep.tsv")) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevae import cli, harness
+from sevae import cli, harness, tensor
 from sevae.data import (
     RUN_TOKENS, Clause, SEType, Split, Vocab, atomic_write, build_vocab, label_prior, paragraphs_of,
     tagging_runs, write_jsonl, write_tsv,
@@ -601,6 +601,23 @@ def test_deferred_tagging_names_the_op_a_finite_result_hides(eight_clause_fixtur
     op = "embedding" if param.endswith("emb") else "affine"
     with np.errstate(all="ignore"):
         with pytest.raises(NumericsError, match=f"output of op '{op}'"):
+            tag_probs(model, eight_clause_fixture, vocab)
+
+
+def test_ctx_tagging_stops_at_an_inf_embedding_row_of_a_long_table(eight_clause_fixture):
+    # a table past tensor._SERIAL_DOT values is scanned at one BLAS thread,
+    # and the row sits in its last stretch; the per-op pass still names
+    # the embedding, before bilstm_seq's saturated gates hide the row
+    vocab = build_vocab(eight_clause_fixture, 1)
+    embed_dim = tensor._SERIAL_DOT // len(vocab) + 1
+    model = build_model(tiny_spec("ctx", embed_dim=embed_dim), len(vocab),
+                        label_prior(eight_clause_fixture), seed=5)
+    table = model.params["emb"].data
+    assert table.size > tensor._SERIAL_DOT
+    last = max(max(vocab.encode(cl.tokens)) for cl in eight_clause_fixture)
+    table[last, -1] = np.inf
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericsError, match="output of op 'embedding'"):
             tag_probs(model, eight_clause_fixture, vocab)
 
 

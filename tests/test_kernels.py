@@ -1,6 +1,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,9 +38,10 @@ def make_case(rng, T=7, H=5):
 
 
 def forward1(fn, xw, whT, h0, c0):
-    """A forward kernel on one sequence: (H,) states, each step a batch of one."""
+    """A forward kernel on one sequence: (H,) states, each step a batch of
+    one; on a copy of xw, which the kernel consumes."""
     steps = np.ones(xw.shape[0], dtype=np.int64)
-    return fn(xw, whT, h0[None], c0[None], steps)
+    return fn(xw.copy(), whT, h0[None], c0[None], steps)
 
 
 def backward1(fn, dhs, gates, cs, whT, c0):
@@ -146,7 +148,7 @@ def test_ragged_kernels_match_the_per_sequence_reference(lengths, reverse, seed)
     xw = np.array([seqs[k][t] for k, t in rows])
     hs, cs, gates = kernels.lstm_forward(xw, whT, h0[ranked], c0[ranked], sizes)
     dhs = rng.standard_normal(hs.shape)
-    dgates, dh0, dc0 = kernels.lstm_backward(dhs, gates, cs, whT, c0[ranked], sizes)
+    dgates, dh0, dc0 = kernels.lstm_backward(dhs, gates.copy(), cs, whT, c0[ranked], sizes)
     for rank, k in enumerate(ranked):
         mine = [p for p, (seq, _t) in enumerate(rows) if seq == k]
         ref_hs, ref_cs = reference_lstm(seqs[k], whT, h0[k], c0[k])
@@ -249,3 +251,68 @@ def test_in_place_forward_gives_the_previous_kernels_bits(lengths, reverse, seed
     with mock.patch.object(kernels, "lstm_forward", previous_lstm_forward), np.errstate(over="ignore"):
         want_seq = Tn.lstm_seq(*args, lengths, reverse).data
     assert Tn.lstm_seq(*args, lengths, reverse).data.tobytes() == want_seq.tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(lengths=ragged["lengths"], seed=ragged["seed"], H=st.integers(1, 12))
+@example(lengths=[1], seed=0, H=3)
+@example(lengths=[7], seed=1, H=5)
+@example(lengths=[4, 1, 6, 1], seed=2, H=2)
+@example(lengths=[9, 8, 1], seed=3, H=64)
+def test_bilstm_seq_is_the_concat_of_both_lstm_seq_directions_bit_for_bit(lengths, seed, H):
+    rng = np.random.default_rng(seed)
+    E = 3
+    x0 = Tn.Tensor(rng.standard_normal((sum(lengths), E)), requires_grad=True)
+    params = {"x0": x0}
+    shapes = {"wx": ((E, 4 * H), 0.5), "whT": ((4 * H, H), 0.5), "b": ((4 * H,), 0.1)}
+    for d in ("f", "b"):
+        for name, (shape, scale) in shapes.items():
+            params[f"{d}.{name}"] = Tn.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+    fwd = tuple(params[f"f.{name}"] for name in ("wx", "whT", "b"))
+    bwd = tuple(params[f"b.{name}"] for name in ("wx", "whT", "b"))
+    weights = rng.standard_normal((sum(lengths), 2 * H))
+    zeros = Tn.Tensor(np.zeros((len(lengths), H)))
+
+    def reference(x):
+        return Tn.concat([Tn.lstm_seq(x, *fwd, zeros, zeros, lengths),
+                          Tn.lstm_seq(x, *bwd, zeros, zeros, lengths, reverse=True)], axis=1)
+
+    def run(op):
+        with Tn.Tape() as tape:
+            # x is an op output, as in ctx, so its two gradients meet on the tape
+            out = op(Tn.mul(x0, 1.5))
+            return out.data, tape.backward(Tn.sum_(Tn.mul(out, weights)), params)
+
+    with kernels.one_blas_thread():
+        want, want_grads = run(reference)
+    got, got_grads = run(lambda x: Tn.bilstm_seq(x, fwd, bwd, lengths))
+    assert got.tobytes() == want.tobytes()
+    for name in params:
+        assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+def test_one_blas_thread_holds_one_thread_and_restores_the_count():
+    calls = kernels._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("the loaded BLAS exports no OpenBLAS thread calls")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    try:
+        with kernels.one_blas_thread():
+            assert get() == 1
+            with kernels.one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_concurrently_runs_the_background_under_the_callers_error_state():
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            kernels.concurrently(lambda: np.log(np.zeros(1)), lambda: None)
+    with np.errstate(divide="ignore"):
+        logs, fore = kernels.concurrently(lambda: np.log(np.zeros(1)), lambda: 7)
+    assert np.isneginf(logs[0]) and fore == 7
