@@ -35,6 +35,16 @@ tagging contract bounds by 1e-12. The Adam
 section times one harness.adam_step over ctx's parameters at its default
 size (vocabulary 383) with clipping active, and reports the step's
 tracemalloc peak, which stays within two arrays of the largest parameter.
+The elementwise section times each op that was rewritten onto numpy's
+fast paths, forward (inside tensor.checked, as tagging runs it) and
+backward, against the plain expression it replaced, kept in
+tests/test_tensor.py; at vae-train's tagging shapes (3 clauses, 11
+positions with CLS) and tag-long's (3 clauses, 76 positions). The op's
+forward time also holds its dispatch and any input scan, which the
+expression's does not. add, sub and mul take a constant operand, as the
+attention mask and scale are, whose gradient the op skips. It reports
+the largest absolute difference of outputs and kept gradients, which is
+0.
 The load section writes ctx at that size to a checkpoint in a temporary
 directory and times harness.load_checkpoint on it; it reports the load's
 tracemalloc peak, which stays within the model's parameters plus its
@@ -44,6 +54,7 @@ Usage: python3 benchmarks/bench_kernels.py [--reps 30]
 """
 
 import argparse
+import importlib.util
 import os
 import statistics
 import tempfile
@@ -251,6 +262,62 @@ def bench_adam(reps, rng):
     return statistics.median(step() for _ in range(reps)), peak, largest
 
 
+def _load_references():
+    """tests/test_tensor.py's REFERENCES: op name -> (op, reference)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tests", "test_tensor.py")
+    spec = importlib.util.spec_from_file_location("test_tensor_references", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.REFERENCES
+
+
+def elementwise_cases(n, rng, B=3, d=128, heads=4, vocab=383):
+    """op name -> (input arrays, which of them are constants, keyword
+    arguments) at the shapes of a tagging pass over B clauses of n
+    positions: the encoder's width d, its heads, ffn width 4d."""
+    def normal(*shape):
+        return rng.standard_normal(shape)
+
+    scores = (B, heads, n, n + 1)
+    return {
+        "relu": ([normal(B, n, 4 * d)], (), {}),
+        "clamp": ([normal(B, n, d)], (), {"lo": -1.0, "hi": 1.0}),
+        "dropout": ([normal(B, n, d)], (), {"p": 0.1, "seed": 0}),
+        "softmax": ([normal(*scores)], (), {"axis": -1}),
+        "log_softmax": ([normal(B * n, vocab)], (), {"axis": -1}),
+        "logsumexp": ([normal(B * n, 7, 30)], (), {"axis": 2}),
+        "cross_entropy": ([normal(B * n, vocab)], (),
+                          {"targets": rng.integers(0, vocab, size=B * n)}),
+        "affine": ([normal(B, n, d), normal(d, 4 * d), normal(4 * d)], (), {}),
+        "layer_norm": ([normal(B, n, d), normal(d), normal(d)], (), {}),
+        "transpose": ([normal(B, n, heads, d // heads)], (), {"axes": (0, 2, 1, 3)}),
+        "add": ([normal(*scores), normal(B, 1, 1, n + 1)], (1,), {}),
+        "sub": ([normal(B, n, d), np.array(1.0)], (1,), {}),
+        "mul": ([np.array(0.17), normal(*scores)], (0,), {}),
+    }
+
+
+def bench_elementwise(name, case, reps, references):
+    """Median seconds of op name's forward and backward and of its
+    reference's, on case (elementwise_cases), and the largest absolute
+    difference of their outputs and of the gradients the op gives."""
+    op, reference = references[name]
+    arrays, constants, kwargs = case
+    tensors = [tensor.Tensor(a, requires_grad=i not in constants) for i, a in enumerate(arrays)]
+    with tensor.Tape() as tape:
+        out = op(*tensors, **kwargs)
+        backward = tape.nodes[out._node_id][1]
+    g = np.random.default_rng(1).standard_normal(out.shape)
+    want, want_backward = reference(*arrays, **kwargs)
+    diffs = [np.abs(out.data - want)]
+    diffs += [np.abs(a - b) for a, b in zip(backward(g), want_backward(g)) if a is not None]
+    agree = max(float(np.max(d)) for d in diffs)
+    return (_time(lambda: tensor.checked(lambda: reference(*arrays, **kwargs)[0]), reps),
+            _time(lambda: tensor.checked(lambda: op(*tensors, **kwargs)), reps),
+            _time(lambda: want_backward(g), reps), _time(lambda: backward(g), reps), agree)
+
+
 def bench_load(reps):
     """Median seconds of loading a checkpoint of ctx at its default size,
     the load's tracemalloc peak in bytes, and the bytes of the model's
@@ -330,6 +397,16 @@ def main():
                 t_one, t_batch, agree = bench_tagging(model, n_clauses, n_tokens, args.reps, rng)
                 print(f"{f'{name} S={n_clauses} n={n_tokens}':>30s} {t_one * 1e3:10.2f}ms "
                       f"{t_batch * 1e3:9.2f}ms {t_one / t_batch:7.2f}x {agree:12.2e}")
+
+    print()
+    print(f"{'elementwise ops, 3 clauses':>34s} {'fwd ref':>9s} {'fwd op':>9s} {'bwd ref':>9s} "
+          f"{'bwd op':>9s} {'max abs diff':>12s}")
+    references = _load_references()
+    for workload, n in (("vae-train", 11), ("tag-long", 76)):
+        for name, case in elementwise_cases(n, rng).items():
+            t_rf, t_of, t_rb, t_ob, agree = bench_elementwise(name, case, args.reps, references)
+            print(f"{f'{name} {workload} n={n}':>34s} {t_rf * 1e6:7.1f}us {t_of * 1e6:7.1f}us "
+                  f"{t_rb * 1e6:7.1f}us {t_ob * 1e6:7.1f}us {agree:12.2e}")
 
     print()
     t, peak, largest = bench_adam(args.reps, rng)

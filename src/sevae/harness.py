@@ -120,16 +120,25 @@ ADAM_EPS = 1e-8
 def clip_global_norm(grads, max_norm):
     """Scale the whole gradient set so its global L2 norm is <= max_norm.
 
-    The arrays of grads are scaled in place; returns grads.
+    The arrays of grads are scaled in place; returns grads. The global
+    norm is norm * unit: unit is 1 unless the sum of squares overflows,
+    which finite gradients beyond about 1e154 make it do; then unit is
+    the largest magnitude, and norm is taken over the gradients divided
+    by it, so they are scaled down, not zeroed.
     """
     if max_norm <= 0:
         return grads
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            total += float(np.sum(g * g))
+    norm, unit = np.sqrt(total), 1.0
+    if total == math.inf:
+        unit = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+        if unit < math.inf:
+            norm = np.sqrt(sum(float(np.sum(np.square(g / unit))) for g in grads.values()))
+    if norm > max_norm / unit:
+        scale = max_norm / unit / norm
         for g in grads.values():
             g *= scale
     return grads

@@ -21,11 +21,11 @@ kernel's steps still build their terms as fresh arrays, and it consumes
 the gates, whose rows become the gradients it returns.
 
 The two directions of a BiLSTM are independent chains, so
-tensor.bilstm_seq runs their kernels at the same time through
-concurrently(): one on the calling thread, one on a persistent worker
-thread. At B=1 a step of ctx's width reads all 2.88 MB of its recurrent
-weights, more than one core's L2, so one chain cannot use two cores,
-while two chains can. That holds only with BLAS at one thread
+tensor.bilstm_seq runs them, kernels and products, at the same time
+through concurrently(): one on the calling thread, one on a persistent
+worker thread. At B=1 a step of ctx's width reads all 2.88 MB of its
+recurrent weights, more than one core's L2, so one chain cannot use two
+cores, while two chains can. That holds only with BLAS at one thread
 (one_blas_thread): after any multi-threaded BLAS call an idle OpenBLAS
 worker spins on the second core for about 0.1 s. Products taken at one
 thread also give the same bits whatever the BLAS thread count.
@@ -224,10 +224,10 @@ def concurrently(background, foreground):
     thread while foreground runs on this one, both under this thread's
     numpy error state (numpy keeps it per thread). It returns, or raises
     foreground's error, else background's, only once both have ended.
-    Run kernels on plain arrays in background, never a tensor op (the
-    tape and the checked() state are per thread), and hold BLAS at one
-    thread (one_blas_thread) around the call: a spinning BLAS worker
-    takes the core the worker thread needs."""
+    Run plain-array work in background, never a tensor op (the tape and
+    the checked() state are per thread), and hold BLAS at one thread
+    (one_blas_thread) around the call: a spinning BLAS worker takes the
+    core the worker thread needs."""
     global _WORKER
     if _WORKER is None:
         _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="sevae-kernels")

@@ -23,6 +23,16 @@ per-op check and numpy's own error handling; that run's result, or the
 NumericsError naming the op, is the pass's. All data is float64
 throughout -- finite-difference verification needs the headroom.
 
+Each op keeps numpy on its fast paths, and gives the bits of its plain
+expression. It runs a ufunc with a float scalar rather than np.where
+with one, and takes sums with np.add.reduce; it builds each temporary
+once and then updates in place the arrays it made itself, never an
+input or g; and it leaves work to backward that only backward needs, so
+an untaped pass skips it. Each rewrite keeps the per-element operations
+of its reference in their order, or swaps only the operands of one
+multiplication, so every output and gradient bit stays the same
+(tests/test_tensor.py holds the references).
+
 The op set is deliberately small, and each op takes only the shapes the
 models pass it: matmul of two 2-D operands or of two stacks with identical
 batch dims, (..., m, k) @ (..., k, n), and a GraphError for anything else;
@@ -32,8 +42,8 @@ and maxima; embedding, a row gather by a 1-D or 2-D id array (which also
 repeats rows); softmax / log-softmax / logsumexp over one axis,
 cross-entropy, layer norm, dropout; a fused LSTM op over a batch of
 sequences stored back to back, whose forward/backward run through the
-numpy kernels, and a bidirectional one that runs its two directions'
-kernels at the same time on two threads; and factored_loglik, the
+numpy kernels, and a bidirectional one that runs its two directions
+at the same time on two threads; and factored_loglik, the
 next-token log-likelihood of each segment under every (row, column) tilt
 of shared base logits, whose softmax normaliser is a matmul over
 max-shifted exponentials.
@@ -289,12 +299,15 @@ def _unbroadcast(grad, shape):
 # arithmetic
 
 
+# add, sub and mul give no gradient for a constant input (an attention
+# mask, a scale), which the tape would drop anyway
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
+    ga, gb = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return _unbroadcast(g, sa) if ga else None, _unbroadcast(g, sb) if gb else None
 
     return _from_op("add", a.data + b.data, (a, b), backward)
 
@@ -302,9 +315,10 @@ def add(a, b):
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.data.shape, b.data.shape
+    ga, gb = a.requires_grad, b.requires_grad
 
     def backward(g):
-        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
+        return _unbroadcast(g, sa) if ga else None, -_unbroadcast(g, sb) if gb else None
 
     return _from_op("sub", a.data - b.data, (a, b), backward)
 
@@ -312,9 +326,14 @@ def sub(a, b):
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
+    sa, sb = ad.shape, bd.shape
+    # each input's gradient is g times the other input
+    wa = bd if a.requires_grad else None
+    wb = ad if b.requires_grad else None
 
     def backward(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (None if wa is None else _unbroadcast(g * wa, sa),
+                None if wb is None else _unbroadcast(g * wb, sb))
 
     return _from_op("mul", ad * bd, (a, b), backward)
 
@@ -354,7 +373,9 @@ def affine(x, w, b):
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd, sb = x.data, w.data, b.data.shape
     x2 = xd.reshape(-1, xd.shape[-1])
-    out = (np.matmul(x2, wd) + b.data).reshape(xd.shape[:-1] + wd.shape[1:])
+    out = np.matmul(x2, wd)
+    out += b.data
+    out = out.reshape(xd.shape[:-1] + wd.shape[1:])
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -369,14 +390,23 @@ def affine(x, w, b):
 
 
 def relu(a):
+    """max(a, 0), as np.maximum(a, 0.0), which gives +0.0 for -0.0 (the
+    scalar is the second operand). It maps NaN to NaN, which no pass that
+    returns can see: a checked() attempt's input scan rejects the NaN, and
+    in a per-op pass the op that made it fails its output check first.
+    The gradient flows where a > 0, which is where the output is > 0."""
     a = as_tensor(a)
     _check_healing_inputs("relu", a.data)
-    mask = a.data > 0
+    out = np.maximum(a.data, 0.0)
 
     def backward(g):
-        return (g * mask,)
+        # the mask cast to float whole, then times g in place: faster than
+        # g * mask, whose cast runs buffered
+        dx = (out > 0).astype(np.float64)
+        dx *= g
+        return (dx,)
 
-    return _from_op("relu", np.where(mask, a.data, 0.0), (a,), backward)
+    return _from_op("relu", out, (a,), backward)
 
 
 def exp(a):
@@ -395,10 +425,14 @@ def clamp(a, lo, hi):
     """Clip values to [lo, hi]; gradient flows only where unclipped."""
     a = as_tensor(a)
     _check_healing_inputs("clamp", a.data)
-    inside = (a.data >= lo) & (a.data <= hi)
+    ad = a.data
 
     def backward(g):
-        return (g * inside,)
+        inside = ad >= lo
+        inside &= ad <= hi
+        dx = inside.astype(np.float64)
+        dx *= g
+        return (dx,)
 
     return _from_op("clamp", np.clip(a.data, lo, hi), (a,), backward)
 
@@ -410,7 +444,8 @@ def dropout(a, p, rng):
         raise GraphError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    keep = (rng.random(a.data.shape) >= p).astype(np.float64)
+    keep /= 1.0 - p
 
     def backward(g):
         return (g * keep,)
@@ -434,10 +469,11 @@ def reshape(a, shape):
 
 def transpose(a, axes):
     a = as_tensor(a)
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        return (np.transpose(g, inverse),)
+        # the inverse permutation, argsorted in Python: np.argsort costs
+        # more than the transpose at these sizes
+        return (np.transpose(g, sorted(range(len(axes)), key=axes.__getitem__)),)
 
     return _from_op("transpose", np.ascontiguousarray(np.transpose(a.data, axes)), (a,), backward)
 
@@ -447,9 +483,9 @@ def concat(tensors, axis=0):
     if not tensors:
         raise GraphError("concat of zero tensors")
     sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
+        splits = np.cumsum(sizes)[:-1]
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return _from_op("concat", np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
@@ -588,13 +624,17 @@ def softmax(a, axis=-1):
     """Stable softmax; translation-invariant and order-preserving."""
     a = as_tensor(a)
     _require_finite_input(a, "softmax")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        # out * (g - sum(g * out)), in one buffer
+        dx = g * out
+        dot = dx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=dx)
+        dx *= out
+        return (dx,)
 
     return _from_op("softmax", out, (a,), backward)
 
@@ -602,12 +642,13 @@ def softmax(a, axis=-1):
 def log_softmax(a, axis=-1):
     a = as_tensor(a)
     _require_finite_input(a, "log_softmax")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
 
     def backward(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+        dx = np.exp(out)
+        dx *= g.sum(axis=axis, keepdims=True)
+        return (np.subtract(g, dx, out=dx),)
 
     return _from_op("log_softmax", out, (a,), backward)
 
@@ -619,15 +660,20 @@ def logsumexp(a, axis=-1):
     if a.data.size == 0:
         raise NumericsError("empty reduction in logsumexp")
     _require_finite_input(a, "logsumexp")
-    m = a.data.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True)) + m
-    soft = np.exp(a.data - out)
-    out = out.squeeze(axis=axis)
+    ad = a.data
+    m = ad.max(axis=axis, keepdims=True)
+    e = ad - m
+    np.exp(e, out=e)
+    lse = np.log(e.sum(axis=axis, keepdims=True))
+    lse += m
 
     def backward(g):
-        return (soft * np.expand_dims(g, axis),)
+        soft = ad - lse
+        np.exp(soft, out=soft)
+        soft *= np.expand_dims(g, axis)
+        return (soft,)
 
-    return _from_op("logsumexp", out, (a,), backward)
+    return _from_op("logsumexp", lse.squeeze(axis=axis), (a,), backward)
 
 
 def cross_entropy(logits, targets):
@@ -648,8 +694,8 @@ def cross_entropy(logits, targets):
     if tgt.size and (tgt.min() < 0 or tgt.max() >= rows.shape[1]):
         raise GraphError(f"cross_entropy target out of range [0, {rows.shape[1]})")
     picks = (np.arange(tgt.shape[0]), tgt)
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = rows - rows.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     out = -logp[picks].sum()
     shape = ld.shape
 
@@ -790,22 +836,36 @@ def factored_loglik(base, rows, cols, targets, lengths):
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift.
+
+    The means are np.mean's and the variance np.var's, bit for bit: a sum
+    by np.add.reduce divided by the count, the variance's taken over the
+    input centred once."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out = xhat * gain.data + bias.data
+    n = xd.shape[-1]
+
+    def mean(arr):
+        m = np.add.reduce(arr, axis=-1, keepdims=True)
+        m /= n
+        return m
+
+    xhat = xd - mean(xd)
+    inv = 1.0 / np.sqrt(mean(np.square(xhat)) + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = (dxhat - m1 - xhat * m2) * inv
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
+        dx = g * gain.data
+        tmp = dx * xhat
+        m2 = mean(tmp)
+        dx -= mean(dx)
+        dx -= np.multiply(xhat, m2, out=tmp)
+        dx *= inv
         axes = tuple(range(g.ndim - 1))
-        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        return dx, np.multiply(g, xhat, out=tmp).sum(axis=axes), g.sum(axis=axes)
 
     return _from_op("layer_norm", out, (x, gain, bias), backward)
 
@@ -847,10 +907,10 @@ class _Direction:
     if it were an op output, in checked() attempts too, because the
     kernel's saturated gates would turn a non-finite value there into
     finite states: one from x, from an overflow of the product, or from
-    wx or b, which no op checks. forward and backward run only the
-    kernels, on plain arrays, so bilstm_seq runs them on its worker
-    thread; the projection and grads, the input and weight products, stay
-    on the calling thread.
+    wx or b, which no op checks. Everything here, the projection, the
+    kernels and grads (the input and weight products), works on plain
+    arrays and touches no tape, so bilstm_seq runs one direction whole on
+    the kernels' worker thread.
     """
 
     def __init__(self, op_name, x, wx, whT, b, lengths, reverse):
@@ -929,14 +989,12 @@ def bilstm_seq(x, fwd, bwd, lengths):
     lstm_seq over x and lstm_seq over x reversed, bit for bit when those
     run at one BLAS thread. fwd and bwd are each direction's (wx, whT, b).
 
-    One tape node. Forward and backward each run the two directions'
-    kernels at the same time, the forward one on the kernels' worker
-    thread (kernels.concurrently) and the reverse one on the calling
-    thread, with BLAS held at one thread throughout, so the op's bits do
-    not depend on the BLAS thread count. The calling thread projects the
-    reverse direction's input while the worker runs the forward kernel,
-    and takes the reverse direction's products while the worker may still
-    run.
+    One tape node. Forward and backward each run the two directions at
+    the same time, the forward one on the kernels' worker thread
+    (kernels.concurrently) and the reverse one on the calling thread, each
+    with its own input projection and its own input and weight products,
+    with BLAS held at one thread throughout, so the op's bits do not
+    depend on the BLAS thread count.
     """
     x = as_tensor(x)
     fwd, bwd = tuple(as_tensor(t) for t in fwd), tuple(as_tensor(t) for t in bwd)
@@ -945,21 +1003,18 @@ def bilstm_seq(x, fwd, bwd, lengths):
 
     def direction(weights, reverse):
         wx, whT, b = (t.data for t in weights)
-        return _Direction("bilstm_seq", x.data, wx, whT, b, lengths, reverse)
+        return _Direction("bilstm_seq", x.data, wx, whT, b, lengths, reverse).forward(zeros, zeros)
 
     with kernels.one_blas_thread():
-        f = direction(fwd, False)
-        _, r = kernels.concurrently(lambda: f.forward(zeros, zeros),
-                                    lambda: direction(bwd, True).forward(zeros, zeros))
+        f, r = kernels.concurrently(lambda: direction(fwd, False), lambda: direction(bwd, True))
     out = np.empty((x.data.shape[0], 2 * H))
     out[f.src, :H] = f.hs
     out[r.src, H:] = r.hs
 
     def backward(g):
         with kernels.one_blas_thread():
-            dgates_f, (dx, *grads_r) = kernels.concurrently(
-                lambda: f.backward(g[:, :H])[0], lambda: r.grads(r.backward(g[:, H:])[0]))
-            dx_f, *grads_f = f.grads(dgates_f)
+            (dx_f, *grads_f), (dx, *grads_r) = kernels.concurrently(
+                lambda: f.grads(f.backward(g[:, :H])[0]), lambda: r.grads(r.backward(g[:, H:])[0]))
         # the sum a tape makes of the reversed lstm_seq's dx and then the
         # forward one's
         dx += dx_f

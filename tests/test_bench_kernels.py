@@ -1,7 +1,8 @@
 """Smoke test of benchmarks/bench_kernels.py: every bench_* function runs
 once at a small case, and the agreements it reports stay within the
 bounds its docstring states (1e-12; relative for tagging and the
-factored op, absolute for the ragged LSTM; 0 for the BiLSTM), an Adam
+factored op, absolute for the ragged LSTM; 0 for the BiLSTM and for
+each rewritten elementwise op against its reference), an Adam
 step over ctx's parameters peaks within two arrays of its largest
 parameter, and loading a ctx checkpoint peaks within its parameters plus
 its largest one."""
@@ -41,6 +42,10 @@ def test_bench_kernels_runs_and_its_variants_agree():
         model = build_model(default_spec(name), 383, np.full(7, 1 / 7), seed=0)
         *_, agree = bench.bench_tagging(model, 4, 8, 1, rng)
         assert agree <= 1e-12, name
+    references = bench._load_references()
+    for name, case in bench.elementwise_cases(4, rng).items():
+        *times, agree = bench.bench_elementwise(name, case, 1, references)
+        assert all(t > 0 for t in times) and agree == 0, name
     seconds, peak, largest = bench.bench_adam(1, rng)
     assert seconds > 0 and peak <= 2 * largest + 64 * 1024
     seconds, peak, total, largest = bench.bench_load(1)

@@ -261,6 +261,24 @@ def test_clip_global_norm():
     assert clip_global_norm(big, 0.0)["a"] is big["a"]
 
 
+def test_clip_global_norm_scales_gradients_whose_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = clip_global_norm({"w": np.array([1e200, 1.0]), "b": np.array([-3e199])}, 5.0)
+    # the norm is sqrt(1 + 0.3**2) * 1e200 (the 1.0's square is lost)
+    rel = math.sqrt(1.0 + 0.3 ** 2)
+    np.testing.assert_allclose(out["w"], [5.0 / rel, 5e-200 / rel], rtol=1e-15)
+    np.testing.assert_allclose(out["b"], [-1.5 / rel], rtol=1e-15)
+    # a finite sum of squares keeps the plain expression, bit for bit
+    rng = np.random.default_rng(0)
+    grads = {"a": rng.standard_normal(7) * 1e150, "b": rng.standard_normal((2, 3))}
+    want = {k: g * (2.0 / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+            for k, g in grads.items()}
+    got = clip_global_norm({k: g.copy() for k, g in grads.items()}, 2.0)
+    for k in grads:
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sevae import tensor as T
 from sevae.errors import GraphError, NumericsError
@@ -752,3 +753,214 @@ def test_factored_loglik_rejects_bad_shapes_and_targets(rng):
         T.factored_loglik(p["base"], p["rows"], p["cols"], targets, [2, 3])
     with pytest.raises(GraphError, match="3 segments but rows"):
         T.factored_loglik(p["base"], p["rows"], p["cols"], targets, [1, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# rewritten ops against their reference expressions, bit for bit
+
+# Each op below was rewritten onto numpy's fast paths. REFERENCES holds the
+# plain numpy expressions it replaced: name -> (op, reference). op takes
+# the input tensors and keyword arguments; reference takes the input arrays
+# and the same keywords and returns (output, backward), backward mapping the
+# upstream gradient to one gradient per input.
+
+
+def _ref_relu(a):
+    mask = a > 0
+    return np.where(mask, a, 0.0), lambda g: (g * mask,)
+
+
+def _ref_clamp(a, lo, hi):
+    inside = (a >= lo) & (a <= hi)
+    return np.clip(a, lo, hi), lambda g: (g * inside,)
+
+
+def _ref_dropout(a, p, seed):
+    keep = (np.random.default_rng(seed).random(a.shape) >= p) / (1.0 - p)
+    return a * keep, lambda g: (g * keep,)
+
+
+def _ref_softmax(a, axis):
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+    return out, lambda g: (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+
+
+def _ref_log_softmax(a, axis):
+    shifted = a - a.max(axis=axis, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return out, lambda g: (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+
+
+def _ref_logsumexp(a, axis):
+    m = a.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m
+    soft = np.exp(a - out)
+    return out.squeeze(axis=axis), lambda g: (soft * np.expand_dims(g, axis),)
+
+
+def _ref_cross_entropy(logits, targets):
+    rows = logits.reshape(-1, logits.shape[-1])
+    picks = (np.arange(rows.shape[0]), targets.reshape(-1))
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def backward(g):
+        grad = np.exp(logp)
+        grad[picks] -= 1.0
+        grad *= g
+        return (grad.reshape(logits.shape),)
+
+    return -logp[picks].sum(), backward
+
+
+def _ref_affine(x, w, b):
+    x2 = x.reshape(-1, x.shape[-1])
+    out = (np.matmul(x2, w) + b).reshape(x.shape[:-1] + w.shape[1:])
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return np.matmul(g2, w.T).reshape(x.shape), np.matmul(x2.T, g2), g2.sum(axis=0)
+
+    return out, backward
+
+
+def _ref_layer_norm(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv
+
+    def backward(g):
+        dxhat = g * gain
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        axes = tuple(range(g.ndim - 1))
+        return (dxhat - m1 - xhat * m2) * inv, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    return xhat * gain + bias, backward
+
+
+def _ref_transpose(a, axes):
+    out = np.ascontiguousarray(np.transpose(a, axes))
+    return out, lambda g: (np.transpose(g, tuple(np.argsort(axes))),)
+
+
+def _ref_add(a, b):
+    return a + b, lambda g: (T._unbroadcast(g, a.shape), T._unbroadcast(g, b.shape))
+
+
+def _ref_sub(a, b):
+    return a - b, lambda g: (T._unbroadcast(g, a.shape), -T._unbroadcast(g, b.shape))
+
+
+def _ref_mul(a, b):
+    return a * b, lambda g: (T._unbroadcast(g * b, a.shape), T._unbroadcast(g * a, b.shape))
+
+
+REFERENCES = {
+    "relu": (T.relu, _ref_relu),
+    "clamp": (T.clamp, _ref_clamp),
+    "dropout": (lambda a, p, seed: T.dropout(a, p, np.random.default_rng(seed)), _ref_dropout),
+    "softmax": (T.softmax, _ref_softmax),
+    "log_softmax": (T.log_softmax, _ref_log_softmax),
+    "logsumexp": (T.logsumexp, _ref_logsumexp),
+    "cross_entropy": (T.cross_entropy, _ref_cross_entropy),
+    "affine": (T.affine, _ref_affine),
+    "layer_norm": (T.layer_norm, _ref_layer_norm),
+    "transpose": (T.transpose, _ref_transpose),
+    "add": (T.add, _ref_add),
+    "sub": (T.sub, _ref_sub),
+    "mul": (T.mul, _ref_mul),
+}
+
+# signed zeros, subnormals, values whose squares or products overflow, and
+# ordinary values
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                1e300, -1e300, 1e154, 1.0, -1.0)
+_ELEMENTS = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _rewritten_op_case(draw, name):
+    """(input arrays, keyword arguments) of one call of a rewritten op."""
+    dims = st.integers(1, 4)
+
+    def arr(shape):
+        return draw(hnp.arrays(np.float64, shape, elements=_ELEMENTS))
+
+    shape = tuple(draw(st.lists(dims, min_size=1, max_size=3)))
+    if name == "relu":
+        return [arr(shape)], {}
+    if name == "clamp":
+        return [arr(shape)], {"lo": -1.0, "hi": draw(st.sampled_from((0.0, 1.0)))}
+    if name == "dropout":
+        return [arr(shape)], {"p": draw(st.sampled_from((0.1, 0.5))), "seed": draw(st.integers(0, 9))}
+    if name in ("softmax", "log_softmax", "logsumexp"):
+        return [arr(shape)], {"axis": draw(st.integers(-1, len(shape) - 1))}
+    if name == "cross_entropy":
+        targets = draw(hnp.arrays(np.int64, shape[:-1], elements=st.integers(0, shape[-1] - 1)))
+        return [arr(shape)], {"targets": targets}
+    if name == "affine":
+        d_in, d_out = draw(dims), draw(dims)
+        return [arr(shape + (d_in,)), arr((d_in, d_out)), arr((d_out,))], {}
+    if name == "layer_norm":
+        return [arr(shape), arr(shape[-1:]), arr(shape[-1:])], {}
+    if name == "transpose":
+        return [arr(shape)], {"axes": tuple(draw(st.permutations(range(len(shape)))))}
+    # add, sub, mul: the second operand broadcasts (a scalar, a row, a
+    # column or the full shape)
+    other = draw(st.sampled_from(((), shape[-1:], shape[:-1] + (1,), shape)))
+    return [arr(shape), arr(other)], {}
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rewritten_ops_give_their_references_bits(name, data):
+    op, reference = REFERENCES[name]
+    arrays, kwargs = data.draw(_rewritten_op_case(name))
+    inputs = [a.copy() for a in arrays]
+    with np.errstate(all="ignore"):
+        want, want_backward = reference(*arrays, **kwargs)
+        want = np.asarray(want)
+        if not np.isfinite(want).all():
+            # the per-op pass rejects what the reference overflows to
+            with pytest.raises(NumericsError, match=f"op '{name}'"):
+                op(*map(leaf, inputs), **kwargs)
+            return
+        with T.Tape() as tape:
+            out = op(*map(leaf, inputs), **kwargs)
+            g = data.draw(hnp.arrays(np.float64, out.shape, elements=_ELEMENTS))
+            g_in = g.copy()
+            got_grads = tape.nodes[out._node_id][1](g)
+        _same_bits(out.data, want)
+        want_grads = want_backward(g)
+    assert len(got_grads) == len(want_grads)
+    for got, expected in zip(got_grads, want_grads):
+        _same_bits(np.asarray(got), np.asarray(expected))
+    # the in-place updates touch only arrays the op made
+    for a, before in zip(inputs, arrays):
+        assert a.tobytes() == before.tobytes()
+    assert g.tobytes() == g_in.tobytes()
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+def test_arithmetic_gives_no_gradient_for_a_constant_input(op, rng):
+    x, mask = rng.standard_normal((2, 3, 4)), rng.standard_normal((1, 4))
+    for a, b in ((leaf(x), T.Tensor(mask)), (T.Tensor(mask), leaf(x))):
+        with T.Tape() as tape:
+            out = op(a, b)
+            g = rng.standard_normal(out.shape)
+            got = tape.nodes[out._node_id][1](g)
+        want = REFERENCES[op.__name__][1](a.data, b.data)[1](g)
+        for t, grad, expected in zip((a, b), got, want):
+            if t.requires_grad:
+                _same_bits(grad, expected)
+            else:
+                assert grad is None
