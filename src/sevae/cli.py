@@ -29,7 +29,7 @@ from dataclasses import replace
 from . import __version__, gradcheck, harness, vae
 from .data import (
     SEType, Split, Vocab, atomic_write, check_max_len, cross_genre_split, genre_counts,
-    json_digest, label_counts, load_corpus, make_synthetic_corpus, split_manifest,
+    json_digest, label_counts, load_corpus, make_synthetic_corpus, read_lines, split_manifest,
     subsample_per_label, write_jsonl, write_tsv,
 )
 from .errors import CheckpointError, DataError, GraphError, NumericsError
@@ -179,14 +179,7 @@ def _parse_config_file(path):
     """The (line number, key, value) entries of a config file, keys with
     dashes as underscores."""
     entries = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise DataError(f"config file {path} is not UTF-8 text") from None
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_lines(path, "config file"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -236,14 +229,14 @@ def _effective(args, command):
         value = getattr(args, dest)
         if value is None and dest in file_values:
             value = _coerce(file_values[dest][2], typ, dest)
-        if value is None:
+        given = value is not None
+        if not given:
             value = default
         if typ == "list" and value is not None:
             value = [x.strip() for entry in value for x in entry.split(",") if x.strip()]
-            # a list that must name something would otherwise run nothing
-            # and report success; only the optional, empty-default lists
-            # (--genres, --map, --opt) may stay empty
-            if not value and (required or default):
+            # a given list that names nothing would run nothing, or
+            # everything, and report success; an omitted one keeps its default
+            if given and not value:
                 raise UsageError(f"{command}: {flag} needs at least one entry")
             # a repeat would run or report the same thing twice
             repeated = [x for i, x in enumerate(value) if x in value[:i]]
@@ -524,11 +517,10 @@ def _cmd_sweep(cfg):
         outputs=["sweep.tsv", "sweep_aggregates.tsv", "sweep_meta.json"])
     rows = _run_jobs(_sweep_cell, jobs, cfg["jobs"])
     aggregates = harness.aggregate_sweep(rows)
-    write_tsv(rows_path, ["model", "k", "seed", "accuracy", "macro_f1"],
-              [(name, k, seed, repr(acc), repr(f1)) for name, k, seed, acc, f1 in rows])
+    write_tsv(rows_path, ["model", "k", "seed", "accuracy", "macro_f1"], rows)
     write_tsv(aggregates_path,
               ["model", "k", "mean_accuracy", "std_accuracy", "mean_macro_f1", "std_macro_f1"],
-              [(name, k, *map(repr, stats)) for name, k, *stats in aggregates])
+              aggregates)
     sidecar = {"manifest": "manifest.json",
                "rows": [list(r) for r in rows],
                "aggregates": [list(a) for a in aggregates]}
@@ -558,8 +550,7 @@ def _cmd_crossgenre(cfg):
         seed=train_cfg.seed, outputs=["crossgenre.tsv", "crossgenre_meta.json"])
     jobs = [(spec.to_json(), t, cfg["data"], train_cfg.to_json()) for t in targets]
     rows = _run_jobs(_crossgenre_cell, jobs, cfg["jobs"])
-    write_tsv(rows_path, ["model", "genre", "accuracy", "macro_f1"],
-              [(name, genre, repr(acc), repr(f1)) for name, genre, acc, f1 in rows])
+    write_tsv(rows_path, ["model", "genre", "accuracy", "macro_f1"], rows)
     _write_json(meta_path,
                 {"manifest": "manifest.json", "rows": [list(r) for r in rows]}, indent=2)
     for name, genre, acc, f1 in rows:
@@ -596,7 +587,7 @@ def _cmd_export_latents(cfg):
     rows = harness.export_latents(model, clauses, vocab)
     header = ["doc_id", "par_id", "clause_idx", "label", "genre"]
     write_tsv(out_path, header + [f"mu_{i}" for i in range(model.latent_dim)],
-              [(*cells, *(repr(float(v)) for v in mu)) for *cells, mu in rows])
+              [(*cells, *mu.tolist()) for *cells, mu in rows])
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 

@@ -212,6 +212,18 @@ def _coordinate(value, name, where):
     raise DataError(f"{where}: {name} must be an integer, got {value!r}")
 
 
+def read_lines(path, what):
+    """The lines of the UTF-8 text file at path; a file that cannot be
+    read or is not UTF-8 is a DataError naming it as `what` and path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{what} {path} is not UTF-8 text") from None
+
+
 def load_corpus(path, schema=None):
     """Parse a JSONL clause file; every record parses or the load fails
     with a DataError naming its line (the file, if it is not UTF-8).
@@ -229,14 +241,7 @@ def load_corpus(path, schema=None):
     clauses = []
     seen = set()
     next_idx = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_lines(path, "corpus"), start=1):
         where = f"{path}:{line_no}"
         line = line.strip()
         if not line:
@@ -324,8 +329,9 @@ def atomic_write(path, payload):
 
 def write_tsv(path, header, rows):
     """A header line, then one line per row, each of tab-separated cells
-    written by str(), replacing path atomically. Callers format their
-    floats (by repr, so they read back exactly)."""
+    written by str(), replacing path atomically. This is where a float
+    becomes text: callers pass Python floats, whose str is their shortest
+    repr, so they read back exactly."""
     atomic_write(path, "".join("\t".join(map(str, cells)) + "\n" for cells in [header, *rows]))
 
 

@@ -25,10 +25,11 @@ tensor.bilstm_seq runs them, kernels and products, at the same time
 through concurrently(): one on the calling thread, one on a persistent
 worker thread. At B=1 a step of ctx's width reads all 2.88 MB of its
 recurrent weights, more than one core's L2, so one chain cannot use two
-cores, while two chains can. That holds only with BLAS at one thread
-(one_blas_thread): after any multi-threaded BLAS call an idle OpenBLAS
-worker spins on the second core for about 0.1 s. Products taken at one
-thread also give the same bits whatever the BLAS thread count.
+cores, while two chains can. That holds only with BLAS at one thread,
+so concurrently() runs both under one_blas_thread: after any
+multi-threaded BLAS call an idle OpenBLAS worker spins on the second
+core for about 0.1 s. Products taken at one thread also give the same
+bits whatever the BLAS thread count.
 """
 
 import ctypes
@@ -222,19 +223,20 @@ def _under(err, fn):
 def concurrently(background, foreground):
     """(background(), foreground()), with background run on the worker
     thread while foreground runs on this one, both under this thread's
-    numpy error state (numpy keeps it per thread). It returns, or raises
-    foreground's error, else background's, only once both have ended.
-    Run plain-array work in background, never a tensor op (the tape and
-    the checked() state are per thread), and hold BLAS at one thread
-    (one_blas_thread) around the call: a spinning BLAS worker takes the
-    core the worker thread needs."""
+    numpy error state (numpy keeps it per thread) and with BLAS at one
+    thread (one_blas_thread), since a spinning BLAS worker would take the
+    core the worker thread needs; the previous count is set back after.
+    It returns, or raises foreground's error, else background's, only
+    once both have ended. Run plain-array work in background, never a
+    tensor op (the tape and the checked() state are per thread)."""
     global _WORKER
     if _WORKER is None:
         _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="sevae-kernels")
-    job = _WORKER.submit(_under, np.geterr(), background)
-    try:
-        fore = foreground()
-    except BaseException:
-        job.exception()  # waits for background, whose error is dropped
-        raise
-    return job.result(), fore
+    with one_blas_thread():
+        job = _WORKER.submit(_under, np.geterr(), background)
+        try:
+            fore = foreground()
+        except BaseException:
+            job.exception()  # waits for background, whose error is dropped
+            raise
+        return job.result(), fore

@@ -874,18 +874,19 @@ def layer_norm(x, gain, bias, eps=1e-5):
 # fused recurrence
 
 
-def _packed_layout(lengths, n_rows, reverse):
+def _packed_layout(lengths, n_rows, reverse, op_name):
     """Where the kernels' packed time-major layout takes its rows from.
 
-    For sequences stored back to back (lengths (B,), summing to n_rows),
-    returns (src, order, batch_sizes, prev): packed row p is row src[p] of
-    the stored order; order lists the sequences longest first (ties keep
-    their order), which is the order of the kernels' initial states;
-    batch_sizes[t] counts the sequences still running at step t; and
-    packed row B + q follows packed row prev[q] of the same sequence.
-    reverse runs every sequence from its last row to its first.
+    For sequences stored back to back (lengths (B,), summing to n_rows,
+    else a GraphError naming op_name), returns (src, order, batch_sizes,
+    prev): packed row p is row src[p] of the stored order; order lists
+    the sequences longest first (ties keep their order), which is the
+    order of the kernels' initial states; batch_sizes[t] counts the
+    sequences still running at step t; and packed row B + q follows
+    packed row prev[q] of the same sequence. reverse runs every sequence
+    from its last row to its first.
     """
-    _seg, starts, lengths = _segment_layout(lengths, n_rows, "lstm_seq")
+    _seg, starts, lengths = _segment_layout(lengths, n_rows, op_name)
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     running = np.arange(sorted_len[0])[:, None] < sorted_len[None, :]  # (T, B)
@@ -902,48 +903,51 @@ def _packed_layout(lengths, n_rows, reverse):
 class _Direction:
     """One LSTM direction of lstm_seq or bilstm_seq, on plain arrays.
 
-    Made with the packed layout of the rows of x (_packed_layout) and
-    the input projection xw, one matmul over all rows. xw is checked as
-    if it were an op output, in checked() attempts too, because the
-    kernel's saturated gates would turn a non-finite value there into
-    finite states: one from x, from an overflow of the product, or from
-    wx or b, which no op checks. Everything here, the projection, the
-    kernels and grads (the input and weight products), works on plain
-    arrays and touches no tape, so bilstm_seq runs one direction whole on
-    the kernels' worker thread.
+    It owns the kernels' packed layout (_packed_layout) from start to
+    finish: its callers see only the stored row order. Made with the
+    input projection xw, one matmul over all rows. xw is checked as if it
+    were an op output, in checked() attempts too, because the kernel's
+    saturated gates would turn a non-finite value there into finite
+    states: one from x, from an overflow of the product, or from wx or
+    b, which no op checks. Everything here, the projection, the kernels
+    and the input and weight products, works on plain arrays and touches
+    no tape, so bilstm_seq runs one direction whole on the kernels'
+    worker thread.
     """
 
     def __init__(self, op_name, x, wx, whT, b, lengths, reverse):
         self.src, self.order, self.batch_sizes, self.prev = _packed_layout(
-            lengths, x.shape[0], reverse)
+            lengths, x.shape[0], reverse, op_name)
         self.wx, self.whT = wx, whT
         self.xp = x[self.src]
         self.xw = np.matmul(self.xp, wx)
         self.xw += b
         _check_finite(self.xw, op_name)
 
-    def forward(self, h0s, c0s):
-        """Run the forward kernel from the (B, H) initial states, in the
-        order of self.order, consuming xw; returns self, now holding the
-        hidden states hs in packed order."""
-        self.h0s, self.c0s = h0s, c0s
+    def forward(self, h0, c0, out):
+        """Run the forward kernel from the (B, H) initial states h0 and c0,
+        in stored order, consuming xw, and write the hidden states into
+        out (N, H), row for row with x; returns self."""
+        self.h0s, self.c0s = h0[self.order], c0[self.order]
         self.hs, self.cs, self.gates = kernels.lstm_forward(
-            self.xw, self.whT, h0s, c0s, self.batch_sizes)
+            self.xw, self.whT, self.h0s, self.c0s, self.batch_sizes)
         del self.xw
+        out[self.src] = self.hs
         return self
 
     def backward(self, g):
-        """(dgates, dh0s, dc0s) for the gradient g (N, H) on the hidden
-        states in stored row order."""
-        return kernels.lstm_backward(g[self.src], self.gates, self.cs, self.whT, self.c0s,
-                                     self.batch_sizes)
-
-    def grads(self, dgates):
-        """(dx, dwx, dwhT, db) from dgates, with dx in stored row order."""
+        """(dx, dwx, dwhT, db, dh0, dc0) for the gradient g (N, H) on the
+        hidden states, in the order of the inputs x, wx, whT, b, h0, c0,
+        each row for row with its input."""
+        dgates, dh0s, dc0s = kernels.lstm_backward(
+            g[self.src], self.gates, self.cs, self.whT, self.c0s, self.batch_sizes)
         dx = np.empty_like(self.xp)
         dx[self.src] = np.matmul(dgates, self.wx.T)
         hprev = np.concatenate((self.h0s, self.hs[self.prev]))
-        return dx, np.matmul(self.xp.T, dgates), np.matmul(dgates.T, hprev), dgates.sum(axis=0)
+        dh0, dc0 = np.empty_like(dh0s), np.empty_like(dc0s)
+        dh0[self.order], dc0[self.order] = dh0s, dc0s
+        return (dx, np.matmul(self.xp.T, dgates), np.matmul(dgates.T, hprev), dgates.sum(axis=0),
+                dh0, dc0)
 
 
 def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
@@ -953,34 +957,24 @@ def lstm_seq(x, wx, whT, b, h0, c0, lengths, reverse=False):
     initial states. Returns the hidden states (N, H), row for row with x.
     With reverse, each sequence runs from its last row to its first (the
     backward half of a BiLSTM), and its states still line up with x.
+    whT holds the recurrent weights transposed, (4H, H).
 
-    One tape node. The rows are gathered into the kernels' packed
-    time-major layout (longest sequence first), so each time step is one
-    matmul over the sequences still running, and the input and weight
-    products are single matmuls over all N rows. whT holds the recurrent
-    weights transposed, (4H, H). A single sequence is the case B = 1, and
-    its packed layout is x itself, reversed or not.
+    One tape node, whose forward and backward are one _Direction's: each
+    time step is one matmul over the sequences still running, and the
+    input and weight products are single matmuls over all N rows.
     """
     x, wx, whT, b, h0, c0 = (as_tensor(t) for t in (x, wx, whT, b, h0, c0))
     # saturated gates turn an infinite state finite (x shows in xw)
     _check_healing_inputs("lstm_seq", h0.data, c0.data)
     d = _Direction("lstm_seq", x.data, wx.data, whT.data, b.data, lengths, reverse)
-    state_shape = (d.order.shape[0], whT.data.shape[1])
+    state_shape = (len(lengths), whT.data.shape[1])
     if h0.data.shape != state_shape or c0.data.shape != state_shape:
         raise GraphError(
             f"lstm_seq needs ({state_shape[0]}, H={state_shape[1]}) initial states, "
             f"got {h0.data.shape} and {c0.data.shape}")
-    d.forward(h0.data[d.order], c0.data[d.order])
-    out = np.empty_like(d.hs)
-    out[d.src] = d.hs
-
-    def backward(g):
-        dgates, dh0s, dc0s = d.backward(g)
-        dh0, dc0 = np.empty_like(dh0s), np.empty_like(dc0s)
-        dh0[d.order], dc0[d.order] = dh0s, dc0s
-        return (*d.grads(dgates), dh0, dc0)
-
-    return _from_op("lstm_seq", out, (x, wx, whT, b, h0, c0), backward)
+    out = np.empty((x.data.shape[0], state_shape[1]))
+    d.forward(h0.data, c0.data, out)
+    return _from_op("lstm_seq", out, (x, wx, whT, b, h0, c0), d.backward)
 
 
 def bilstm_seq(x, fwd, bwd, lengths):
@@ -989,32 +983,29 @@ def bilstm_seq(x, fwd, bwd, lengths):
     lstm_seq over x and lstm_seq over x reversed, bit for bit when those
     run at one BLAS thread. fwd and bwd are each direction's (wx, whT, b).
 
-    One tape node. Forward and backward each run the two directions at
-    the same time, the forward one on the kernels' worker thread
-    (kernels.concurrently) and the reverse one on the calling thread, each
-    with its own input projection and its own input and weight products,
-    with BLAS held at one thread throughout, so the op's bits do not
-    depend on the BLAS thread count.
+    One tape node. Forward and backward each run the two directions'
+    _Direction at the same time through kernels.concurrently, which holds
+    BLAS at one thread, so the op's bits do not depend on the BLAS
+    thread count; each direction writes its own column block of the
+    output.
     """
     x = as_tensor(x)
     fwd, bwd = tuple(as_tensor(t) for t in fwd), tuple(as_tensor(t) for t in bwd)
     H = fwd[1].data.shape[1]
     zeros = np.zeros((len(lengths), H))
-
-    def direction(weights, reverse):
-        wx, whT, b = (t.data for t in weights)
-        return _Direction("bilstm_seq", x.data, wx, whT, b, lengths, reverse).forward(zeros, zeros)
-
-    with kernels.one_blas_thread():
-        f, r = kernels.concurrently(lambda: direction(fwd, False), lambda: direction(bwd, True))
     out = np.empty((x.data.shape[0], 2 * H))
-    out[f.src, :H] = f.hs
-    out[r.src, H:] = r.hs
+
+    def direction(weights, reverse, cols):
+        wx, whT, b = (t.data for t in weights)
+        return _Direction("bilstm_seq", x.data, wx, whT, b, lengths, reverse).forward(
+            zeros, zeros, out[:, cols])
+
+    f, r = kernels.concurrently(lambda: direction(fwd, False, slice(None, H)),
+                                lambda: direction(bwd, True, slice(H, None)))
 
     def backward(g):
-        with kernels.one_blas_thread():
-            (dx_f, *grads_f), (dx, *grads_r) = kernels.concurrently(
-                lambda: f.grads(f.backward(g[:, :H])[0]), lambda: r.grads(r.backward(g[:, H:])[0]))
+        (dx_f, *grads_f), (dx, *grads_r) = kernels.concurrently(
+            lambda: f.backward(g[:, :H])[:4], lambda: r.backward(g[:, H:])[:4])
         # the sum a tape makes of the reversed lstm_seq's dx and then the
         # forward one's
         dx += dx_f

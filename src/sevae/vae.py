@@ -243,8 +243,10 @@ class VAEModel:
         return loss, parts
 
     def posterior_means(self, id_lists):
-        """Posterior means, (S, latent_dim), of S clauses: one encode pass."""
-        return self._posterior_heads(encoders.encode(id_lists, self.enc_cfg, self.params)).mu.data
+        """Posterior means, (S, latent_dim), of S clauses: one encode pass
+        and the mean head alone."""
+        h = encoders.encode(id_lists, self.enc_cfg, self.params)
+        return T.affine(h, self.params["post.mu_w"], self.params["post.mu_b"]).data
 
     def batch_probs(self, id_lists):
         """Class probabilities, (S, 7), of S clauses read at their posterior

@@ -222,15 +222,19 @@ def test_stats_of_unreadable_record_is_data_error(capsys, tmp_path, line):
     assert f"{path}:2" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["corpus", "config"])
+@pytest.mark.parametrize("name", ["corpus", "config", "missing-corpus", "missing-config"])
 def test_non_utf8_input_is_data_error(capsys, tmp_path, name):
+    # a missing file goes through the same reader, and fails the same way
     path = tmp_path / name
-    path.write_bytes(b'{"text": "caf\xe9.", "label": "state"}\n')
+    if not name.startswith("missing"):
+        path.write_bytes(b'{"text": "caf\xe9.", "label": "state"}\n')
     out = tmp_path / "o"
-    args = ["stats", "--in", str(path)] if name == "corpus" else ["synth", "--config", str(path), "--out", str(out)]
+    args = (["stats", "--in", str(path)] if name.endswith("corpus")
+            else ["synth", "--config", str(path), "--out", str(out)])
     assert cli.main(args) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and "UTF-8" in err and "Traceback" not in err
+    assert str(path) in err and "Traceback" not in err
+    assert ("cannot read" if name.startswith("missing") else "UTF-8") in err
     assert not out.exists()
 
 
@@ -539,20 +543,30 @@ def _sweep_args(synth_dir, out, *extra):
     ("sweep", ["--models", "", "--ks", "2"], "--models"),
     ("sweep", ["--models", "disc", "--ks", ""], "--ks"),
     ("sweep", ["--models", "disc", "--ks", "2", "--seeds", ","], "--seeds"),
-    ("sweep", ["--models", "disc", "--ks", "2", "--config", "CONFIG"], "--seeds"),
+    ("sweep", ["--models", "disc", "--ks", "2", "--config", "CONFIG:seeds"], "--seeds"),
+    ("crossgenre", ["--genres", ""], "--genres"),
+    ("crossgenre", ["--genres", ","], "--genres"),
+    ("crossgenre", ["--config", "CONFIG:genres"], "--genres"),
+    ("crossgenre", ["--opt", ""], "--opt"),
     ("gradcheck", ["--seeds", ""], "--seeds"),
     ("stats", ["--in", ""], "--in"),
 ])
 def test_empty_list_flag_is_usage_error_before_any_output(capsys, tmp_path, synth_dir, command,
                                                           flags, flag):
-    # each used to run nothing and exit 0: header-only sweep TSVs, a
-    # gradcheck "pass" that probed no seed, all-zero stats tables
+    # each used to run nothing, or crossgenre every genre, and exit 0:
+    # header-only sweep TSVs, a gradcheck "pass" that probed no seed,
+    # all-zero stats tables
     out = tmp_path / "out"
-    config = tmp_path / "empty-seeds.cfg"
-    config.write_text("seeds =\n")
-    flags = [str(config) if f == "CONFIG" else f for f in flags]
+    config = tmp_path / "empty-list.cfg"
+    for f in flags:
+        if f.startswith("CONFIG:"):
+            config.write_text(f"{f[len('CONFIG:'):]} =\n")
+    flags = [str(config) if f.startswith("CONFIG:") else f for f in flags]
     if command == "sweep":
         argv = _sweep_args(synth_dir, out, *flags)
+    elif command == "crossgenre":
+        argv = ["crossgenre", "--model", "disc", "--data", str(synth_dir / "train.jsonl"),
+                "--out", str(out), *flags]
     elif command == "gradcheck":
         argv = ["gradcheck", "--out", str(out), *flags]
     else:

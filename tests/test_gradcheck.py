@@ -1,9 +1,15 @@
+"""check_gradients on small objectives, and the end-to-end gradient
+suite's roster, seed check and a cheap live run of two of its objectives;
+acceptance criterion 1 runs all seven."""
+
 import numpy as np
 import pytest
 
 from sevae import tensor as T
 from sevae.errors import NumericsError
-from sevae.gradcheck import DEFAULT_STEP, DEFAULT_TOL, check_gradients
+from sevae.gradcheck import (
+    DEFAULT_STEP, DEFAULT_TOL, OBJECTIVES, _build_objective, check_gradients, gradient_suite,
+)
 
 
 def test_defaults_exposed():
@@ -55,3 +61,26 @@ def test_parameters_restored_after_check(rng):
 
     check_gradients(build, p)
     np.testing.assert_array_equal(p["w"].data, data)
+
+
+def test_objective_roster():
+    assert OBJECTIVES == (
+        "elbo-bow", "elbo-lstm", "elbo-xfmr",
+        "classlm", "latent-marginal", "disc", "ctx",
+    )
+
+
+def test_suite_passes_on_cheap_objectives():
+    # the suite's own batch and frozen noise for its two cheapest objectives
+    for name in ("disc", "classlm"):
+        build, params = _build_objective(name, 0)
+        per_param = check_gradients(build, params)
+        assert set(per_param) == {k for k, p in params.items() if p.requires_grad}
+        worst = max(per_param.values())
+        assert worst <= DEFAULT_TOL, f"{name}: {worst}"
+
+
+def test_suite_of_no_seed_raises():
+    # it would probe nothing and report every objective as passed
+    with pytest.raises(ValueError, match="at least one seed"):
+        gradient_suite(seeds=())

@@ -235,7 +235,7 @@ def test_in_place_forward_gives_the_previous_kernels_bits(lengths, reverse, seed
     whT = rng.standard_normal((4 * H, H)) * scale
     b = rng.standard_normal(4 * H)
     h0, c0 = rng.standard_normal((B, H)), rng.standard_normal((B, H))
-    src, order, sizes, _prev = Tn._packed_layout(np.array(lengths), x.shape[0], reverse)
+    src, order, sizes, _prev = Tn._packed_layout(np.array(lengths), x.shape[0], reverse, "lstm_seq")
     xw = x[src] @ wx + b
     with np.errstate(over="ignore"):
         want = previous_lstm_forward(xw, whT, h0[order], c0[order], sizes)
@@ -304,6 +304,20 @@ def test_one_blas_thread_holds_one_thread_and_restores_the_count():
             with kernels.one_blas_thread():
                 assert get() == 1
             assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_concurrently_runs_both_at_one_blas_thread_and_restores_the_count():
+    calls = kernels._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("the loaded BLAS exports no OpenBLAS thread calls")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    try:
+        assert kernels.concurrently(get, get) == (1, 1)
         assert get() == 2
     finally:
         set_(before)

@@ -583,7 +583,7 @@ def test_stacked_lstm_seq_equals_per_sequence_calls(rng):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_packed_layout_of_one_sequence_is_its_rows(reverse):
-    src, order, batch_sizes, prev = T._packed_layout([6], 6, reverse)
+    src, order, batch_sizes, prev = T._packed_layout([6], 6, reverse, "lstm_seq")
     rows = np.arange(6)
     np.testing.assert_array_equal(src, rows[::-1] if reverse else rows)
     np.testing.assert_array_equal(order, [0])
@@ -601,6 +601,18 @@ def test_lstm_seq_rejects_bad_lengths_and_states(rng):
         T.lstm_seq(x, wx, whT, b, h0, h0, [5, 0])
     with pytest.raises(GraphError, match="initial states"):
         T.lstm_seq(x, wx, whT, b, h0, h0, [5])
+
+
+@pytest.mark.parametrize("op", ["lstm_seq", "bilstm_seq"])
+def test_lstm_ops_name_themselves_on_bad_lengths(rng, op):
+    x = leaf(rng.standard_normal((5, 2)))
+    wx, whT, b = leaf(np.zeros((2, 8))), leaf(np.zeros((8, 2))), leaf(np.zeros(8))
+    h0 = leaf(np.zeros((2, 2)))
+    with pytest.raises(GraphError, match=f"^{op} needs segment lengths"):
+        if op == "lstm_seq":
+            T.lstm_seq(x, wx, whT, b, h0, h0, [3, 3])
+        else:
+            T.bilstm_seq(x, (wx, whT, b), (wx, whT, b), [3, 3])
 
 
 def test_gradcheck_concat_and_repeated_rows(rng):
