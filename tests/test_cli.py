@@ -544,12 +544,12 @@ def _sweep_args(synth_dir, out, *extra):
     ("sweep", ["--models", "disc", "--ks", ""], "--ks"),
     ("sweep", ["--models", "disc", "--ks", "2", "--seeds", ","], "--seeds"),
     ("sweep", ["--models", "disc", "--ks", "2", "--config", "CONFIG:seeds"], "--seeds"),
+    ("gradcheck", ["--seeds", ""], "--seeds"),
+    ("stats", ["--in", ""], "--in"),
     ("crossgenre", ["--genres", ""], "--genres"),
     ("crossgenre", ["--genres", ","], "--genres"),
     ("crossgenre", ["--config", "CONFIG:genres"], "--genres"),
     ("crossgenre", ["--opt", ""], "--opt"),
-    ("gradcheck", ["--seeds", ""], "--seeds"),
-    ("stats", ["--in", ""], "--in"),
 ])
 def test_empty_list_flag_is_usage_error_before_any_output(capsys, tmp_path, synth_dir, command,
                                                           flags, flag):
